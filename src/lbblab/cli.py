@@ -22,6 +22,7 @@ from . import analytic, perturb
 from .fem import BoundaryCondition, Continuity, ElementSpace, Family
 from .geometry import (
     Mesh,
+    MeshError,
     SvSplitParams,
     element_sizes,
     load_mesh,
@@ -31,7 +32,13 @@ from .geometry import (
     save_mesh,
     sv_split,
 )
-from .infsup import BetaResult, PairConfig, compute_beta, eigenfunction_export
+from .infsup import (
+    BetaResult,
+    DimensionZeroError,
+    PairConfig,
+    compute_beta,
+    eigenfunction_export,
+)
 from .spectral import EigenSolverError, NotPositiveDefinite, SolverOptions
 from .svgplot import line_plot
 
@@ -74,17 +81,12 @@ def _cfg_hash(cfg: dict) -> str:
 
 
 def _solver_options(cfg: dict, seed_override=None) -> SolverOptions:
+    """The config's `solver` block; SolverOptions holds the defaults and
+    rejects unknown keys."""
     s = dict(cfg.get("solver", {}))
     if seed_override is not None:
         s["seed"] = seed_override
-    return SolverOptions(
-        residual_tol=float(s.get("residual_tol", 1e-10)),
-        symmetry_tol=float(s.get("symmetry_tol", 1e-10)),
-        dense_cap=s.get("dense_cap"),
-        mixed_cap=int(s.get("mixed_cap", 3000)),
-        seed=int(s.get("seed", 0)),
-        max_iterations=int(s.get("max_iterations", 20000)),
-    )
+    return SolverOptions(**s)
 
 
 def _center_quad(grid: Mesh) -> int:
@@ -115,16 +117,21 @@ def sv_mesh(
     return sv_split(grid, params)
 
 
-def _spaces(cfg: dict, family: Family) -> tuple[ElementSpace, ElementSpace]:
-    vel = ElementSpace(
-        family,
-        int(cfg["velocity_degree"]),
-        Continuity.C0,
-        BoundaryCondition.ZERO_TRACE,
-    )
-    pcont = Continuity(cfg.get("pressure_continuity", "dc"))
-    pre = ElementSpace(family, int(cfg["pressure_degree"]), pcont, BoundaryCondition.NONE)
-    return vel, pre
+def _pair(
+    mesh: Mesh,
+    velocity_degree: int,
+    pressure_degree: int,
+    solver: SolverOptions,
+    pressure_continuity: str = "dc",
+    **kwargs,
+) -> PairConfig:
+    """C0 zero-trace velocities against pressures of the mesh's element family."""
+    family = Family.QUAD if mesh.is_quad else Family.TRIANGLE
+    vel = ElementSpace(family, int(velocity_degree), Continuity.C0, BoundaryCondition.ZERO_TRACE)
+    pcont = Continuity(pressure_continuity)
+    pre = ElementSpace(family, int(pressure_degree), pcont, BoundaryCondition.NONE)
+    return PairConfig(velocity_space=vel, pressure_space=pre, velocity_mesh=mesh, solver=solver,
+                      **kwargs)
 
 
 def _domain_mesh(cfg: dict) -> Mesh:
@@ -154,14 +161,14 @@ def _domain_mesh(cfg: dict) -> Mesh:
     raise ValueError(f"unknown domain type {kind!r}")
 
 
-def _beta_cells(result: BetaResult | None, k: int, flagged: int, tol: float) -> list[str]:
+def _beta_cells(result: BetaResult | None, k: int, tol: float) -> list[str]:
     if result is None:
         return (
             ["failed", "0", "0", "nan", "nan", "nan"]
             + ["nan"] * k
             + ["nan", "1"]
         )
-    flag = 1 if (flagged or result.residual_max > tol) else 0
+    flag = 1 if result.residual_max > tol else 0
     sig = list(result.sigmas[:k]) + [float("nan")] * max(0, k - len(result.sigmas))
     return [
         result.config_hash,
@@ -181,9 +188,11 @@ def _beta_header(k: int) -> list[str]:
 
 
 def _safe_beta(config: PairConfig, k: int) -> BetaResult | None:
+    """compute_beta, with the failures a sweep point may have mapped to None
+    (a flagged row); anything else aborts the run."""
     try:
         return compute_beta(config, k=k)
-    except (EigenSolverError, NotPositiveDefinite):
+    except (EigenSolverError, NotPositiveDefinite, DimensionZeroError):
         return None
 
 
@@ -206,29 +215,79 @@ def _parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def _beta_table(
+    lead_header: list[str],
+    rows: list[tuple[list[str], BetaResult | None]],
+    k: int,
+    tol: float,
+) -> tuple[str, list[dict]]:
+    """CSV text and parsed rows of (lead cells, result) pairs: the lead
+    columns, then the beta columns of `_beta_header`."""
+    text = _csv_text(
+        lead_header + _beta_header(k),
+        [lead + _beta_cells(result, k, tol) for lead, result in rows],
+    )
+    return text, _parse_csv(text)
+
+
+def _ref_cell(beta_ref) -> str:
+    return _g(beta_ref) if beta_ref is not None else "nan"
+
+
+def _usc_all_rows(rows: list[dict], cfg: dict) -> CheckResult:
+    """Upper semicontinuity on every unflagged row: beta <= beta_ref + slack."""
+    beta_ref = cfg["beta_ref"]
+    slack = float(cfg.get("slack", 0.005))
+    betas = [float(r["beta"]) for r in rows if r["flagged"] == "0"]
+    worst = max(betas) if betas else float("nan")
+    return CheckResult(
+        "usc-all-rows",
+        bool(betas) and worst <= float(beta_ref) + slack,
+        f"max beta={worst:.6g} <= {beta_ref} + {slack}",
+    )
+
+
+def _doubling_ratios(name: str, rows: list[dict], column: str, window) -> CheckResult:
+    """Ratio of `column` between consecutive rows whose n doubles must lie
+    in `window`."""
+    ns = [int(r["n"]) for r in rows]
+    vals = {int(r["n"]): float(r[column]) for r in rows}
+    ratios = [
+        vals[b] / vals[a] for a, b in zip(ns, ns[1:]) if b == 2 * a and vals.get(a, 0) > 0
+    ]
+    return CheckResult(
+        name,
+        bool(ratios) and all(window[0] <= rho <= window[1] for rho in ratios),
+        "ratios " + ", ".join(f"{rho:.3f}" for rho in ratios),
+    )
+
+
 # ----------------------------------------------------------------------
 # single beta / spectrum
 # ----------------------------------------------------------------------
 
-def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
-    solver = _solver_options(cfg, seed)
-    mesh = _domain_mesh(cfg)
-    if cfg.get("mesh_out"):
-        save_mesh(mesh, cfg["mesh_out"])
-    family = Family.QUAD if mesh.is_quad else Family.TRIANGLE
-    vel, pre = _spaces(cfg["elements"], family)
-    k = int(cfg.get("k", 6))
-    pc = PairConfig(
-        velocity_space=vel,
-        pressure_space=pre,
-        velocity_mesh=mesh,
+def _config_pair(cfg: dict, seed) -> tuple[PairConfig, int]:
+    """The pairing and eigenvalue count of a `domain`/`mesh`/`elements` config."""
+    el = cfg["elements"]
+    pc = _pair(
+        _domain_mesh(cfg),
+        el["velocity_degree"],
+        el["pressure_degree"],
+        _solver_options(cfg, seed),
+        el.get("pressure_continuity", "dc"),
         deflate_constants=bool(cfg.get("deflate_constants", True)),
-        solver=solver,
     )
+    return pc, int(cfg.get("k", 6))
+
+
+def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
+    pc, k = _config_pair(cfg, seed)
+    if cfg.get("mesh_out"):
+        save_mesh(pc.velocity_mesh, cfg["mesh_out"])
     result = compute_beta(pc, k=k)
     if cfg.get("eigenfunction_out"):
         eigenfunction_export(result, cfg["eigenfunction_out"])
-    rows = [_beta_cells(result, k, 0, solver.residual_tol)]
+    text, _ = _beta_table([], [([], result)], k, pc.solver.residual_tol)
     checks = []
     if "beta_range" in cfg:
         lo, hi = cfg["beta_range"]
@@ -248,28 +307,17 @@ def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
                 f"beta={result.beta:.6g} <= {cfg['beta_ref']} + {slack}",
             )
         )
-    return RunOutput(csv=_csv_text(_beta_header(k), rows), checks=checks)
+    return RunOutput(csv=text, checks=checks)
 
 
 def run_spectrum(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
-    solver = _solver_options(cfg, seed)
-    mesh = _domain_mesh(cfg)
-    family = Family.QUAD if mesh.is_quad else Family.TRIANGLE
-    vel, pre = _spaces(cfg["elements"], family)
-    k = int(cfg.get("k", 6))
-    pc = PairConfig(
-        velocity_space=vel,
-        pressure_space=pre,
-        velocity_mesh=mesh,
-        deflate_constants=bool(cfg.get("deflate_constants", True)),
-        solver=solver,
-    )
+    pc, k = _config_pair(cfg, seed)
     result = compute_beta(pc, k=k)
     corners = [float(w) for w in cfg.get("corner_angles", [])]
     low, high = (analytic.cosserat_interval(corners[0]) if corners else (float("nan"),) * 2)
     header = ["config_hash", "j", "sigma", "cosserat_low", "cosserat_high",
               "residual_max", "flagged"]
-    flag = 1 if result.residual_max > solver.residual_tol else 0
+    flag = 1 if result.residual_max > pc.solver.residual_tol else 0
     rows = [
         [result.config_hash, str(j + 1), _g(s), _g(low), _g(high),
          _g(result.residual_max), str(flag)]
@@ -331,27 +379,24 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     vdeg, pdeg = int(cfg.get("velocity_degree", 4)), int(cfg.get("pressure_degree", 3))
     beta_ref = cfg.get("beta_ref")
 
-    points = [(gi, g, a) for gi, g in enumerate(grids) for a in a_values]
+    points = [(g, a) for g in grids for a in a_values]
 
     def work(item):
-        _, (nx, ny), a = item
+        (nx, ny), a = item
         try:
             mesh = sv_mesh(width, height, nx, ny, b, a, special)
-        except Exception:
+        except MeshError:
             return None
-        vel = ElementSpace(Family.TRIANGLE, vdeg, Continuity.C0, BoundaryCondition.ZERO_TRACE)
-        pre = ElementSpace(Family.TRIANGLE, pdeg, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
-        pc = PairConfig(velocity_space=vel, pressure_space=pre, velocity_mesh=mesh, solver=solver)
-        return _safe_beta(pc, k)
+        return _safe_beta(_pair(mesh, vdeg, pdeg, solver), k)
 
     results = _parallel(work, points, jobs)
-    header = ["mesh", "a", "beta_ref"] + _beta_header(k)
-    rows = []
-    for (gi, (nx, ny), a), res in zip(points, results):
-        lead = [f"{nx}x{ny}", _g(a), _g(beta_ref) if beta_ref is not None else "nan"]
-        rows.append(lead + _beta_cells(res, k, 0, solver.residual_tol))
-    text = _csv_text(header, rows)
-    parsed = _parse_csv(text)
+    text, parsed = _beta_table(
+        ["mesh", "a", "beta_ref"],
+        [([f"{nx}x{ny}", _g(a), _ref_cell(beta_ref)], res)
+         for ((nx, ny), a), res in zip(points, results)],
+        k,
+        solver.residual_tol,
+    )
     svgs = {
         "": plot_sv_sweep(parsed),
         "diff_fine": plot_sv_sweep_diff_fine(parsed),
@@ -381,18 +426,7 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         "slopes": _csv_text(["mesh", "a_min", "a_max", "slope", "relative_residual"], slope_rows)
     }
 
-    checks = []
-    if beta_ref is not None:
-        slack = float(cfg.get("slack", 0.005))
-        betas = [float(r["beta"]) for r in parsed if r["flagged"] == "0"]
-        worst = max(betas) if betas else float("nan")
-        checks.append(
-            CheckResult(
-                "usc-all-rows",
-                bool(betas) and worst <= float(beta_ref) + slack,
-                f"max beta={worst:.6g} <= {beta_ref} + {slack}",
-            )
-        )
+    checks = [_usc_all_rows(parsed, cfg)] if beta_ref is not None else []
     if any(abs(a) < 1e-12 for a in a_values):
         zero_max = float(cfg.get("zero_beta_max", 1e-6))
         z = [
@@ -427,19 +461,24 @@ def _series_by_mesh(rows: list[dict]):
     return order
 
 
-def plot_sv_sweep(rows: list[dict]) -> str:
+def _series_over_a(rows: list[dict], y) -> list:
+    """One (mesh label, a values, y(row) values) series per mesh."""
     series = []
     for label in _series_by_mesh(rows):
         sub = [r for r in rows if r["mesh"] == label]
-        series.append(
-            (label, [float(r["a"]) for r in sub], [float(r["beta"]) for r in sub])
-        )
-    refs = []
+        series.append((label, [float(r["a"]) for r in sub], [y(r) for r in sub]))
+    return series
+
+
+def _reference_line(rows: list[dict]) -> list:
+    """The `beta_ref` column as a labelled reference line, if it is set."""
     ref = float(rows[0]["beta_ref"]) if rows else float("nan")
-    if not math.isnan(ref):
-        refs = [("reference", ref)]
-    return line_plot(series, "a", "beta_n(a)", title="inf-sup constant vs decentering",
-                     ref_lines=refs)
+    return [] if math.isnan(ref) else [("reference", ref)]
+
+
+def plot_sv_sweep(rows: list[dict]) -> str:
+    return line_plot(_series_over_a(rows, lambda r: float(r["beta"])), "a", "beta_n(a)",
+                     title="inf-sup constant vs decentering", ref_lines=_reference_line(rows))
 
 
 def plot_sv_sweep_diff_fine(rows: list[dict]) -> str:
@@ -464,12 +503,7 @@ def plot_sv_sweep_diff_fine(rows: list[dict]) -> str:
 
 
 def plot_sv_sweep_diff_ref(rows: list[dict]) -> str:
-    series = []
-    for label in _series_by_mesh(rows):
-        sub = [r for r in rows if r["mesh"] == label]
-        xs = [float(r["a"]) for r in sub]
-        ys = [float(r["beta_ref"]) - float(r["beta"]) for r in sub]
-        series.append((label, xs, ys))
+    series = _series_over_a(rows, lambda r: float(r["beta_ref"]) - float(r["beta"]))
     return line_plot(series, "a", "log10 difference to reference",
                      title="distance to the continuous value", log_y=True)
 
@@ -522,47 +556,25 @@ def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         kdeg = _pressure_degree(rule, n)
         if kdeg is None or n < 1:
             return None, None
-        mesh = rect_grid(width, height, nx, ny)
-        vel = ElementSpace(Family.QUAD, n, Continuity.C0, BoundaryCondition.ZERO_TRACE)
-        pre = ElementSpace(Family.QUAD, kdeg, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
-        try:
-            pc = PairConfig(velocity_space=vel, pressure_space=pre, velocity_mesh=mesh,
-                            solver=solver)
-            return kdeg, compute_beta(pc, k=min(k, mesh.n_elements * (kdeg + 1) ** 2 - 1))
-        except (EigenSolverError, NotPositiveDefinite, ValueError):
-            return kdeg, None
+        return kdeg, _safe_beta(_pair(rect_grid(width, height, nx, ny), n, kdeg, solver), k)
 
     results = _parallel(work, points, jobs)
-    header = ["mesh", "rule", "n", "pressure_degree", "beta_ref"] + _beta_header(k)
-    rows = []
-    for ((nx, ny), rule, n), (kdeg, res) in zip(points, results):
-        if kdeg is None:
-            continue
-        lead = [
-            f"{nx}x{ny}",
-            _rule_label(rule),
-            str(n),
-            str(kdeg),
-            _g(beta_ref) if beta_ref is not None else "nan",
-        ]
-        rows.append(lead + _beta_cells(res, k, 0, solver.residual_tol))
-    text = _csv_text(header, rows)
-    parsed = _parse_csv(text)
+    text, parsed = _beta_table(
+        ["mesh", "rule", "n", "pressure_degree", "beta_ref"],
+        [
+            ([f"{nx}x{ny}", _rule_label(rule), str(n), str(kdeg), _ref_cell(beta_ref)], res)
+            for ((nx, ny), rule, n), (kdeg, res) in zip(points, results)
+            if kdeg is not None
+        ],
+        k,
+        solver.residual_tol,
+    )
     svgs = {"": plot_p_sweep(parsed)}
     checks = []
     # opt-in: full p-sweeps include tiny pressure spaces whose beta may
     # legitimately exceed the continuous reference
     if beta_ref is not None and cfg.get("check_usc", False):
-        slack = float(cfg.get("slack", 0.005))
-        betas = [float(r["beta"]) for r in parsed if r["flagged"] == "0"]
-        worst = max(betas) if betas else float("nan")
-        checks.append(
-            CheckResult(
-                "usc-all-rows",
-                bool(betas) and worst <= float(beta_ref) + slack,
-                f"max beta={worst:.6g} <= {beta_ref} + {slack}",
-            )
-        )
+        checks.append(_usc_all_rows(parsed, cfg))
     if "converge_tol" in cfg and beta_ref is not None:
         tol = float(cfg["converge_tol"])
         ok = True
@@ -600,12 +612,8 @@ def plot_p_sweep(rows: list[dict]) -> str:
                 [float(r["beta"]) for r in sub],
             )
         )
-    refs = []
-    ref = float(rows[0]["beta_ref"]) if rows else float("nan")
-    if not math.isnan(ref):
-        refs = [("reference", ref)]
     return line_plot(series, "velocity degree n", "beta_n",
-                     title="p-version inf-sup constants", ref_lines=refs)
+                     title="p-version inf-sup constants", ref_lines=_reference_line(rows))
 
 
 # ----------------------------------------------------------------------
@@ -617,7 +625,7 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     width, height = float(cfg["width"]), float(cfg["height"])
     family = cfg.get("family", "quad")
     vdeg, pdeg = int(cfg.get("velocity_degree", 2)), int(cfg.get("pressure_degree", 0))
-    pcont = Continuity(cfg.get("pressure_continuity", "dc"))
+    pcont = cfg.get("pressure_continuity", "dc")
     grids = [tuple(g) for g in cfg["pressure_grids"]]
     rule = cfg.get("refine_velocity", {"mode": "fixed", "r": 1})
     k = int(cfg.get("k", 6))
@@ -632,22 +640,12 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         i, (nx, ny) = item
         if family == "quad":
             pmesh = rect_grid(width, height, nx, ny)
-            fam = Family.QUAD
         else:
             pmesh = sv_mesh(width, height, nx, ny, float(cfg.get("b", 0.25)))
-            fam = Family.TRIANGLE
         r = depth(i)
         vmesh, pm = refine_chain(pmesh, r)
-        vel = ElementSpace(fam, vdeg, Continuity.C0, BoundaryCondition.ZERO_TRACE)
-        pre = ElementSpace(fam, pdeg, pcont, BoundaryCondition.NONE)
-        pc = PairConfig(
-            velocity_space=vel,
-            pressure_space=pre,
-            velocity_mesh=vmesh,
-            pressure_mesh=pmesh if pm is not None else None,
-            parent_map=pm,
-            solver=solver,
-        )
+        pc = _pair(vmesh, vdeg, pdeg, solver, pcont,
+                   pressure_mesh=pmesh if pm is not None else None, parent_map=pm)
         res = _safe_beta(pc, k)
         hx, _ = element_sizes(vmesh)
         _, hm = element_sizes(pmesh)
@@ -655,49 +653,32 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
 
     items = list(enumerate(grids))
     results = _parallel(work, items, jobs)
-    header = ["mesh", "refine_depth", "h_velocity", "h_pressure", "ratio", "beta_ref"] + _beta_header(k)
-    rows = []
-    for (i, (nx, ny)), (r, hx, hm, res) in zip(items, results):
-        lead = [
-            f"{nx}x{ny}",
-            str(r),
-            _g(hx),
-            _g(hm),
-            _g(hx / hm),
-            _g(beta_ref) if beta_ref is not None else "nan",
-        ]
-        rows.append(lead + _beta_cells(res, k, 0, solver.residual_tol))
-    text = _csv_text(header, rows)
-    parsed = _parse_csv(text)
+    text, parsed = _beta_table(
+        ["mesh", "refine_depth", "h_velocity", "h_pressure", "ratio", "beta_ref"],
+        [
+            ([f"{nx}x{ny}", str(r), _g(hx), _g(hm), _g(hx / hm), _ref_cell(beta_ref)], res)
+            for (_, (nx, ny)), (r, hx, hm, res) in zip(items, results)
+        ],
+        k,
+        solver.residual_tol,
+    )
     checks = []
     # opt-in for the same reason as the p-sweep: coarse-pressure rows of a
     # nested study may sit above the continuous reference
     if beta_ref is not None and cfg.get("check_usc", False):
-        slack = float(cfg.get("slack", 0.005))
-        betas = [float(r_["beta"]) for r_ in parsed if r_["flagged"] == "0"]
-        worst = max(betas) if betas else float("nan")
-        checks.append(
-            CheckResult(
-                "usc-all-rows",
-                bool(betas) and worst <= float(beta_ref) + slack,
-                f"max beta={worst:.6g} <= {beta_ref} + {slack}",
-            )
-        )
+        checks.append(_usc_all_rows(parsed, cfg))
     return RunOutput(csv=text, svgs={"": plot_h_refinement(parsed)}, checks=checks)
 
 
 def plot_h_refinement(rows: list[dict]) -> str:
     xs = [float(r["ratio"]) for r in rows]
     ys = [float(r["beta"]) for r in rows]
-    refs = []
-    if rows and not math.isnan(float(rows[0]["beta_ref"])):
-        refs = [("reference", float(rows[0]["beta_ref"]))]
     return line_plot(
         [("beta_n", xs, ys)],
         "mesh-size ratio h_velocity / h_pressure",
         "beta_n",
         title="h-refinement with nested meshes",
-        ref_lines=refs,
+        ref_lines=_reference_line(rows),
     )
 
 
@@ -714,21 +695,11 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     eps_grid = int(cfg.get("eps_grid", 512))
 
     def work(n):
-        mesh = regular_polygon_mesh(n, refine)
-        vel = ElementSpace(Family.TRIANGLE, vdeg, Continuity.C0, BoundaryCondition.ZERO_TRACE)
-        pre = ElementSpace(Family.TRIANGLE, pdeg, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
-        pc = PairConfig(velocity_space=vel, pressure_space=pre, velocity_mesh=mesh, solver=solver)
-        res = _safe_beta(pc, k)
-        est = perturb.polygon_disk_eps(n, grid_density=eps_grid)
-        return res, est
+        res = _safe_beta(_pair(regular_polygon_mesh(n, refine), vdeg, pdeg, solver), k)
+        return res, perturb.polygon_disk_eps(n, grid_density=eps_grid)
 
     results = _parallel(work, n_values, jobs)
     disk = analytic.beta_disk().value
-    header = (
-        ["n", "lower_bound", "upper_bound", "gap_bound", "gap", "eps_forward",
-         "eps_inverse", "jacobian_deviation"]
-        + _beta_header(k)
-    )
     rows = []
     for n, (res, est) in zip(n_values, results):
         low, up = analytic.polygon_bounds(n)
@@ -743,10 +714,14 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
             _g(est.eps_inverse),
             _g(est.jacobian_deviation),
         ]
-        rows.append(lead + _beta_cells(res, k, 0, solver.residual_tol))
-    text = _csv_text(header, rows)
-    parsed = _parse_csv(text)
-    checks = []
+        rows.append((lead, res))
+    text, parsed = _beta_table(
+        ["n", "lower_bound", "upper_bound", "gap_bound", "gap", "eps_forward",
+         "eps_inverse", "jacobian_deviation"],
+        rows,
+        k,
+        solver.residual_tol,
+    )
     lower_slack = float(cfg.get("lower_slack", 0.01))
     upper_slack = float(cfg.get("upper_slack", 0.005))
     ok_bounds = all(
@@ -754,36 +729,12 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         for r in parsed
         if r["flagged"] == "0"
     ) and all(r["flagged"] == "0" for r in parsed)
-    checks.append(
-        CheckResult("two-sided-bounds", ok_bounds, f"{len(parsed)} polygon sizes")
-    )
-    window = cfg.get("gap_ratio_window", [0.3, 0.7])
-    gaps = {int(r["n"]): float(r["gap"]) for r in parsed}
-    ratios = [
-        gaps[b] / gaps[a]
-        for a, b in zip(n_values, n_values[1:])
-        if b == 2 * a and gaps.get(a, 0) > 0
+    checks = [
+        CheckResult("two-sided-bounds", ok_bounds, f"{len(parsed)} polygon sizes"),
+        _doubling_ratios("gap-contraction", parsed, "gap", cfg.get("gap_ratio_window", [0.3, 0.7])),
+        _doubling_ratios("eps-contraction", parsed, "eps_forward",
+                         cfg.get("eps_ratio_window", [0.35, 0.65])),
     ]
-    ok_rate = bool(ratios) and all(window[0] <= rho <= window[1] for rho in ratios)
-    checks.append(
-        CheckResult(
-            "gap-contraction",
-            ok_rate,
-            "ratios " + ", ".join(f"{rho:.3f}" for rho in ratios),
-        )
-    )
-    eps = {int(r["n"]): float(r["eps_forward"]) for r in parsed}
-    ewin = cfg.get("eps_ratio_window", [0.35, 0.65])
-    eratios = [
-        eps[b] / eps[a] for a, b in zip(n_values, n_values[1:]) if b == 2 * a and eps.get(a, 0) > 0
-    ]
-    checks.append(
-        CheckResult(
-            "eps-contraction",
-            bool(eratios) and all(ewin[0] <= rho <= ewin[1] for rho in eratios),
-            "ratios " + ", ".join(f"{rho:.3f}" for rho in eratios),
-        )
-    )
     return RunOutput(csv=text, svgs={"": plot_polygon_limit(parsed)}, checks=checks)
 
 
@@ -807,46 +758,19 @@ def run_perturb_rate(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     grid = int(cfg.get("grid_density", 512))
     ests = _parallel(lambda n: perturb.polygon_disk_eps(n, grid_density=grid), n_values, jobs)
     chash = _cfg_hash(cfg)
-    header = [
-        "config_hash",
-        "n",
-        "eps_forward",
-        "eps_inverse",
-        "eps",
-        "jacobian_deviation",
-        "neumann_inverse_bound",
-        "jacobian_bound_ok",
-        "sample_count",
-    ]
+    # estimate attributes written as columns, in order
+    cols = ["eps_forward", "eps_inverse", "eps", "jacobian_deviation", "neumann_inverse_bound"]
     rows = []
     for n, est in zip(n_values, ests):
         bound_ok = est.jacobian_deviation <= 2 * est.eps_forward + est.eps_forward**2 + 1e-12
-        rows.append(
-            [
-                chash,
-                str(n),
-                _g(est.eps_forward),
-                _g(est.eps_inverse),
-                _g(est.eps),
-                _g(est.jacobian_deviation),
-                _g(est.neumann_inverse_bound),
-                str(int(bound_ok)),
-                str(est.sample_count),
-            ]
-        )
+        cells = [_g(getattr(est, c)) for c in cols]
+        rows.append([chash, str(n), *cells, str(int(bound_ok)), str(est.sample_count)])
+    header = ["config_hash", "n", *cols, "jacobian_bound_ok", "sample_count"]
     text = _csv_text(header, rows)
     parsed = _parse_csv(text)
-    window = cfg.get("eps_ratio_window", [0.35, 0.65])
-    eps = {int(r["n"]): float(r["eps_forward"]) for r in parsed}
-    ratios = [
-        eps[b] / eps[a] for a, b in zip(n_values, n_values[1:]) if b == 2 * a and eps.get(a, 0) > 0
-    ]
     checks = [
-        CheckResult(
-            "eps-halving",
-            bool(ratios) and all(window[0] <= rho <= window[1] for rho in ratios),
-            "ratios " + ", ".join(f"{rho:.3f}" for rho in ratios),
-        ),
+        _doubling_ratios("eps-halving", parsed, "eps_forward",
+                         cfg.get("eps_ratio_window", [0.35, 0.65])),
         CheckResult(
             "jacobian-bound",
             all(r["jacobian_bound_ok"] == "1" for r in parsed),

@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 log = logging.getLogger(__name__)
 
@@ -517,25 +516,33 @@ def refine_chain(mesh: Mesh, levels: int) -> tuple[Mesh, ParentMap | None]:
     return out, pm
 
 
-def _polygon_inradius(p: np.ndarray) -> float:
-    """Chebyshev radius of a convex polygon (largest inscribed circle)."""
-    n = len(p)
-    A = np.zeros((n, 3))
-    b = np.zeros(n)
-    for i in range(n):
-        a, c = p[i], p[(i + 1) % n]
-        t = c - a
-        nrm = np.array([-t[1], t[0]])  # inward for counterclockwise order
-        nrm = nrm / np.linalg.norm(nrm)
-        # require nrm . x - nrm . a >= r  =>  -nrm . x + r <= -nrm . a
-        A[i, :2] = -nrm
-        A[i, 2] = 1.0
-        b[i] = -np.dot(nrm, a)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=b, bounds=[(None, None)] * 3,
-                  method="highs")
-    if not res.success:
-        raise MeshError("inradius LP failed (non-convex element?)")
-    return float(res.x[2])
+def _quad_inradii(p: np.ndarray) -> np.ndarray:
+    """Largest inscribed-circle radius of each convex counterclockwise quad.
+
+    p is (nq, 4, 2).  The optimal circle touches three of the four sides:
+    for each triple solve the tangency system n_i . c - r = n_i . p_i and
+    keep the largest r whose centre c also lies at least r inside the
+    fourth side.  That test allows a relative rounding slack, since in a
+    square every triple is tangent to the fourth side as well.
+    """
+    t = np.roll(p, -1, axis=1) - p
+    nrm = np.stack([-t[..., 1], t[..., 0]], axis=-1)  # inward for counterclockwise order
+    nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
+    off = np.einsum("qij,qij->qi", nrm, p)
+    best = np.full(len(p), -np.inf)
+    for skip in range(4):
+        tri = [i for i in range(4) if i != skip]
+        lhs = np.concatenate([nrm[:, tri], -np.ones((len(p), 3, 1))], axis=2)
+        try:
+            sol = np.linalg.solve(lhs, off[:, tri, None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise MeshError("degenerate quad: two sides are collinear") from exc
+        c, r = sol[:, :2], sol[:, 2]
+        inside = np.einsum("qi,qi->q", nrm[:, skip], c) - off[:, skip] >= r * (1.0 - 1e-12)
+        best = np.where(inside & (r > best), r, best)
+    if not np.isfinite(best).all():
+        raise MeshError("no inscribed circle (non-convex quad?)")
+    return best
 
 
 def element_sizes(mesh: Mesh) -> tuple[float, float]:
@@ -550,7 +557,7 @@ def element_sizes(mesh: Mesh) -> tuple[float, float]:
             d = np.linalg.norm(gathered[:, i] - gathered[:, j], axis=1)
             diam = max(diam, float(d.max()))
     if mesh.is_quad:
-        inr = min(_polygon_inradius(gathered[e]) for e in range(len(elems)))
+        inr = float(_quad_inradii(gathered).min())
     else:
         sides = np.stack(
             [

@@ -36,7 +36,6 @@ __all__ = [
     "PairConfig",
     "UscReport",
     "compute_beta",
-    "csv_header",
     "eigenfunction_export",
     "schur_spectrum",
     "usc_check",
@@ -111,36 +110,6 @@ class BetaResult:
     method: str
     config_hash: str
     dof_p: DofMap = field(repr=False)
-
-    def csv_row(self, k: int) -> str:
-        sig = list(self.sigmas[:k]) + [float("nan")] * max(0, k - len(self.sigmas))
-        cells = [
-            self.config_hash,
-            str(self.n_velocity),
-            str(self.n_pressure),
-            f"{self.max_diameter_velocity:.17g}",
-            f"{self.min_inradius_pressure:.17g}",
-            f"{self.beta:.17g}",
-            *[f"{s:.17g}" for s in sig],
-            f"{self.residual_max:.17g}",
-        ]
-        return ",".join(cells)
-
-
-def csv_header(k: int) -> str:
-    sig = [f"sigma_{j + 1}" for j in range(k)]
-    return ",".join(
-        [
-            "config_hash",
-            "n_velocity",
-            "n_pressure",
-            "max_diameter_velocity",
-            "min_inradius_pressure",
-            "beta",
-            *sig,
-            "residual_max",
-        ]
-    )
 
 
 def _solve_config(config: PairConfig, k: int) -> tuple[GenEigResult, dict]:

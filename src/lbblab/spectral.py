@@ -12,7 +12,6 @@ Three routes to the same spectrum:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,8 @@ __all__ = [
 ]
 
 _DENSE_FACTOR_LIMIT = 600  # below this, plain dense Cholesky beats banded
+_SYMMETRY_TOL = 1e-10  # relative asymmetry accepted in A and in the dense Schur matrix
+_LANCZOS_TOL = 1e-12  # ARPACK convergence tolerance
 
 
 class NotPositiveDefinite(ArithmeticError):
@@ -47,26 +48,17 @@ class EigenSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and caps with documented defaults.
+    """Tolerances and caps; the CLI's `solver` config block sets the same fields.
 
-    dense_cap defaults to 4000 pressure dofs and may be overridden by the
-    LBBLAB_DENSE_CAP environment variable.
+    Problems with more than dense_cap pressure dofs take the shift-invert
+    Lanczos route; max_iterations caps its restarts.
     """
 
     residual_tol: float = 1e-10
-    symmetry_tol: float = 1e-10
-    dense_cap: int | None = None
+    dense_cap: int = 4000
     mixed_cap: int = 3000
     seed: int = 0
-    max_iterations: int = 2000
-    lanczos_vectors: int | None = None  # ARPACK basis size (auto if None)
-    lanczos_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.dense_cap is None:
-            object.__setattr__(
-                self, "dense_cap", int(os.environ.get("LBBLAB_DENSE_CAP", "4000"))
-            )
+    max_iterations: int = 20000
 
 
 class SymFactorization:
@@ -84,7 +76,7 @@ class SymFactorization:
             raise ValueError("matrix must be square")
         scale = abs(A).max() if A.nnz else 0.0
         asym = abs(A - A.T).max() if A.nnz else 0.0
-        if asym > 1e-10 * max(scale, 1e-300):
+        if asym > _SYMMETRY_TOL * max(scale, 1e-300):
             raise ValueError("matrix is not symmetric")
         self.matrix = A
         self.n = n
@@ -161,7 +153,7 @@ def dense_schur(op: SchurOperator, cap: int | None = None, batch: int = 256) -> 
         j1 = min(j0 + batch, n)
         S[:, j0:j1] = op.B @ op.factor.solve(BT[:, j0:j1].toarray())
     scale = np.abs(S).max() or 1.0
-    if np.abs(S - S.T).max() > 1e-10 * scale:
+    if np.abs(S - S.T).max() > _SYMMETRY_TOL * scale:
         raise EigenSolverError("dense Schur matrix failed its symmetry contract")
     return 0.5 * (S + S.T)
 
@@ -266,7 +258,7 @@ def _arpack_eig_path(op, Mp, k, deflate, options):
     v0 = rng.standard_normal(n)
     # a roomy Lanczos basis keeps clustered near-degenerate modes (one per
     # symmetry orbit on symmetric meshes) from stalling the restarts
-    ncv = options.lanczos_vectors or min(n, max(6 * want, 60))
+    ncv = min(n, max(6 * want, 60))
     vals, vecs = eigsh(
         op.as_linear_operator(),
         k=want,
@@ -276,7 +268,7 @@ def _arpack_eig_path(op, Mp, k, deflate, options):
         OPinv=opinv,
         v0=v0,
         ncv=ncv,
-        tol=options.lanczos_tol,
+        tol=_LANCZOS_TOL,
         maxiter=options.max_iterations,
     )
     order = np.argsort(vals)

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from lbblab.cli import (
+    _solver_options,
     main,
     plot_perturb_rate,
     plot_polygon_limit,
@@ -16,6 +18,9 @@ from lbblab.cli import (
     run_sv_sweep,
 )
 from lbblab.geometry import regular_polygon_mesh, save_mesh
+from lbblab.spectral import SolverOptions
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SV_CFG = {
     "kind": "sv-sweep",
@@ -254,3 +259,39 @@ def test_residual_failures_are_flagged_not_silent():
     for r in rows:
         assert r["flagged"] == "1"
         assert r["beta"] == "nan"
+
+
+def test_p_sweep_empty_deflated_pressure_is_flagged(tmp_path):
+    # one Q0dc pressure on one element leaves nothing after deflation
+    cfg = {
+        "kind": "p-sweep",
+        "width": 1, "height": 1,
+        "grids": [[1, 1]],
+        "n_values": [2],
+        "k_rule": {"type": "fixed", "k": 0},
+        "k": 2,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "p")]) == 0
+    rows = _rows((tmp_path / "p.csv").read_text())
+    assert len(rows) == 1
+    assert rows[0]["flagged"] == "1"
+    assert rows[0]["beta"] == "nan"
+
+
+def test_solver_defaults_match_library():
+    assert _solver_options({}, None) == SolverOptions()
+    assert _solver_options({"solver": {"seed": 3}}, 5) == SolverOptions(seed=5)
+    with pytest.raises(TypeError):
+        _solver_options({"solver": {"symmetry_tol": 1e-10}})
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/workloads/*.json")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_config_solver_blocks_build(path):
+    cfg = json.loads(path.read_text())
+    assert isinstance(_solver_options(cfg), SolverOptions)

@@ -208,6 +208,52 @@ def test_element_sizes():
     # right triangle with legs sqrt(2)/2 and hypotenuse 1: r = (leg+leg-hyp)/2
     assert inr3 == pytest.approx((math.sqrt(2.0) - 1.0) / 2.0, abs=1e-12)
 
+    # parallelogram with sides 3 and 1 at 60 degrees: the heights are
+    # sqrt(3)/2 and 3*sqrt(3)/2, and the circle fits between the closer sides
+    s3 = math.sqrt(3.0)
+    para = make_mesh(np.array([[0, 0], [3, 0], [3.5, s3 / 2], [0.5, s3 / 2]]),
+                     quads=np.array([[0, 1, 2, 3]]))
+    _, inr4 = element_sizes(para)
+    assert inr4 == pytest.approx(s3 / 4, rel=1e-12)
+
+    # rhombus with diagonals 4 and 2 is tangential: r = area / semiperimeter
+    rhombus = make_mesh(np.array([[-2.0, 0], [0, -1], [2, 0], [0, 1]]),
+                        quads=np.array([[0, 1, 2, 3]]))
+    _, inr5 = element_sizes(rhombus)
+    assert inr5 == pytest.approx(4.0 / (2 * math.sqrt(5.0)), rel=1e-12)
+
+    # in a square every circle tangent to three sides touches the fourth,
+    # so rounding decides the containment test (this rotation needs the slack)
+    th = math.radians(40.0)
+    rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    corners = 3.0 * np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]) @ rot.T + [2.0, 1.0]
+    _, inr6 = element_sizes(make_mesh(corners, quads=np.array([[0, 1, 2, 3]])))
+    assert inr6 == pytest.approx(1.5, rel=1e-12)
+
+
+def test_quad_inradius_matches_chebyshev_lp():
+    from scipy.optimize import linprog
+
+    from lbblab.geometry import _quad_inradii
+
+    rng = np.random.default_rng(7)
+    quads = []
+    while len(quads) < 200:
+        ang = np.sort(rng.uniform(0, 2 * np.pi, 4))
+        q = rng.uniform(0.5, 2.0, 4)[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        e = np.roll(q, -1, axis=0) - q
+        turn = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+        if (turn > 1e-3).all():  # strictly convex
+            quads.append(q)
+    quads = np.array(quads)
+    for q, r in zip(quads, _quad_inradii(quads)):
+        # largest r with n_i . x - r >= n_i . p_i for the inward unit normal of every side
+        t = np.roll(q, -1, axis=0) - q
+        nrm = np.stack([-t[:, 1], t[:, 0]], axis=1) / np.linalg.norm(t, axis=1)[:, None]
+        lp = linprog([0.0, 0.0, -1.0], A_ub=np.hstack([-nrm, np.ones((4, 1))]),
+                     b_ub=-(nrm * q).sum(axis=1), bounds=[(None, None)] * 3, method="highs")
+        assert r == pytest.approx(lp.x[2], rel=1e-12)
+
 
 def test_mesh_io_roundtrip(tmp_path):
     m = sv_split(rect_grid(2, 1, 3, 2), SvSplitParams(b=0.2, special=(2, -0.3)))

@@ -19,7 +19,6 @@ from lbblab.infsup import (
     DimensionZeroError,
     PairConfig,
     compute_beta,
-    csv_header,
     eigenfunction_export,
     schur_spectrum,
     usc_check,
@@ -175,14 +174,22 @@ def test_eigenfunction_export(tmp_path):
 
 
 def test_csv_row_format():
+    from lbblab.cli import _beta_cells, _beta_header
+
     cfg = _quad_pair(3, 1, rect_grid(1, 1, 1, 1))
     r = compute_beta(cfg, k=3)
-    header = csv_header(3).split(",")
-    row = r.csv_row(3).split(",")
+    header = _beta_header(3)
+    row = _beta_cells(r, 3, cfg.solver.residual_tol)
     assert len(header) == len(row)
     assert header[0] == "config_hash"
+    assert row[0] == r.config_hash
     assert float(row[header.index("beta")]) == pytest.approx(r.beta, rel=1e-16)
     assert int(row[header.index("n_pressure")]) == r.n_pressure
+    assert row[header.index("flagged")] == "0"
+    failed = _beta_cells(None, 3, cfg.solver.residual_tol)
+    assert len(failed) == len(header)
+    assert failed[header.index("beta")] == "nan"
+    assert failed[header.index("flagged")] == "1"
 
 
 # ---------------------------------------------------------------- invariants

@@ -255,10 +255,7 @@ def test_scaling_relations():
     assert np.allclose(ab_scaled, t * base, atol=1e-9)
 
 
-def test_dense_cap_env_override(monkeypatch):
-    monkeypatch.setenv("LBBLAB_DENSE_CAP", "123")
-    assert SolverOptions().dense_cap == 123
-    monkeypatch.delenv("LBBLAB_DENSE_CAP")
+def test_dense_cap_default():
     assert SolverOptions().dense_cap == 4000
     assert SolverOptions(dense_cap=7).dense_cap == 7
 
