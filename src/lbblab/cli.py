@@ -187,12 +187,19 @@ def _beta_header(k: int) -> list[str]:
     return _BETA_COLS + [f"sigma_{j + 1}" for j in range(k)] + ["residual_max", "flagged"]
 
 
+def _point_failed(exc: Exception) -> None:
+    """A failed sweep point: its reason goes to stderr, its row is flagged."""
+    # one write per line, so that lines from --jobs threads do not interleave
+    sys.stderr.write(f"warning: sweep point failed: {type(exc).__name__}: {exc}\n")
+
+
 def _safe_beta(config: PairConfig, k: int) -> BetaResult | None:
     """compute_beta, with the failures a sweep point may have mapped to None
     (a flagged row); anything else aborts the run."""
     try:
         return compute_beta(config, k=k)
-    except (EigenSolverError, NotPositiveDefinite, DimensionZeroError):
+    except (EigenSolverError, NotPositiveDefinite, DimensionZeroError) as exc:
+        _point_failed(exc)
         return None
 
 
@@ -385,7 +392,8 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         (nx, ny), a = item
         try:
             mesh = sv_mesh(width, height, nx, ny, b, a, special)
-        except MeshError:
+        except MeshError as exc:
+            _point_failed(exc)
             return None
         return _safe_beta(_pair(mesh, vdeg, pdeg, solver), k)
 

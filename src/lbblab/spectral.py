@@ -8,6 +8,13 @@ Three routes to the same spectrum:
 * ``mixed_block_eigs`` -- cross-check path solving the structured block
   pencil directly with QZ.
 * ``dense_schur`` -- explicit Schur matrix, the oracle building block.
+
+With a mean vector m to deflate, every route solves on the zero-mean
+pressures {q : m.q = 0}.  The dense and QZ routes need a basis of that
+subspace and take it from a Householder reflector; the Lanczos route
+projects its start vector and every shift-invert solve Mp-orthogonally
+onto it.  All three end in ``_finish``: Rayleigh quotients, sorting and
+the residual contract.
 """
 
 from __future__ import annotations
@@ -158,8 +165,14 @@ def dense_schur(op: SchurOperator, cap: int | None = None, batch: int = 256) -> 
     return 0.5 * (S + S.T)
 
 
-def _householder_to_e1(m: np.ndarray) -> np.ndarray:
-    """Unit vector w with (I - 2 w w^T) m proportional to e_1."""
+def _householder_to_e1(m: np.ndarray | None) -> np.ndarray | None:
+    """Unit vector w with H m proportional to e_1, H = I - 2 w w^T.
+
+    H's last n-1 columns span {q : m.q = 0}.  With nothing to deflate, w is
+    None and the two helpers below are the identity.
+    """
+    if m is None:
+        return None
     w = np.array(m, dtype=float)
     nrm = np.linalg.norm(w)
     if nrm == 0:
@@ -168,16 +181,19 @@ def _householder_to_e1(m: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _reflect_matrix(M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(I-2ww^T) M (I-2ww^T) without forming the reflector."""
+def _reflect_matrix(M: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """H M H without its first row and column, without forming H."""
+    if w is None:
+        return M
     Mw = M @ w
     wMw = w @ Mw
-    out = M - 2.0 * np.outer(w, Mw) - 2.0 * np.outer(Mw, w) + 4.0 * wMw * np.outer(w, w)
-    return out
+    return (M - 2.0 * np.outer(w, Mw) - 2.0 * np.outer(Mw, w) + 4.0 * wMw * np.outer(w, w))[1:, 1:]
 
 
-def _expand_deflated(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _expand_deflated(y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Map reduced coordinates back: q = H [0; y]."""
+    if w is None:
+        return y
     full = np.concatenate([np.zeros((1, *y.shape[1:])), y])
     return full - 2.0 * np.outer(w, w @ full)
 
@@ -192,76 +208,78 @@ def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rayleigh_refine(op, Mp, vectors) -> np.ndarray:
-    """Rayleigh quotients of the computed eigenvectors.
+def _finish(op, Mp, vectors, method: str, tol: float) -> GenEigResult:
+    """Sign-fix, Rayleigh-refine, sort and residual-check computed eigenvectors.
 
-    Quadratically accurate in the eigenvector error, and exactly
-    nonnegative for the Schur operator (the numerator is a squared
-    A^{-1}-norm), so near-null modes come out at the roundoff floor
-    instead of the eigensolver's backward-error level.
+    The Rayleigh quotient is quadratically accurate in the eigenvector error,
+    and exactly nonnegative for the Schur operator (the numerator is a
+    squared A^{-1}-norm), so near-null modes come out at the roundoff floor
+    instead of the eigensolver's backward-error level.  S is applied once
+    per vector and serves both the quotient and the residual.
     """
-    out = np.empty(vectors.shape[1])
-    for j, q in enumerate(vectors.T):
-        out[j] = float(q @ op.apply(q)) / float(q @ (Mp @ q))
-    return out
-
-
-def _residuals(op, Mp, values, vectors) -> np.ndarray:
-    res = np.empty(len(values))
-    for j, (sig, q) in enumerate(zip(values, vectors.T)):
-        r = op.apply(q) - sig * (Mp @ q)
-        qn = float(np.sqrt(q @ (Mp @ q)))
-        res[j] = np.linalg.norm(r) / max(qn, 1e-300)
-    return res
+    vecs = _canonical_sign(vectors)
+    applied = [op.apply(q) for q in vecs.T]
+    vals = np.array([float(q @ Sq) / float(q @ (Mp @ q)) for q, Sq in zip(vecs.T, applied)])
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    # residuals on the sorted copy, whose columns are contiguous: BLAS dot
+    # products round differently on strided columns, and the recorded
+    # residual_max values are the contiguous ones
+    res = np.empty(len(vals))
+    for j, (sig, q) in enumerate(zip(vals, vecs.T)):
+        r = applied[order[j]] - sig * (Mp @ q)
+        res[j] = np.linalg.norm(r) / max(float(np.sqrt(q @ (Mp @ q))), 1e-300)
+    if (res > tol).any():
+        raise EigenSolverError(
+            f"{method} eigen residuals {res.max():.3e} exceed tolerance {tol:.1e}"
+        )
+    return GenEigResult(values=vals, vectors=vecs, residuals=res, method=method)
 
 
 def _dense_eig_path(op, Mp, k, deflate, options):
-    S = dense_schur(op, cap=max(options.dense_cap, op.shape[0]))
-    Mpd = Mp.toarray() if sparse.issparse(Mp) else np.asarray(Mp)
-    if deflate is not None:
-        w = _householder_to_e1(deflate)
-        S_red = _reflect_matrix(S, w)[1:, 1:]
-        M_red = _reflect_matrix(Mpd, w)[1:, 1:]
-    else:
-        w = None
-        S_red, M_red = S, Mpd
-    if k > S_red.shape[0]:
-        raise EigenSolverError(
-            f"requested {k} eigenvalues from a space of dimension {S_red.shape[0]}"
-        )
-    vals, vecs = eigh(S_red, M_red, subset_by_index=(0, k - 1))
-    if w is not None:
-        vecs = _expand_deflated(vecs, w)
-    return vals, vecs
+    w = _householder_to_e1(deflate)
+    S_red = _reflect_matrix(dense_schur(op, cap=options.dense_cap), w)
+    M_red = _reflect_matrix(Mp.toarray(), w)
+    _, y = eigh(S_red, M_red, subset_by_index=(0, k - 1))
+    return _expand_deflated(y, w)
 
 
 def _arpack_eig_path(op, Mp, k, deflate, options):
     n = op.shape[0]
-    A = op.factor.matrix
-    B = op.B
-    nv = A.shape[0]
+    dim = n - (1 if deflate is not None else 0)
+    if k >= dim:
+        raise EigenSolverError("problem too small for the iterative path")
+    nv = op.factor.n
     # dimensionless shift left of the spectrum of the (S, Mp) pencil
     tau = 0.05
-    K = sparse.bmat([[A, B.T], [B, -tau * Mp]], format="csc")
-    lu = splu(K)
+    lu = splu(sparse.bmat([[op.factor.matrix, op.B.T], [op.B, -tau * Mp]], format="csc"))
     zeros_v = np.zeros(nv)
 
     def solve_shifted(b):
         sol = lu.solve(np.concatenate([zeros_v, -np.asarray(b, dtype=float)]))
         return sol[nv:]
 
-    opinv = LinearOperator((n, n), matvec=solve_shifted, dtype=float)
-    want = min(k + (2 if deflate is not None else 1), n - 1)
-    if want < k + (1 if deflate is not None else 0):
-        raise EigenSolverError("problem too small for the iterative path")
+    if deflate is not None:
+        # Lanczos on the zero-mean subspace {m.q = 0}: c = (S + tau Mp)^{-1} m
+        # is the constant mode (S c = 0, so one solve), and P x = x - c (m.x)/(m.c)
+        # is the Mp-orthogonal projector onto that subspace, which the pencil
+        # leaves invariant
+        m = np.asarray(deflate, dtype=float)
+        c = solve_shifted(m)
+        mc = m @ c
+
+    def project(x):
+        return x if deflate is None else x - c * ((m @ x) / mc)
+
+    opinv = LinearOperator((n, n), matvec=lambda b: project(solve_shifted(b)), dtype=float)
     rng = np.random.default_rng(options.seed)
-    v0 = rng.standard_normal(n)
+    v0 = project(rng.standard_normal(n))
     # a roomy Lanczos basis keeps clustered near-degenerate modes (one per
     # symmetry orbit on symmetric meshes) from stalling the restarts
-    ncv = min(n, max(6 * want, 60))
-    vals, vecs = eigsh(
+    ncv = min(dim, max(6 * k, 60))
+    _, vecs = eigsh(
         op.as_linear_operator(),
-        k=want,
+        k=k,
         M=Mp,
         sigma=-tau,
         which="LM",
@@ -271,27 +289,7 @@ def _arpack_eig_path(op, Mp, k, deflate, options):
         tol=_LANCZOS_TOL,
         maxiter=options.max_iterations,
     )
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    if deflate is not None:
-        m = np.asarray(deflate, dtype=float)
-        # drop the constant-pressure mode, then project any remnant exactly
-        const_idx = int(np.argmax(np.abs(m @ vecs)))
-        keep = [j for j in range(vecs.shape[1]) if j != const_idx]
-        vals, vecs = vals[keep], vecs[:, keep]
-        c = _constant_coefficients(Mp, m)
-        vecs = vecs - np.outer(c, (m @ vecs) / (m @ c))
-        norms = np.sqrt(np.einsum("ij,ij->j", vecs, Mp @ vecs))
-        vecs = vecs / norms
-    vals, vecs = vals[:k], vecs[:, :k]
-    return vals, vecs
-
-
-def _constant_coefficients(Mp, m: np.ndarray) -> np.ndarray:
-    """Coefficient vector of the constant function: solves Mp c = m."""
-    if sparse.issparse(Mp):
-        return splu(Mp.tocsc()).solve(m)
-    return np.linalg.solve(Mp, m)
+    return vecs
 
 
 def smallest_generalized_eigs(
@@ -315,22 +313,9 @@ def smallest_generalized_eigs(
     dim = n - (1 if deflate is not None else 0)
     if k < 1 or k > dim:
         raise EigenSolverError(f"k={k} outside the available dimension {dim}")
-    if n <= options.dense_cap:
-        vals, vecs = _dense_eig_path(op, Mp, k, deflate, options)
-        method = "dense"
-    else:
-        vals, vecs = _arpack_eig_path(op, Mp, k, deflate, options)
-        method = "arpack"
-    vecs = _canonical_sign(vecs)
-    vals = _rayleigh_refine(op, Mp, vecs)
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    res = _residuals(op, Mp, vals, vecs)
-    if (res > options.residual_tol).any():
-        raise EigenSolverError(
-            f"eigen residuals {res.max():.3e} exceed tolerance {options.residual_tol:.1e}"
-        )
-    return GenEigResult(values=vals, vectors=vecs, residuals=res, method=method)
+    method = "dense" if n <= options.dense_cap else "arpack"
+    route = _dense_eig_path if method == "dense" else _arpack_eig_path
+    return _finish(op, Mp, route(op, Mp, k, deflate, options), method, options.residual_tol)
 
 
 def mixed_block_eigs(
@@ -355,14 +340,11 @@ def mixed_block_eigs(
         raise EigenSolverError(
             f"mixed pencil of size {nv + n} exceeds the desk-scale cap {options.mixed_cap}"
         )
+    w = _householder_to_e1(deflate)
     Bd = B.toarray()
-    if deflate is not None:
-        w = _householder_to_e1(np.asarray(deflate, dtype=float))
+    if w is not None:
         Bd = (Bd - 2.0 * np.outer(w, w @ Bd))[1:, :]
-        Mpd = _reflect_matrix(Mp.toarray(), w)[1:, 1:]
-    else:
-        w = None
-        Mpd = Mp.toarray()
+    Mpd = _reflect_matrix(Mp.toarray(), w)
     m_red = Bd.shape[0]
     if k > m_red:
         raise EigenSolverError(f"k={k} outside the available dimension {m_red}")
@@ -380,20 +362,8 @@ def mixed_block_eigs(
     real = np.abs(wvals.imag) <= 1e-8 * (1.0 + np.abs(wvals.real))
     idx = np.nonzero(finite & real)[0]
     order = idx[np.argsort(wvals.real[idx])]
-    take = order[:k]
-    vals = wvals.real[take]
-    y = vr[:, take].real[nv:, :]
-    vecs = _expand_deflated(y, w) if w is not None else y
+    vecs = _expand_deflated(vr[:, order[:k]].real[nv:, :], w)
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs, Mp @ vecs)))
     vecs = vecs / np.where(norms > 0, norms, 1.0)
-    vecs = _canonical_sign(vecs)
     op = SchurOperator(B, factorize_spd(A))
-    vals = _rayleigh_refine(op, Mp, vecs)
-    order2 = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order2], vecs[:, order2]
-    res = _residuals(op, Mp, vals, vecs)
-    if (res > options.residual_tol).any():
-        raise EigenSolverError(
-            f"mixed-path residuals {res.max():.3e} exceed tolerance {options.residual_tol:.1e}"
-        )
-    return GenEigResult(values=vals, vectors=vecs, residuals=res, method="qz")
+    return _finish(op, Mp, vecs, "qz", options.residual_tol)

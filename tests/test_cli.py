@@ -261,7 +261,7 @@ def test_residual_failures_are_flagged_not_silent():
         assert r["beta"] == "nan"
 
 
-def test_p_sweep_empty_deflated_pressure_is_flagged(tmp_path):
+def test_p_sweep_empty_deflated_pressure_is_flagged(tmp_path, capsys):
     # one Q0dc pressure on one element leaves nothing after deflation
     cfg = {
         "kind": "p-sweep",
@@ -278,6 +278,9 @@ def test_p_sweep_empty_deflated_pressure_is_flagged(tmp_path):
     assert len(rows) == 1
     assert rows[0]["flagged"] == "1"
     assert rows[0]["beta"] == "nan"
+    err = capsys.readouterr().err
+    assert "warning: sweep point failed: DimensionZeroError" in err
+    assert "zero-dimensional" in err
 
 
 def test_solver_defaults_match_library():

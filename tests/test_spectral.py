@@ -24,6 +24,11 @@ from lbblab.spectral import (
 
 from conftest import brute_force_sigmas, quad_pair_system
 
+# the same calls on the dense route and, forced by dense_cap, on ARPACK
+ROUTES = pytest.mark.parametrize(
+    "options", [None, SolverOptions(dense_cap=1)], ids=["dense", "arpack"]
+)
+
 
 # ------------------------------------------------------------ factorization
 
@@ -93,10 +98,11 @@ def test_schur_operator_identity_trick():
     assert np.allclose(res.values, 1.0, atol=1e-10)
 
 
-def test_sigma0_without_deflation():
-    sys_ = quad_pair_system(3, 1)
+@ROUTES
+def test_sigma0_without_deflation(options):
+    sys_ = quad_pair_system(3, 1, grid=(2, 2))
     op = SchurOperator(sys_.B, factorize_spd(sys_.A))
-    res = smallest_generalized_eigs(op, sys_.Mp, 2)
+    res = smallest_generalized_eigs(op, sys_.Mp, 2, options=options)
     assert abs(res.values[0]) <= 1e-10
 
 
@@ -129,9 +135,11 @@ def test_dense_path_matches_brute_force():
     assert np.allclose(res.values, oracle[:3], atol=1e-10)
 
 
-def test_arpack_path_matches_dense():
-    # force the iterative route on a desk-size instance
-    mesh = sv_split(rect_grid(2, 1, 2, 1), SvSplitParams(b=0.3, special=(0, 0.15)))
+@pytest.mark.parametrize("a", [0.15, 0.0])
+def test_arpack_path_matches_dense(a):
+    # force the iterative route on a desk-size instance; at a = 0 a spurious
+    # mode with sigma_1 ~ 1e-30 sits beside the deflated constant mode
+    mesh = sv_split(rect_grid(2, 1, 2, 1), SvSplitParams(b=0.3, special=(0, a)))
     dv = build_dof_map(
         mesh, ElementSpace(Family.TRIANGLE, 3, Continuity.C0, BoundaryCondition.ZERO_TRACE)
     )
@@ -180,6 +188,19 @@ def test_k_dimension_guard():
         smallest_generalized_eigs(op, sys_.Mp, 4, deflate=sys_.m)  # dim = 3
 
 
+@pytest.mark.parametrize("route", ["dense", "arpack", "qz"])
+def test_residual_breach_raises(route):
+    # every route ends in the same finisher, whose residual contract holds
+    sys_ = quad_pair_system(4, 2, grid=(2, 2))
+    options = SolverOptions(residual_tol=1e-30, dense_cap=1 if route == "arpack" else 4000)
+    with pytest.raises(EigenSolverError, match=f"{route} eigen residuals"):
+        if route == "qz":
+            mixed_block_eigs(sys_.A, sys_.B, sys_.Mp, 3, deflate=sys_.m, options=options)
+        else:
+            op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+            smallest_generalized_eigs(op, sys_.Mp, 3, deflate=sys_.m, options=options)
+
+
 def test_mixed_cap_guard():
     sys_ = quad_pair_system(3, 2)
     with pytest.raises(EigenSolverError):
@@ -198,10 +219,11 @@ def test_rayleigh_quotient_consistency():
         assert abs(rq - sig) <= 1e-9
 
 
-def test_deflation_orthogonality_and_gram():
+@ROUTES
+def test_deflation_orthogonality_and_gram(options):
     sys_ = quad_pair_system(4, 2, grid=(2, 2))
     op = SchurOperator(sys_.B, factorize_spd(sys_.A))
-    res = smallest_generalized_eigs(op, sys_.Mp, 5, deflate=sys_.m)
+    res = smallest_generalized_eigs(op, sys_.Mp, 5, deflate=sys_.m, options=options)
     for q in res.vectors.T:
         qn = np.sqrt(q @ (sys_.Mp @ q))
         assert abs(sys_.m @ q) <= 1e-9 * qn
