@@ -655,9 +655,9 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         pc = _pair(vmesh, vdeg, pdeg, solver, pcont,
                    pressure_mesh=pmesh if pm is not None else None, parent_map=pm)
         res = _safe_beta(pc, k)
-        hx, _ = element_sizes(vmesh)
-        _, hm = element_sizes(pmesh)
-        return r, hx, hm, res
+        if res is not None:
+            return r, res.max_diameter_velocity, res.min_inradius_pressure, res
+        return r, element_sizes(vmesh)[0], element_sizes(pmesh)[1], res
 
     items = list(enumerate(grids))
     results = _parallel(work, items, jobs)

@@ -3,8 +3,11 @@
 Three routes to the same spectrum:
 
 * ``smallest_generalized_eigs`` -- production path: dense generalized
-  eigensolve below the dense cap, shift-invert Lanczos (ARPACK) on the
-  augmented saddle-point factorization above it.
+  eigensolve below the dense cap, shift-invert Lanczos (ARPACK) above it.
+  Its solves with S + tau Mp use the Woodbury identity when Mp is block
+  diagonal (discontinuous pressures): W = (tau Mp)^{-1} is element-local
+  and the augmented-Lagrangian matrix A + B^T W B is SPD.  Continuous
+  pressures solve with the factorized saddle-point matrix instead.
 * ``mixed_block_eigs`` -- cross-check path solving the structured block
   pencil directly with QZ.
 * ``dense_schur`` -- explicit Schur matrix, the oracle building block.
@@ -15,6 +18,10 @@ subspace and take it from a Householder reflector; the Lanczos route
 projects its start vector and every shift-invert solve Mp-orthogonally
 onto it.  All three end in ``_finish``: Rayleigh quotients, sorting and
 the residual contract.
+
+Every SPD matrix (A, and the augmented-Lagrangian matrix) goes through one
+``SymFactorization``: a SuperLU factor with a minimum-degree ordering and
+diagonal pivots, which doubles as the positive-definiteness check.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cho_solve_banded, cholesky_banded, eig, eigh
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg import eig, eigh
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 __all__ = [
@@ -40,7 +47,6 @@ __all__ = [
     "smallest_generalized_eigs",
 ]
 
-_DENSE_FACTOR_LIMIT = 600  # below this, plain dense Cholesky beats banded
 _SYMMETRY_TOL = 1e-10  # relative asymmetry accepted in A and in the dense Schur matrix
 _LANCZOS_TOL = 1e-12  # ARPACK convergence tolerance
 
@@ -69,15 +75,18 @@ class SolverOptions:
 
 
 class SymFactorization:
-    """Cholesky-type factorization of an SPD matrix.
+    """Sparse LDL^T-type factorization of an SPD matrix.
 
-    Small matrices use dense Cholesky; larger sparse ones are permuted with
-    reverse Cuthill-McKee and factorized in banded form.  Either way a
-    non-positive pivot raises NotPositiveDefinite.
+    SuperLU orders the matrix by minimum degree on A + A^T and, in
+    symmetric mode with a zero pivot threshold, keeps every pivot on the
+    diagonal, so the factor is P A P^T = L U with U = D L^T.  By Sylvester's
+    law of inertia A is positive definite iff every pivot is positive: an
+    off-diagonal pivot (perm_r != perm_c), a pivot <= 0 on the diagonal of
+    U or an exactly singular factor raises NotPositiveDefinite.
     """
 
     def __init__(self, A):
-        A = sparse.csr_matrix(A)
+        A = sparse.csc_matrix(A)
         n = A.shape[0]
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
@@ -87,34 +96,25 @@ class SymFactorization:
             raise ValueError("matrix is not symmetric")
         self.matrix = A
         self.n = n
-        if n <= _DENSE_FACTOR_LIMIT:
-            try:
-                self._dense = cho_factor(A.toarray())
-            except LinAlgError as exc:
-                raise NotPositiveDefinite(str(exc)) from exc
-            self._perm = None
-            return
-        self._dense = None
-        perm = reverse_cuthill_mckee(A, symmetric_mode=True)
-        Ap = A[perm][:, perm].tocoo()
-        bw = int(np.abs(Ap.row - Ap.col).max()) if Ap.nnz else 0
-        ab = np.zeros((bw + 1, n))
-        upper = Ap.col >= Ap.row
-        i, j, v = Ap.row[upper], Ap.col[upper], Ap.data[upper]
-        np.add.at(ab, (bw + i - j, j), v)
         try:
-            self._banded = cholesky_banded(ab, lower=False)
-        except LinAlgError as exc:
+            lu = splu(
+                A,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            if "singular" not in str(exc):  # SuperLU: "Factor is exactly singular"
+                raise
             raise NotPositiveDefinite(str(exc)) from exc
-        self._perm = np.asarray(perm)
-        self._iperm = np.argsort(self._perm)
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise NotPositiveDefinite("a zero diagonal pivot forced an off-diagonal one")
+        if not (lu.U.diagonal() > 0).all():
+            raise NotPositiveDefinite("non-positive pivot")
+        self._lu = lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if self._dense is not None:
-            return cho_solve(self._dense, b)
-        x = cho_solve_banded((self._banded, False), b[self._perm])
-        return x[self._iperm]
+        return self._lu.solve(np.asarray(b, dtype=float))
 
 
 def factorize_spd(A) -> SymFactorization:
@@ -244,21 +244,70 @@ def _dense_eig_path(op, Mp, k, deflate, options):
     return _expand_deflated(y, w)
 
 
+def _block_inverse(Mp) -> sparse.csr_matrix | None:
+    """Mp^{-1} when Mp splits into several blocks, else None.
+
+    The blocks are the connected components of Mp's graph: one per element
+    for discontinuous pressures, so the inverse is as sparse as Mp and one
+    batched dense inverse per block size builds it.  Continuous pressures
+    couple everything into one block, whose inverse is dense.
+    """
+    ncomp, labels = connected_components(Mp, directed=False)
+    if ncomp == 1:
+        return None
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    rows, cols, vals = [], [], []
+    for s in np.unique(sizes):
+        dofs = order[start[sizes == s][:, None] + np.arange(s)]  # one row per block
+        r, c = np.repeat(dofs, s, axis=1).ravel(), np.tile(dofs, (1, s)).ravel()
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.linalg.inv(np.asarray(Mp[r, c]).reshape(-1, s, s)).ravel())
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=Mp.shape
+    )
+
+
+def _shifted_solver(op, Mp, tau):
+    """b -> (S + tau Mp)^{-1} b.
+
+    For block-diagonal Mp, Woodbury with W = (tau Mp)^{-1} gives
+    (S + tau Mp)^{-1} = W - W B (A + B^T W B)^{-1} B^T W, and the augmented
+    Lagrangian matrix A + B^T W B is SPD and couples only velocity dofs
+    that share an element.  Otherwise the indefinite saddle-point matrix
+    [[A, B^T], [B, -tau Mp]] is factorized and solved.
+    """
+    Mp_inv = _block_inverse(Mp)
+    if Mp_inv is not None:
+        W = Mp_inv / tau
+        B = op.B
+        al = factorize_spd(op.factor.matrix + B.T @ (W @ B))
+
+        def solve(b):
+            Wb = W @ b
+            return Wb - W @ (B @ al.solve(B.T @ Wb))
+
+        return solve
+    nv = op.factor.n
+    lu = splu(sparse.bmat([[op.factor.matrix, op.B.T], [op.B, -tau * Mp]], format="csc"))
+    zeros_v = np.zeros(nv)
+
+    def solve(b):
+        return lu.solve(np.concatenate([zeros_v, -np.asarray(b, dtype=float)]))[nv:]
+
+    return solve
+
+
 def _arpack_eig_path(op, Mp, k, deflate, options):
     n = op.shape[0]
     dim = n - (1 if deflate is not None else 0)
     if k >= dim:
         raise EigenSolverError("problem too small for the iterative path")
-    nv = op.factor.n
     # dimensionless shift left of the spectrum of the (S, Mp) pencil
     tau = 0.05
-    lu = splu(sparse.bmat([[op.factor.matrix, op.B.T], [op.B, -tau * Mp]], format="csc"))
-    zeros_v = np.zeros(nv)
-
-    def solve_shifted(b):
-        sol = lu.solve(np.concatenate([zeros_v, -np.asarray(b, dtype=float)]))
-        return sol[nv:]
-
+    solve_shifted = _shifted_solver(op, Mp, tau)
     if deflate is not None:
         # Lanczos on the zero-mean subspace {m.q = 0}: c = (S + tau Mp)^{-1} m
         # is the constant mode (S c = 0, so one solve), and P x = x - c (m.x)/(m.c)

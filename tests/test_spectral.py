@@ -16,6 +16,7 @@ from lbblab.spectral import (
     NotPositiveDefinite,
     SchurOperator,
     SolverOptions,
+    _block_inverse,
     dense_schur,
     factorize_spd,
     mixed_block_eigs,
@@ -73,6 +74,33 @@ def test_factorize_banded_rejects_indefinite():
     A = sparse.diags([np.ones(n - 1), -0.5 * np.ones(n), np.ones(n - 1)], [-1, 0, 1])
     with pytest.raises(NotPositiveDefinite):
         factorize_spd(A.tocsr())
+
+
+def test_factorize_rejects_off_diagonal_pivot():
+    # symmetric indefinite with a zero diagonal: every pivot must come from
+    # off the diagonal, so the row and column permutations differ
+    A = sparse.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]])] * 400, format="csr")
+    with pytest.raises(NotPositiveDefinite):
+        factorize_spd(A)
+
+
+def test_factorize_rejects_singular_psd():
+    with pytest.raises(NotPositiveDefinite):
+        factorize_spd(np.ones((4, 4)))
+
+
+def test_block_inverse_mixed_block_sizes():
+    rng = np.random.default_rng(3)
+    blocks = []
+    for size in (2, 1, 3, 2, 1, 3):
+        G = rng.standard_normal((size, size))
+        blocks.append(G @ G.T + size * np.eye(size))
+    perm = rng.permutation(12)
+    Mp = sparse.block_diag(blocks, format="csr")[perm][:, perm]
+    inv = _block_inverse(Mp)
+    assert inv.nnz == Mp.nnz
+    assert np.abs((inv @ Mp).toarray() - np.eye(12)).max() <= 1e-12
+    assert _block_inverse(sparse.csr_matrix(np.ones((3, 3)))) is None
 
 
 # ------------------------------------------------------------ Schur operator
@@ -155,6 +183,44 @@ def test_arpack_path_matches_dense(a):
     assert iterative.method == "arpack"
     assert np.allclose(dense.values, iterative.values, atol=1e-10)
     assert iterative.residuals.max() <= 1e-10
+
+
+def _sv_system(width, nx, a, vdeg, pdeg, pcont):
+    mesh = sv_split(rect_grid(width, 1, nx, 1), SvSplitParams(b=0.4, special=(0, a)))
+    dv = build_dof_map(
+        mesh, ElementSpace(Family.TRIANGLE, vdeg, Continuity.C0, BoundaryCondition.ZERO_TRACE)
+    )
+    dp = build_dof_map(mesh, ElementSpace(Family.TRIANGLE, pdeg, pcont, BoundaryCondition.NONE))
+    return assemble_system(dv, dp)
+
+
+def test_arpack_saddle_route_continuous_pressure():
+    # P2-P1 with continuous pressures: Mp is one block, so the shift-invert
+    # solves go through the saddle-point LU instead of Woodbury
+    sys_ = _sv_system(2, 2, 0.15, 2, 1, Continuity.C0)
+    assert _block_inverse(sys_.Mp) is None
+    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    dense = smallest_generalized_eigs(op, sys_.Mp, 4, deflate=sys_.m)
+    iterative = smallest_generalized_eigs(
+        op, sys_.Mp, 4, deflate=sys_.m, options=SolverOptions(dense_cap=1)
+    )
+    assert iterative.method == "arpack"
+    oracle = brute_force_sigmas(sys_, deflate=True)
+    assert np.allclose(iterative.values, dense.values, atol=1e-10)
+    assert np.allclose(iterative.values, oracle[:4], atol=1e-10)
+
+
+def test_arpack_woodbury_route_paper_pair():
+    # the paper's P4-P3dc pair: Mp has one 10x10 block per triangle
+    sys_ = _sv_system(4, 4, 0.02, 4, 3, Continuity.DISCONTINUOUS)
+    assert _block_inverse(sys_.Mp).nnz == 100 * (sys_.Mp.shape[0] // 10)
+    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    res = smallest_generalized_eigs(
+        op, sys_.Mp, 6, deflate=sys_.m, options=SolverOptions(dense_cap=1)
+    )
+    assert res.method == "arpack"
+    assert np.allclose(res.values, brute_force_sigmas(sys_, deflate=True)[:6], atol=1e-10)
+    assert res.residuals.max() <= 1e-10
 
 
 def test_arpack_deterministic_given_seed():
