@@ -161,14 +161,15 @@ def _domain_mesh(cfg: dict) -> Mesh:
     raise ValueError(f"unknown domain type {kind!r}")
 
 
-def _beta_cells(result: BetaResult | None, k: int, tol: float) -> list[str]:
+def _beta_cells(result: BetaResult | None, k: int) -> list[str]:
+    # a returned result is never flagged: the eigensolver raises on any
+    # residual above residual_tol, and _safe_beta turns that into None
     if result is None:
         return (
             ["failed", "0", "0", "nan", "nan", "nan"]
             + ["nan"] * k
             + ["nan", "1"]
         )
-    flag = 1 if result.residual_max > tol else 0
     sig = list(result.sigmas[:k]) + [float("nan")] * max(0, k - len(result.sigmas))
     return [
         result.config_hash,
@@ -179,7 +180,7 @@ def _beta_cells(result: BetaResult | None, k: int, tol: float) -> list[str]:
         _g(result.beta),
         *[_g(s) for s in sig],
         _g(result.residual_max),
-        str(flag),
+        "0",
     ]
 
 
@@ -226,13 +227,12 @@ def _beta_table(
     lead_header: list[str],
     rows: list[tuple[list[str], BetaResult | None]],
     k: int,
-    tol: float,
 ) -> tuple[str, list[dict]]:
     """CSV text and parsed rows of (lead cells, result) pairs: the lead
     columns, then the beta columns of `_beta_header`."""
     text = _csv_text(
         lead_header + _beta_header(k),
-        [lead + _beta_cells(result, k, tol) for lead, result in rows],
+        [lead + _beta_cells(result, k) for lead, result in rows],
     )
     return text, _parse_csv(text)
 
@@ -294,7 +294,7 @@ def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     result = compute_beta(pc, k=k)
     if cfg.get("eigenfunction_out"):
         eigenfunction_export(result, cfg["eigenfunction_out"])
-    text, _ = _beta_table([], [([], result)], k, pc.solver.residual_tol)
+    text, _ = _beta_table([], [([], result)], k)
     checks = []
     if "beta_range" in cfg:
         lo, hi = cfg["beta_range"]
@@ -324,10 +324,9 @@ def run_spectrum(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     low, high = (analytic.cosserat_interval(corners[0]) if corners else (float("nan"),) * 2)
     header = ["config_hash", "j", "sigma", "cosserat_low", "cosserat_high",
               "residual_max", "flagged"]
-    flag = 1 if result.residual_max > pc.solver.residual_tol else 0
     rows = [
         [result.config_hash, str(j + 1), _g(s), _g(low), _g(high),
-         _g(result.residual_max), str(flag)]
+         _g(result.residual_max), "0"]
         for j, s in enumerate(result.sigmas)
     ]
     text = _csv_text(header, rows)
@@ -403,7 +402,6 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         [([f"{nx}x{ny}", _g(a), _ref_cell(beta_ref)], res)
          for ((nx, ny), a), res in zip(points, results)],
         k,
-        solver.residual_tol,
     )
     svgs = {
         "": plot_sv_sweep(parsed),
@@ -575,7 +573,6 @@ def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
             if kdeg is not None
         ],
         k,
-        solver.residual_tol,
     )
     svgs = {"": plot_p_sweep(parsed)}
     checks = []
@@ -668,7 +665,6 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
             for (_, (nx, ny)), (r, hx, hm, res) in zip(items, results)
         ],
         k,
-        solver.residual_tol,
     )
     checks = []
     # opt-in for the same reason as the p-sweep: coarse-pressure rows of a
@@ -728,7 +724,6 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
          "eps_inverse", "jacobian_deviation"],
         rows,
         k,
-        solver.residual_tol,
     )
     lower_slack = float(cfg.get("lower_slack", 0.01))
     upper_slack = float(cfg.get("upper_slack", 0.005))

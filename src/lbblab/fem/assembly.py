@@ -8,33 +8,20 @@ block.  Assembly runs in fixed element order so reruns agree bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from ..geometry import Mesh, ParentMap
+from ..geometry import Mesh, ParentMap, reference_map
 from .dofmap import DofMap
 from .elements import reference_element
 from .quadrature import quad_rule
 
 
 def _element_geometry(mesh: Mesh, ref_pts: np.ndarray):
-    """Jacobian data at reference points: (J, detJ, Jinv), batched over elements."""
-    p = mesh.points[mesh.elements]
-    nq = len(ref_pts)
-    ne = len(p)
-    J = np.empty((ne, nq, 2, 2))
-    if mesh.is_quad:
-        u, v = ref_pts[:, 0], ref_pts[:, 1]
-        du = p[:, 1] - p[:, 0]
-        dv = p[:, 3] - p[:, 0]
-        dd = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
-        J[:, :, :, 0] = du[:, None, :] + dd[:, None, :] * v[None, :, None]
-        J[:, :, :, 1] = dv[:, None, :] + dd[:, None, :] * u[None, :, None]
-    else:
-        J[:, :, :, 0] = (p[:, 1] - p[:, 0])[:, None, :]
-        J[:, :, :, 1] = (p[:, 2] - p[:, 0])[:, None, :]
+    """(detJ, Jinv) at reference points, batched over elements."""
+    _, J = reference_map(mesh.points[mesh.elements], ref_pts)
     det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
     if (det <= 0).any():
         raise ValueError("singular or inverted element Jacobian")
@@ -43,20 +30,22 @@ def _element_geometry(mesh: Mesh, ref_pts: np.ndarray):
     Jinv[:, :, 0, 1] = -J[:, :, 0, 1] / det
     Jinv[:, :, 1, 0] = -J[:, :, 1, 0] / det
     Jinv[:, :, 1, 1] = J[:, :, 0, 0] / det
-    return J, det, Jinv
+    return det, Jinv
 
 
 def _physical_gradients(mesh: Mesh, ref_pts: np.ndarray, grad_hat: np.ndarray):
     """(gphys (ne,nq,nb,2), wdet-less detJ (ne,nq))."""
-    _, det, Jinv = _element_geometry(mesh, ref_pts)
+    det, Jinv = _element_geometry(mesh, ref_pts)
     gphys = np.einsum("eqkd,qbk->eqbd", Jinv, grad_hat)
     return gphys, det
 
 
-def _accumulate(rows, cols, vals, shape):
-    rows = rows.ravel()
-    cols = cols.ravel()
-    vals = vals.ravel()
+def _scatter(row_dofs, col_dofs, local, shape):
+    """Sum element matrices local (ne, nr, nc) into a CSR matrix at
+    (row_dofs[e, i], col_dofs[e, j]), dropping eliminated (-1) dofs."""
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+    vals = local.ravel()
     mask = (rows >= 0) & (cols >= 0)
     return sparse.coo_matrix(
         (vals[mask], (rows[mask], cols[mask])), shape=shape
@@ -75,12 +64,8 @@ def assemble_stiffness(dof_v: DofMap, exactness: int | None = None) -> sparse.cs
     gphys, det = _physical_gradients(dof_v.mesh, rule.points, ref.grad(rule.points))
     wdet = rule.weights[None, :] * det
     K = np.einsum("eqid,eq,eqjd->eij", gphys, wdet, gphys)
-    ed = dof_v.element_dofs
-    ne, nb = ed.shape
-    rows = np.repeat(ed, nb, axis=1)
-    cols = np.tile(ed, (1, nb))
     n = dof_v.n_global
-    scalar = _accumulate(rows, cols, K, (n, n))
+    scalar = _scatter(dof_v.element_dofs, dof_v.element_dofs, K, (n, n))
     return sparse.block_diag([scalar, scalar], format="csr")
 
 
@@ -143,12 +128,9 @@ def assemble_divergence(
     By = np.einsum("eqa,eq,eqi->eai", psi, wdet, gphys[:, :, :, 1])
     edv = dof_v.element_dofs
     edp = dof_p.element_dofs[p_elem]
-    nbv, nbp = edv.shape[1], edp.shape[1]
-    rows = np.repeat(edp, nbv, axis=1)
-    cols = np.tile(edv, (1, nbp))
-    nv, npres = dof_v.n_global, dof_p.n_global
-    bx = _accumulate(rows, cols, Bx, (npres, nv))
-    by = _accumulate(rows, cols, By, (npres, nv))
+    shape = (dof_p.n_global, dof_v.n_global)
+    bx = _scatter(edp, edv, Bx, shape)
+    by = _scatter(edp, edv, By, shape)
     return sparse.hstack([bx, by], format="csr")
 
 
@@ -159,17 +141,14 @@ def assemble_pressure_mass(
     sp_ = dof_p.space
     ref = reference_element(sp_.family, sp_.degree)
     rule = quad_rule(sp_.family, exactness if exactness is not None else 2 * sp_.degree + 2)
-    _, det, _ = _element_geometry(dof_p.mesh, rule.points)
+    det, _ = _element_geometry(dof_p.mesh, rule.points)
     wdet = rule.weights[None, :] * det
     psi = ref.eval(rule.points)
     Mloc = np.einsum("qa,eq,qb->eab", psi, wdet, psi)
     mloc = np.einsum("qa,eq->ea", psi, wdet)
     ed = dof_p.element_dofs
-    nb = ed.shape[1]
-    rows = np.repeat(ed, nb, axis=1)
-    cols = np.tile(ed, (1, nb))
     n = dof_p.n_global
-    Mp = _accumulate(rows, cols, Mloc, (n, n))
+    Mp = _scatter(ed, ed, Mloc, (n, n))
     m = np.zeros(n)
     np.add.at(m, ed.ravel(), mloc.ravel())
     return Mp, m
@@ -183,8 +162,6 @@ class AssembledSystem:
     B: sparse.csr_matrix
     Mp: sparse.csr_matrix
     m: np.ndarray
-    dof_v: DofMap = field(repr=False)
-    dof_p: DofMap = field(repr=False)
 
     @property
     def n_velocity(self) -> int:
@@ -201,7 +178,7 @@ def assemble_system(
     A = assemble_stiffness(dof_v)
     B = assemble_divergence(dof_v, dof_p, parent_map=parent_map)
     Mp, m = assemble_pressure_mass(dof_p)
-    return AssembledSystem(A=A, B=B, Mp=Mp, m=m, dof_v=dof_v, dof_p=dof_p)
+    return AssembledSystem(A=A, B=B, Mp=Mp, m=m)
 
 
 def export_matrix_coo(mat, path) -> None:

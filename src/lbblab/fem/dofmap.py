@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import Mesh
+from ..geometry import Mesh, reference_map
 from .elements import BoundaryCondition, Continuity, ElementSpace, Family, reference_element
 
 
@@ -32,26 +32,6 @@ class DofMap:
         return self.element_dofs.shape[1]
 
 
-def _physical_nodes(mesh: Mesh, ref_nodes: np.ndarray) -> np.ndarray:
-    """Map reference nodes into every element, shape (ne, nloc, 2)."""
-    p = mesh.points[mesh.elements]
-    u, v = ref_nodes[:, 0], ref_nodes[:, 1]
-    if mesh.is_quad:
-        w = (
-            np.multiply.outer(p[:, 0], (1 - u) * (1 - v))
-            + np.multiply.outer(p[:, 1], u * (1 - v))
-            + np.multiply.outer(p[:, 2], u * v)
-            + np.multiply.outer(p[:, 3], (1 - u) * v)
-        )
-    else:
-        w = (
-            np.multiply.outer(p[:, 0], 1 - u - v)
-            + np.multiply.outer(p[:, 1], u)
-            + np.multiply.outer(p[:, 2], v)
-        )
-    return np.transpose(w, (0, 2, 1))
-
-
 def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
     """Number the Lagrange nodes of `space` over `mesh`.
 
@@ -65,7 +45,7 @@ def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
     elems = mesh.elements
     ne, k = len(elems), space.degree
     nloc = ref.n_basis
-    phys = _physical_nodes(mesh, ref.nodes)
+    phys, _ = reference_map(mesh.points[elems], ref.nodes)
 
     if space.continuity is Continuity.DISCONTINUOUS:
         element_dofs = np.arange(ne * nloc, dtype=np.int64).reshape(ne, nloc)

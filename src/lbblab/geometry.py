@@ -27,6 +27,7 @@ __all__ = [
     "rect_grid",
     "refine_chain",
     "refine_uniform",
+    "reference_map",
     "regular_polygon_mesh",
     "regularity_index",
     "save_mesh",
@@ -69,23 +70,15 @@ class Mesh:
     def n_elements(self) -> int:
         return len(self.elements)
 
-    def element_points(self, e: int) -> np.ndarray:
-        return self.points[self.elements[e]]
-
     def areas(self) -> np.ndarray:
-        """Signed areas per element (positive for valid meshes)."""
-        p = self.points
-        if self.is_quad:
-            q = self.quads
-            # shoelace over the 4 vertices
-            x, y = p[q, 0], p[q, 1]
-            return 0.5 * np.abs(
-                np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
-            )
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Signed areas per element (positive for valid meshes).
+
+        The reference area times det J at the reference centroid: exact,
+        since det J is constant on triangles and affine on the square.
+        """
+        corners, area, _ = _REFERENCE[self.elements.shape[1]]
+        centroid = corners.mean(axis=0, keepdims=True)
+        return area * _map_dets(self.points[self.elements], centroid)[:, 0]
 
     def transformed(self, matrix=None, shift=(0.0, 0.0)) -> "Mesh":
         """Mesh with points mapped through an affine map (rigid motion, scaling)."""
@@ -95,6 +88,49 @@ class Mesh:
         pts = pts + np.asarray(shift, dtype=float)
         return make_mesh(pts, triangles=self.triangles if not self.is_quad else None,
                          quads=self.quads if self.is_quad else None)
+
+
+# per vertex count: reference corners (counterclockwise), reference area,
+# and the vertex permutation that reverses an element's orientation
+_REFERENCE = {
+    3: (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 0.5, [0, 2, 1]),
+    4: (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), 1.0, [3, 2, 1, 0]),
+}
+
+
+def reference_map(p: np.ndarray, ref_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images and Jacobians of reference points in every element.
+
+    p is (ne, 3, 2) for the affine map of the unit triangle or (ne, 4, 2)
+    for the bi-affine map of the unit square, vertices in the order of the
+    reference corners.  Returns x (ne, nq, 2) and J (ne, nq, 2, 2), where
+    J[..., :, 0] = dx/du and J[..., :, 1] = dx/dv.
+    """
+    u, v = ref_pts[:, 0], ref_pts[:, 1]
+    du = p[:, 1] - p[:, 0]
+    J = np.empty((len(p), len(ref_pts), 2, 2))
+    if p.shape[1] == 4:
+        weights = ((1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v)
+        dv = p[:, 3] - p[:, 0]
+        dd = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
+        J[:, :, :, 0] = du[:, None, :] + dd[:, None, :] * v[None, :, None]
+        J[:, :, :, 1] = dv[:, None, :] + dd[:, None, :] * u[None, :, None]
+    else:
+        weights = (1 - u - v, u, v)
+        J[:, :, :, 0] = du[:, None, :]
+        J[:, :, :, 1] = (p[:, 2] - p[:, 0])[:, None, :]
+    # summed in vertex order, so images are reproducible bit for bit; the
+    # (ne, 2, nq) layout keeps numpy's inner loops long
+    x = np.multiply.outer(p[:, 0], weights[0])
+    for i in range(1, len(weights)):
+        x += np.multiply.outer(p[:, i], weights[i])
+    return x.transpose(0, 2, 1), J
+
+
+def _map_dets(p: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
+    """det J of the element maps at reference points, shape (ne, nq)."""
+    _, J = reference_map(p, ref_pts)
+    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
 
 def _element_edges(elems: np.ndarray):
@@ -109,46 +145,21 @@ def _element_edges(elems: np.ndarray):
 
 
 def _check_positive(points: np.ndarray, elems: np.ndarray, repair: bool):
-    """Ensure positive orientation; returns (elems, n_flipped) or raises."""
-    flipped = 0
-    elems = elems.copy()
-    if elems.shape[1] == 3:
-        d1 = points[elems[:, 1]] - points[elems[:, 0]]
-        d2 = points[elems[:, 2]] - points[elems[:, 0]]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        bad = det <= 0
-        if bad.any():
-            if not repair:
-                raise MeshError(f"{bad.sum()} triangle(s) with non-positive area")
-            elems[bad] = elems[bad][:, [0, 2, 1]]
-            flipped = int(bad.sum())
-        d1 = points[elems[:, 1]] - points[elems[:, 0]]
-        d2 = points[elems[:, 2]] - points[elems[:, 0]]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if (det <= 0).any():
-            raise MeshError("degenerate triangle (zero area)")
-    else:
-        # bi-affine Jacobian determinant is affine in (u,v): corner positivity
-        # implies positivity on the whole reference square
-        def corner_dets(e):
-            p = points[e]
-            dets = np.empty((len(e), 4))
-            for c in range(4):
-                v_prev = p[:, (c - 1) % 4] - p[:, c]
-                v_next = p[:, (c + 1) % 4] - p[:, c]
-                dets[:, c] = v_next[:, 0] * v_prev[:, 1] - v_next[:, 1] * v_prev[:, 0]
-            return dets
+    """Ensure positive orientation; returns (elems, n_flipped) or raises.
 
-        dets = corner_dets(elems)
-        bad = (dets <= 0).any(axis=1)
-        if bad.any():
-            if not repair:
-                raise MeshError(f"{bad.sum()} quad(s) with non-positive Jacobian")
-            elems[bad] = elems[bad][:, ::-1]
-            flipped = int(bad.sum())
-            if (corner_dets(elems) <= 0).any():
-                raise MeshError("degenerate or non-convex quad")
-    return elems, flipped
+    det J is constant on triangles and affine on the square, so positive
+    values at the reference corners mean a positive map everywhere.
+    """
+    corners, _, flip = _REFERENCE[elems.shape[1]]
+    elems = elems.copy()
+    bad = (_map_dets(points[elems], corners) <= 0).any(axis=1)
+    if bad.any():
+        if not repair:
+            raise MeshError(f"{bad.sum()} element(s) with non-positive Jacobian")
+        elems[bad] = elems[bad][:, flip]
+        if (_map_dets(points[elems[bad]], corners) <= 0).any():
+            raise MeshError("degenerate or non-convex element")
+    return elems, int(bad.sum())
 
 
 def make_mesh(points, triangles=None, quads=None, repair_orientation=True) -> Mesh:
@@ -261,16 +272,6 @@ class SvSplitParams:
                 raise MeshError("a must lie in (-1/2, 1/2)")
 
 
-def _biaffine_point(p: np.ndarray, u: float, v: float) -> np.ndarray:
-    """Image of reference (u, v) under the bi-affine map of quad vertices p."""
-    return (
-        (1 - u) * (1 - v) * p[0]
-        + u * (1 - v) * p[1]
-        + u * v * p[2]
-        + (1 - u) * v * p[3]
-    )
-
-
 def sv_split(quad_mesh: Mesh, params: SvSplitParams) -> Mesh:
     """Split every quad into the four triangles joining its edges to an
     interior apex point.
@@ -282,31 +283,22 @@ def sv_split(quad_mesh: Mesh, params: SvSplitParams) -> Mesh:
     if not quad_mesh.is_quad:
         raise MeshError("sv_split requires an all-quad mesh")
     quads = quad_mesh.quads
+    shifts = [params.b]
     if params.special is not None:
-        qi, _ = params.special
+        qi, a = params.special
         if not 0 <= qi < len(quads):
             raise MeshError("special quad index out of range")
-
-    pts = [quad_mesh.points]
-    napex0 = len(quad_mesh.points)
-    tris = []
-    for q in range(len(quads)):
-        t = params.b
-        if params.special is not None and q == params.special[0]:
-            t = params.special[1]
-        p = quad_mesh.points[quads[q]]
-        apex = _biaffine_point(p, 0.5, 0.5 + t)
-        ai = napex0 + q
-        pts.append(apex[None, :])
-        for loc in range(4):
-            a, b = quads[q, loc], quads[q, (loc + 1) % 4]
-            tris.append([a, b, ai])
-    points = np.concatenate(pts, axis=0)
-    tris = np.array(tris, dtype=np.int64)
-    # reject apexes that landed on an edge (zero-area triangle)
-    d1 = points[tris[:, 1]] - points[tris[:, 0]]
-    d2 = points[tris[:, 2]] - points[tris[:, 0]]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        shifts.append(a)
+    x, _ = reference_map(quad_mesh.points[quads], np.array([[0.5, 0.5 + t] for t in shifts]))
+    apex = x[:, 0]
+    if params.special is not None:
+        apex[qi] = x[qi, 1]
+    points = np.concatenate([quad_mesh.points, apex], axis=0)
+    apex_ids = np.repeat(len(quad_mesh.points) + np.arange(len(quads))[:, None], 4, axis=1)
+    tris = np.stack([quads, np.roll(quads, -1, axis=1), apex_ids], axis=2).reshape(-1, 3)
+    # reject apexes that landed on an edge (zero-area triangle); det J is
+    # constant on a triangle, so one reference point serves
+    det = _map_dets(points[tris], np.zeros((1, 2)))[:, 0]
     scale = quad_mesh.areas().repeat(4)
     if (det <= 1e-14 * scale).any():
         raise MeshError("degenerate split: apex lies on a quad edge")
@@ -431,7 +423,6 @@ class ParentMap:
     """
 
     parent: np.ndarray
-    subcell: np.ndarray
     matrix: np.ndarray = field(repr=False)
     offset: np.ndarray = field(repr=False)
 
@@ -446,7 +437,7 @@ class ParentMap:
             np.einsum("eij,ej->ei", self.matrix[finer.parent], finer.offset)
             + self.offset[finer.parent]
         )
-        return ParentMap(parent=par, subcell=finer.subcell.copy(), matrix=mat, offset=off)
+        return ParentMap(parent=par, matrix=mat, offset=off)
 
 
 def refine_uniform(mesh: Mesh) -> tuple[Mesh, ParentMap]:
@@ -463,10 +454,8 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, ParentMap]:
         return midpoint[k]
 
     children = []
-    parent = []
-    subcell = []
     if mesh.is_quad:
-        for e, (a, b, c, d) in enumerate(mesh.quads):
+        for a, b, c, d in mesh.quads:
             mab, mbc, mcd, mda = mid(a, b), mid(b, c), mid(c, d), mid(d, a)
             ctr = len(pts)
             pts.append(0.25 * (mesh.points[a] + mesh.points[b] + mesh.points[c] + mesh.points[d]))
@@ -476,13 +465,11 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, ParentMap]:
                 [ctr, mbc, c, mcd],
                 [mda, ctr, mcd, d],
             ]
-            parent += [e] * 4
-            subcell += [0, 1, 2, 3]
         mat, off = _QUAD_SUBCELL_MAT, _QUAD_SUBCELL_OFF
         refined = make_mesh(np.array(pts), quads=np.array(children, dtype=np.int64),
                             repair_orientation=False)
     else:
-        for e, (a, b, c) in enumerate(mesh.triangles):
+        for a, b, c in mesh.triangles:
             mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
             children += [
                 [a, mab, mca],
@@ -490,15 +477,13 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, ParentMap]:
                 [mca, mbc, c],
                 [mab, mbc, mca],
             ]
-            parent += [e] * 4
-            subcell += [0, 1, 2, 3]
         mat, off = _TRI_SUBCELL_MAT, _TRI_SUBCELL_OFF
         refined = make_mesh(np.array(pts), triangles=np.array(children, dtype=np.int64),
                             repair_orientation=False)
-    sub = np.array(subcell, dtype=np.int64)
+    # children come four per parent, in sub-cell order
+    sub = np.tile(np.arange(4), mesh.n_elements)
     pm = ParentMap(
-        parent=np.array(parent, dtype=np.int64),
-        subcell=sub,
+        parent=np.repeat(np.arange(mesh.n_elements, dtype=np.int64), 4),
         matrix=mat[sub],
         offset=off[sub],
     )

@@ -132,9 +132,7 @@ def _solve_config(config: PairConfig, k: int) -> tuple[GenEigResult, dict]:
         options=config.solver,
     )
     meta = {
-        "dof_v": dof_v,
         "dof_p": dof_p,
-        "system": system,
         "n_velocity": system.A.shape[0],
         "n_pressure": dof_p.n_global,
     }
@@ -149,6 +147,8 @@ def compute_beta(config: PairConfig, k: int = 6) -> BetaResult:
     """
     result, meta = _solve_config(config, k if config.deflate_constants else max(k, 2))
     sigmas = result.values
+    if not config.deflate_constants and len(sigmas) < 2:
+        raise DimensionZeroError("pressure space has no mode beyond the constants")
     if config.deflate_constants:
         lead = sigmas[0]
         eigenfunction = result.vectors[:, 0]

@@ -129,15 +129,6 @@ class GraphMap:
         out[inside, 1] = pts[inside, 1] / self.ratio(x1)
         return out
 
-    def displacement_gradient(self, x1, x2, interval=None) -> np.ndarray:
-        """DG = DF - I at (x1, x2), shape (..., 2, 2)."""
-        r = self.ratio(x1, interval=interval)
-        dr = self.ratio_derivative(x1, interval=interval)
-        g = np.zeros((*np.broadcast(np.asarray(x1), np.asarray(x2)).shape, 2, 2))
-        g[..., 1, 0] = np.asarray(x2) * dr
-        g[..., 1, 1] = r - 1.0
-        return g
-
 
 def build_graph_map(patch: GraphBoundaryPatch, phi_h: PiecewiseAffine) -> GraphMap:
     """Assemble the patch map, rejecting non-positive interpolants."""

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eig, eigh
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 __all__ = [
     "EigenSolverError",
@@ -326,18 +326,21 @@ def _arpack_eig_path(op, Mp, k, deflate, options):
     # a roomy Lanczos basis keeps clustered near-degenerate modes (one per
     # symmetry orbit on symmetric meshes) from stalling the restarts
     ncv = min(dim, max(6 * k, 60))
-    _, vecs = eigsh(
-        op.as_linear_operator(),
-        k=k,
-        M=Mp,
-        sigma=-tau,
-        which="LM",
-        OPinv=opinv,
-        v0=v0,
-        ncv=ncv,
-        tol=_LANCZOS_TOL,
-        maxiter=options.max_iterations,
-    )
+    try:
+        _, vecs = eigsh(
+            op.as_linear_operator(),
+            k=k,
+            M=Mp,
+            sigma=-tau,
+            which="LM",
+            OPinv=opinv,
+            v0=v0,
+            ncv=ncv,
+            tol=_LANCZOS_TOL,
+            maxiter=options.max_iterations,
+        )
+    except ArpackNoConvergence as exc:
+        raise EigenSolverError(f"arpack route: {exc}") from exc
     return vecs
 
 

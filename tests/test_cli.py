@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from lbblab.cli import (
+    _pair,
+    _safe_beta,
     _solver_options,
     main,
     plot_perturb_rate,
@@ -16,9 +18,17 @@ from lbblab.cli import (
     run_perturb_rate,
     run_polygon_limit,
     run_sv_sweep,
+    sv_mesh,
 )
+from lbblab.fem import assemble_system, build_dof_map
 from lbblab.geometry import regular_polygon_mesh, save_mesh
-from lbblab.spectral import SolverOptions
+from lbblab.spectral import (
+    EigenSolverError,
+    SchurOperator,
+    SolverOptions,
+    factorize_spd,
+    smallest_generalized_eigs,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -281,6 +291,20 @@ def test_p_sweep_empty_deflated_pressure_is_flagged(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warning: sweep point failed: DimensionZeroError" in err
     assert "zero-dimensional" in err
+
+
+def test_arpack_non_convergence_is_a_failed_point(capsys):
+    # one Lanczos restart cannot converge six pairs on the ARPACK route
+    pc = _pair(sv_mesh(4, 1, 12, 3, 0.4, 0.0), 3, 2, SolverOptions(dense_cap=1, max_iterations=1))
+    system = assemble_system(
+        build_dof_map(pc.velocity_mesh, pc.velocity_space),
+        build_dof_map(pc.velocity_mesh, pc.pressure_space),
+    )
+    op = SchurOperator(system.B, factorize_spd(system.A))
+    with pytest.raises(EigenSolverError, match="arpack route"):
+        smallest_generalized_eigs(op, system.Mp, 6, deflate=system.m, options=pc.solver)
+    assert _safe_beta(pc, 6) is None
+    assert "warning: sweep point failed: EigenSolverError: arpack route" in capsys.readouterr().err
 
 
 def test_solver_defaults_match_library():

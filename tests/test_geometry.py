@@ -12,6 +12,7 @@ from lbblab.geometry import (
     rect_grid,
     refine_chain,
     refine_uniform,
+    reference_map,
     regular_polygon_mesh,
     regularity_index,
     save_mesh,
@@ -316,3 +317,58 @@ def test_transformed_reflection_repairs_orientation():
     reflected = m.transformed(matrix=np.array([[1.0, 0.0], [0.0, -1.0]]))
     assert (reflected.areas() > 0).all()
     assert reflected.areas().sum() == pytest.approx(m.areas().sum(), abs=1e-12)
+
+
+REF_CORNERS = {
+    3: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    4: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+}
+
+
+def _random_convex(rng, ne, nv):
+    """Counterclockwise convex elements: sorted angles on a circle, then a
+    random orientation-preserving affine map."""
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, (ne, nv)), axis=1)
+    p = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    A = rng.standard_normal((ne, 2, 2))
+    A[np.linalg.det(A) < 0] *= np.array([[1.0, 1.0], [-1.0, -1.0]])
+    return np.einsum("eij,evj->evi", A, p) + rng.standard_normal((ne, 1, 2))
+
+
+@pytest.mark.parametrize("nv", [3, 4])
+def test_reference_map_sends_corners_to_vertices(nv):
+    p = _random_convex(np.random.default_rng(nv), 20, nv)
+    x, J = reference_map(p, REF_CORNERS[nv])
+    assert x.shape == (20, nv, 2) and J.shape == (20, nv, 2, 2)
+    assert np.array_equal(x, p)
+
+
+@pytest.mark.parametrize("nv", [3, 4])
+def test_reference_map_jacobian_matches_central_differences(nv):
+    rng = np.random.default_rng(10 + nv)
+    p = _random_convex(rng, 50, nv)
+    ref = rng.uniform(0.05, 0.45, (7, 2))  # inside both reference elements
+    h = 1e-4
+    _, J = reference_map(p, ref)
+    for c, step in enumerate(np.eye(2) * h):
+        # the maps are at most quadratic, so central differences are exact
+        # up to rounding
+        fd = (reference_map(p, ref + step)[0] - reference_map(p, ref - step)[0]) / (2 * h)
+        assert np.allclose(J[..., c], fd, rtol=0.0, atol=1e-9 * np.abs(p).max())
+    assert (J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0] > 0).all()
+
+
+def test_make_mesh_quad_orientation():
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+    clockwise = np.array([[0, 3, 2, 1]])
+    m = make_mesh(pts, quads=clockwise)
+    assert m.quads.tolist() == [[1, 2, 3, 0]]
+    assert m.areas()[0] == pytest.approx(2.0)
+    with pytest.raises(MeshError):
+        make_mesh(pts, quads=clockwise, repair_orientation=False)
+    # a dart: the vertex (0.5, 0.5) is reflex, so either orientation has a
+    # corner with a non-positive Jacobian
+    dart = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 0.5], [0.0, 2.0]])
+    for order in ([[0, 1, 2, 3]], [[3, 2, 1, 0]]):
+        with pytest.raises(MeshError, match="non-convex"):
+            make_mesh(dart, quads=np.array(order))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,9 @@ def test_dimension_zero_error():
     cfg = _quad_pair(2, 0, mesh)  # one P0 dof, empty after deflation
     with pytest.raises(DimensionZeroError):
         compute_beta(cfg)
+    # without deflation the one dof is the constant mode, with no sigma_1
+    with pytest.raises(DimensionZeroError):
+        compute_beta(dataclasses.replace(cfg, deflate_constants=False))
 
 
 def test_schur_spectrum_bounds():
@@ -179,14 +183,14 @@ def test_csv_row_format():
     cfg = _quad_pair(3, 1, rect_grid(1, 1, 1, 1))
     r = compute_beta(cfg, k=3)
     header = _beta_header(3)
-    row = _beta_cells(r, 3, cfg.solver.residual_tol)
+    row = _beta_cells(r, 3)
     assert len(header) == len(row)
     assert header[0] == "config_hash"
     assert row[0] == r.config_hash
     assert float(row[header.index("beta")]) == pytest.approx(r.beta, rel=1e-16)
     assert int(row[header.index("n_pressure")]) == r.n_pressure
     assert row[header.index("flagged")] == "0"
-    failed = _beta_cells(None, 3, cfg.solver.residual_tol)
+    failed = _beta_cells(None, 3)
     assert len(failed) == len(header)
     assert failed[header.index("beta")] == "nan"
     assert failed[header.index("flagged")] == "1"
