@@ -3,7 +3,11 @@
 Velocity spaces are scalar dof maps used componentwise: the assembled
 stiffness is block-diagonal with two identical scalar blocks, and the
 divergence matrix has an x-derivative block followed by a y-derivative
-block.  Assembly runs in fixed element order so reruns agree bitwise.
+block.  Element matrices are batched matrix products (BLAS), one per
+element; the symmetric ones (stiffness, pressure mass) are made exactly
+symmetric per element, since a product of two differently weighted
+factors is symmetric only up to roundoff.  Assembly runs in fixed element
+order so reruns agree bitwise.
 """
 
 from __future__ import annotations
@@ -34,10 +38,21 @@ def _element_geometry(mesh: Mesh, ref_pts: np.ndarray):
 
 
 def _physical_gradients(mesh: Mesh, ref_pts: np.ndarray, grad_hat: np.ndarray):
-    """(gphys (ne,nq,nb,2), wdet-less detJ (ne,nq))."""
+    """Physical basis gradients and detJ at the reference points.
+
+    grad_hat is the reference gradient table (nq, nb, 2).  Returns
+    (G, det) with G of shape (ne, nq, 2, nb), G[e, q, d, b] the d-th
+    partial derivative of basis function b at point q of element e, and
+    det of shape (ne, nq), unweighted.
+    """
     det, Jinv = _element_geometry(mesh, ref_pts)
-    gphys = np.einsum("eqkd,qbk->eqbd", Jinv, grad_hat)
-    return gphys, det
+    G = np.matmul(Jinv.swapaxes(2, 3), grad_hat.transpose(0, 2, 1))
+    return G, det
+
+
+def _symmetrize(local: np.ndarray) -> np.ndarray:
+    """Make each element block (ne, n, n) exactly symmetric."""
+    return 0.5 * (local + local.transpose(0, 2, 1))
 
 
 def _scatter(row_dofs, col_dofs, local, shape):
@@ -61,9 +76,12 @@ def assemble_stiffness(dof_v: DofMap, exactness: int | None = None) -> sparse.cs
     space = dof_v.space
     ref = reference_element(space.family, space.degree)
     rule = quad_rule(space.family, exactness if exactness is not None else 2 * space.degree + 2)
-    gphys, det = _physical_gradients(dof_v.mesh, rule.points, ref.grad(rule.points))
+    G, det = _physical_gradients(dof_v.mesh, rule.points, ref.grad(rule.points))
+    ne, nq, _, nb = G.shape
     wdet = rule.weights[None, :] * det
-    K = np.einsum("eqid,eq,eqjd->eij", gphys, wdet, gphys)
+    Gw = (G * wdet[:, :, None, None]).reshape(ne, 2 * nq, nb)
+    K = _symmetrize(np.matmul(Gw.transpose(0, 2, 1), G.reshape(ne, 2 * nq, nb)))
+    del G, Gw
     n = dof_v.n_global
     scalar = _scatter(dof_v.element_dofs, dof_v.element_dofs, K, (n, n))
     return sparse.block_diag([scalar, scalar], format="csr")
@@ -120,12 +138,15 @@ def assemble_divergence(
         exactness if exactness is not None else 2 * max(sv.degree, sp.degree) + 2,
     )
     ref_v = reference_element(sv.family, sv.degree)
-    gphys, det = _physical_gradients(dof_v.mesh, rule.points, ref_v.grad(rule.points))
+    G, det = _physical_gradients(dof_v.mesh, rule.points, ref_v.grad(rule.points))
+    ne, nq, _, nb = G.shape
     wdet = rule.weights[None, :] * det
     psi, p_elem = _pressure_tables(dof_p, dof_v.mesh, rule.points, parent_map)
-
-    Bx = np.einsum("eqa,eq,eqi->eai", psi, wdet, gphys[:, :, :, 0])
-    By = np.einsum("eqa,eq,eqi->eai", psi, wdet, gphys[:, :, :, 1])
+    psiw = (psi * wdet[:, :, None]).transpose(0, 2, 1)
+    del psi
+    Bxy = np.matmul(psiw, G.reshape(ne, nq, 2 * nb))
+    del G, psiw
+    Bx, By = Bxy[:, :, :nb], Bxy[:, :, nb:]
     edv = dof_v.element_dofs
     edp = dof_p.element_dofs[p_elem]
     shape = (dof_p.n_global, dof_v.n_global)
@@ -144,8 +165,8 @@ def assemble_pressure_mass(
     det, _ = _element_geometry(dof_p.mesh, rule.points)
     wdet = rule.weights[None, :] * det
     psi = ref.eval(rule.points)
-    Mloc = np.einsum("qa,eq,qb->eab", psi, wdet, psi)
-    mloc = np.einsum("qa,eq->ea", psi, wdet)
+    Mloc = _symmetrize(np.matmul(psi.T[None] * wdet[:, None, :], psi))
+    mloc = wdet @ psi
     ed = dof_p.element_dofs
     n = dof_p.n_global
     Mp = _scatter(ed, ed, Mloc, (n, n))

@@ -70,29 +70,53 @@ def gauss_lobatto(degree: int) -> np.ndarray:
     return 0.5 * (pts + 1.0)
 
 
+def _lagrange_factors(t: np.ndarray, x: np.ndarray):
+    """(F, den) with den[i, j] = t_i - t_j and F[p, i, j] = (x_p - t_j) / den[i, j]
+    off the diagonal; both hold 1 on the diagonal i = j."""
+    den = t[:, None] - t[None, :]
+    np.fill_diagonal(den, 1.0)
+    F = (x[:, None, None] - t[None, None, :]) / den
+    diag = np.arange(len(t))
+    F[:, diag, diag] = 1.0
+    return F, den
+
+
+# The two tables below are products taken in the order j = 0, 1, ..., n-1
+# and, for derivatives, sums in the order m = 0, 1, ..., n-1, one loop level
+# per index vectorized.  Factors of exactly 1 and terms of exactly 0 stand in
+# for the skipped indices, so each entry is bitwise the value of the plain
+# nested loops (kept in the tests as the reference).
+
+
 def _lagrange_values(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    n = len(t)
-    out = np.ones((len(x), n))
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                out[:, i] *= (x - t[j]) / (t[i] - t[j])
+    F, _ = _lagrange_factors(t, x)
+    out = np.ones((len(x), len(t)))
+    for j in range(len(t)):
+        out *= F[:, :, j]
     return out
 
 
 def _lagrange_derivs(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     n = len(t)
+    F, den = _lagrange_factors(t, x)
+    scale = 1.0 / den
+    np.fill_diagonal(scale, 0.0)
+    # term[m, p, i]: derivative of the m-th factor of basis i, times the rest
+    term = np.repeat(scale.T[:, None, :], len(x), axis=1)
+    for j in range(n):
+        term[:j] *= F[:, :, j]
+        term[j + 1 :] *= F[:, :, j]
     out = np.zeros((len(x), n))
-    for i in range(n):
-        for m in range(n):
-            if m == i:
-                continue
-            term = np.full(len(x), 1.0 / (t[i] - t[m]))
-            for j in range(n):
-                if j != i and j != m:
-                    term *= (x - t[j]) / (t[i] - t[j])
-            out[:, i] += term
+    for m in range(n):
+        out += term[m]
     return out
+
+
+def _per_coordinate(table, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """table(t, x) computed once per distinct coordinate: tensor rules
+    repeat each 1D coordinate, and every row depends on its own x alone."""
+    xu, inverse = np.unique(x, return_inverse=True)
+    return table(t, xu)[inverse]
 
 
 class ReferenceElement:
@@ -200,8 +224,8 @@ class ReferenceElement:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.family is Family.TRIANGLE:
             return self._monomials(pts) @ self._coeff
-        lx = _lagrange_values(self._t, pts[:, 0])
-        ly = _lagrange_values(self._t, pts[:, 1])
+        lx = _per_coordinate(_lagrange_values, self._t, pts[:, 0])
+        ly = _per_coordinate(_lagrange_values, self._t, pts[:, 1])
         k1 = self.degree + 1
         return (ly[:, :, None] * lx[:, None, :]).reshape(len(pts), k1 * k1)
 
@@ -210,10 +234,10 @@ class ReferenceElement:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.family is Family.TRIANGLE:
             return np.einsum("pmd,mb->pbd", self._monomial_grads(pts), self._coeff)
-        lx = _lagrange_values(self._t, pts[:, 0])
-        ly = _lagrange_values(self._t, pts[:, 1])
-        dx = _lagrange_derivs(self._t, pts[:, 0])
-        dy = _lagrange_derivs(self._t, pts[:, 1])
+        lx = _per_coordinate(_lagrange_values, self._t, pts[:, 0])
+        ly = _per_coordinate(_lagrange_values, self._t, pts[:, 1])
+        dx = _per_coordinate(_lagrange_derivs, self._t, pts[:, 0])
+        dy = _per_coordinate(_lagrange_derivs, self._t, pts[:, 1])
         k1 = self.degree + 1
         gx = (ly[:, :, None] * dx[:, None, :]).reshape(len(pts), k1 * k1)
         gy = (dy[:, :, None] * lx[:, None, :]).reshape(len(pts), k1 * k1)

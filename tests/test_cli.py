@@ -104,6 +104,24 @@ def test_p_sweep_runner():
     assert not by_name["usc-all-rows"].passed
 
 
+def test_p_sweep_parallel_matches_serial():
+    # high-order points run large BLAS products inside the worker threads
+    cfg = {
+        "kind": "p-sweep",
+        "width": 2,
+        "height": 1,
+        "grids": [[2, 2]],
+        "n_values": [6, 8],
+        "k_rules": [{"type": "offset", "d": 1}, {"type": "half"}],
+        "k": 3,
+        "beta_ref": 0.387262,
+    }
+    serial = run_p_sweep(cfg, jobs=1)
+    parallel = run_p_sweep(cfg, jobs=2)
+    assert len(_rows(serial.csv)) == 4
+    assert serial.csv == parallel.csv
+
+
 def test_perturb_runner_and_plot():
     cfg = {"kind": "perturb-rate", "n_values": [8, 16, 32], "grid_density": 128}
     out = run_perturb_rate(cfg)

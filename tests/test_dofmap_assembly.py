@@ -14,7 +14,9 @@ from lbblab.fem import (
     assemble_system,
     build_dof_map,
     export_matrix_coo,
+    quad_rule,
 )
+from lbblab.fem import assembly
 from lbblab.fem.elements import gauss_lobatto, reference_element
 from lbblab.geometry import (
     SvSplitParams,
@@ -141,12 +143,19 @@ def test_stiffness_annihilates_linears():
 
 
 def test_stiffness_symmetry():
-    d = build_dof_map(
-        rect_grid(2, 1, 4, 2),
-        ElementSpace(Family.QUAD, 4, Continuity.C0, BoundaryCondition.ZERO_TRACE),
-    )
-    A = assemble_stiffness(d)
-    assert abs(A - A.T).max() < 1e-13 * abs(A).max()
+    # exact symmetry is a contract: the element blocks come from a
+    # non-symmetric product and the factorization checks symmetry at 1e-10
+    tri = sv_split(rect_grid(2, 1, 2, 1), SvSplitParams(b=0.3, special=(1, -0.2)))
+    for mesh, family in [(tri, Family.TRIANGLE), (rect_grid(2, 1, 4, 2), Family.QUAD)]:
+        d = build_dof_map(
+            mesh, ElementSpace(family, 4, Continuity.C0, BoundaryCondition.ZERO_TRACE)
+        )
+        A = assemble_stiffness(d)
+        assert (A != A.T).nnz == 0
+        for degree, cont in [(3, Continuity.DISCONTINUOUS), (2, Continuity.C0)]:
+            dp = build_dof_map(mesh, ElementSpace(family, degree, cont, BoundaryCondition.NONE))
+            Mp, _ = assemble_pressure_mass(dp)
+            assert (Mp != Mp.T).nnz == 0
 
 
 # ---------------------------------------------------------------- divergence
@@ -346,6 +355,110 @@ def test_assembly_reproducible_and_quadrature_stable():
     Mp1, _ = assemble_pressure_mass(dp)
     Mp_hi, _ = assemble_pressure_mass(dp, exactness=2 * 3 + 2 + 9)
     assert abs(Mp1 - Mp_hi).max() <= 1e-12 * abs(Mp1).max()
+
+
+# ------------------------------------------------- element kernels vs einsum
+
+
+def _scattered_blocks(monkeypatch, assemble, *args, **kwargs):
+    """Result of one assembly call and the element matrices it scattered."""
+    blocks = []
+    scatter = assembly._scatter
+
+    def spy(row_dofs, col_dofs, local, shape):
+        blocks.append(np.array(local))
+        return scatter(row_dofs, col_dofs, local, shape)
+
+    monkeypatch.setattr(assembly, "_scatter", spy)
+    out = assemble(*args, **kwargs)
+    monkeypatch.undo()
+    return out, blocks
+
+
+def _assert_blocks_close(got, want):
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-13 * scale).all()
+
+
+def _einsum_gradients(mesh, space, rule):
+    det, Jinv = assembly._element_geometry(mesh, rule.points)
+    grad_hat = reference_element(space.family, space.degree).grad(rule.points)
+    return np.einsum("eqkd,qbk->eqbd", Jinv, grad_hat), rule.weights[None, :] * det
+
+
+def _check_kernels_against_einsum(monkeypatch, dv, dp, parent_map=None):
+    sv, sp = dv.space, dp.space
+    rule = quad_rule(sv.family, 2 * sv.degree + 2)
+    gphys, wdet = _einsum_gradients(dv.mesh, sv, rule)
+    _, (K,) = _scattered_blocks(monkeypatch, assemble_stiffness, dv)
+    _assert_blocks_close(K, np.einsum("eqid,eq,eqjd->eij", gphys, wdet, gphys))
+
+    rule = quad_rule(sv.family, 2 * max(sv.degree, sp.degree) + 2)
+    gphys, wdet = _einsum_gradients(dv.mesh, sv, rule)
+    ref_p = reference_element(sp.family, sp.degree)
+    if parent_map is None:
+        psi = ref_p.eval(rule.points)
+        psi = np.broadcast_to(psi, (dv.mesh.n_elements, *psi.shape))
+    else:
+        psi = np.stack([
+            ref_p.eval(rule.points @ M.T + off)
+            for M, off in zip(parent_map.matrix, parent_map.offset)
+        ])
+    _, (Bx, By) = _scattered_blocks(
+        monkeypatch, assemble_divergence, dv, dp, parent_map=parent_map
+    )
+    _assert_blocks_close(Bx, np.einsum("eqa,eq,eqi->eai", psi, wdet, gphys[:, :, :, 0]))
+    _assert_blocks_close(By, np.einsum("eqa,eq,eqi->eai", psi, wdet, gphys[:, :, :, 1]))
+
+    rule = quad_rule(sp.family, 2 * sp.degree + 2)
+    det, _ = assembly._element_geometry(dp.mesh, rule.points)
+    wdet = rule.weights[None, :] * det
+    psi = ref_p.eval(rule.points)
+    (_, m), (Mloc,) = _scattered_blocks(monkeypatch, assemble_pressure_mass, dp)
+    _assert_blocks_close(Mloc, np.einsum("qa,eq,qb->eab", psi, wdet, psi))
+    m_ref = np.zeros(dp.n_global)
+    np.add.at(m_ref, dp.element_dofs.ravel(), np.einsum("qa,eq->ea", psi, wdet).ravel())
+    assert np.abs(m - m_ref).max() <= 1e-13 * np.abs(m_ref).max()
+
+
+def _pair_maps(v_mesh, p_mesh, family, n, k):
+    dv = build_dof_map(v_mesh, ElementSpace(family, n, Continuity.C0, BoundaryCondition.NONE))
+    dp = build_dof_map(
+        p_mesh, ElementSpace(family, k, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
+    )
+    return dv, dp
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_triangle_kernels_match_einsum(monkeypatch, n):
+    mesh = sv_split(rect_grid(2, 1, 2, 1), SvSplitParams(b=0.3, special=(1, -0.2)))
+    _check_kernels_against_einsum(monkeypatch, *_pair_maps(mesh, mesh, Family.TRIANGLE, n, n - 1))
+
+
+def _perturbed_quad_grid():
+    grid = rect_grid(2, 1, 2, 1)
+    rng = np.random.default_rng(7)
+    pts = grid.points + rng.uniform(-0.15, 0.15, grid.points.shape)
+    return make_mesh(pts, quads=grid.elements)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_quad_kernels_match_einsum(monkeypatch, n):
+    mesh = _perturbed_quad_grid()
+    det, _ = assembly._element_geometry(mesh, quad_rule(Family.QUAD, 4).points)
+    assert np.ptp(det, axis=1).min() > 1e-3  # non-affine: detJ varies per point
+    _check_kernels_against_einsum(monkeypatch, *_pair_maps(mesh, mesh, Family.QUAD, n, n - 1))
+
+
+@pytest.mark.parametrize(
+    "coarse, family",
+    [(regular_polygon_mesh(5, 0), Family.TRIANGLE), (_perturbed_quad_grid(), Family.QUAD)],
+)
+def test_nested_kernels_match_einsum(monkeypatch, coarse, family):
+    fine, pm = refine_chain(coarse, 2)
+    dv, dp = _pair_maps(fine, coarse, family, 3, 2)
+    _check_kernels_against_einsum(monkeypatch, dv, dp, parent_map=pm)
 
 
 def test_matrix_export_format(tmp_path):

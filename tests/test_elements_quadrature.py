@@ -97,3 +97,48 @@ def test_quad_lattice_is_gauss_lobatto():
     # interior Lobatto points of degree 4: roots of P4' mapped to [0,1]
     assert np.allclose(xs4, [0.0, (1 - math.sqrt(3.0 / 7.0)) / 2, 0.5,
                              (1 + math.sqrt(3.0 / 7.0)) / 2, 1.0], atol=1e-12)
+
+
+def _loop_values(t, x):
+    n = len(t)
+    out = np.ones((len(x), n))
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                out[:, i] *= (x - t[j]) / (t[i] - t[j])
+    return out
+
+
+def _loop_derivs(t, x):
+    n = len(t)
+    out = np.zeros((len(x), n))
+    for i in range(n):
+        for m in range(n):
+            if m == i:
+                continue
+            term = np.full(len(x), 1.0 / (t[i] - t[m]))
+            for j in range(n):
+                if j != i and j != m:
+                    term *= (x - t[j]) / (t[i] - t[j])
+            out[:, i] += term
+    return out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 9, 16])
+def test_quad_tables_match_nested_loops_bitwise(degree):
+    # the vectorized 1D Lagrange tables keep the loops' arithmetic exactly
+    ref = reference_element(Family.QUAD, degree)
+    k1 = degree + 1
+    rng = np.random.default_rng(degree)
+    for pts in [
+        quad_rule(Family.QUAD, 2 * degree + 2).points,
+        rng.uniform(-0.1, 1.1, (30, 2)),
+        ref.nodes,
+    ]:
+        lx, ly = _loop_values(ref._t, pts[:, 0]), _loop_values(ref._t, pts[:, 1])
+        dx, dy = _loop_derivs(ref._t, pts[:, 0]), _loop_derivs(ref._t, pts[:, 1])
+        vals = (ly[:, :, None] * lx[:, None, :]).reshape(len(pts), k1 * k1)
+        gx = (ly[:, :, None] * dx[:, None, :]).reshape(len(pts), k1 * k1)
+        gy = (dy[:, :, None] * lx[:, None, :]).reshape(len(pts), k1 * k1)
+        assert np.array_equal(ref.eval(pts), vals)
+        assert np.array_equal(ref.grad(pts), np.stack([gx, gy], axis=2))
