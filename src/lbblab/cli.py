@@ -403,9 +403,10 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
          for ((nx, ny), a), res in zip(points, results)],
         k,
     )
+    zero_max = float(cfg.get("zero_beta_max", 1e-6))
     svgs = {
         "": plot_sv_sweep(parsed),
-        "diff_fine": plot_sv_sweep_diff_fine(parsed),
+        "diff_fine": plot_sv_sweep_diff_fine(parsed, zero_max),
     }
     if beta_ref is not None:
         svgs["diff_ref"] = plot_sv_sweep_diff_ref(parsed)
@@ -434,7 +435,6 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
 
     checks = [_usc_all_rows(parsed, cfg)] if beta_ref is not None else []
     if any(abs(a) < 1e-12 for a in a_values):
-        zero_max = float(cfg.get("zero_beta_max", 1e-6))
         z = [
             float(r["beta"])
             for r in parsed
@@ -487,7 +487,13 @@ def plot_sv_sweep(rows: list[dict]) -> str:
                      title="inf-sup constant vs decentering", ref_lines=_reference_line(rows))
 
 
-def plot_sv_sweep_diff_fine(rows: list[dict]) -> str:
+def plot_sv_sweep_diff_fine(rows: list[dict], zero_max: float) -> str:
+    """Relative distance of each coarser mesh's beta to the finest mesh's.
+
+    Points whose finest-mesh beta is at most `zero_max` (the singular-point
+    threshold) are left out: there both betas are roundoff, and their ratio
+    would set the autoscaled axis.
+    """
     labels = _series_by_mesh(rows)
     finest = max(labels, key=lambda lab: max(
         int(r["n_velocity"]) for r in rows if r["mesh"] == lab))
@@ -501,7 +507,7 @@ def plot_sv_sweep_diff_fine(rows: list[dict]) -> str:
         ys = []
         for r in sub:
             bf = fine[r["a"]]
-            d = (bf - float(r["beta"])) / bf if bf > 0 else float("nan")
+            d = (bf - float(r["beta"])) / bf if bf > zero_max else float("nan")
             ys.append(d)
         series.append((label, xs, ys))
     return line_plot(series, "a", "log10 relative difference to finest mesh",

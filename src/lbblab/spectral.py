@@ -2,12 +2,15 @@
 
 Three routes to the same spectrum:
 
-* ``smallest_generalized_eigs`` -- production path: dense generalized
-  eigensolve below the dense cap, shift-invert Lanczos (ARPACK) above it.
-  Its solves with S + tau Mp use the Woodbury identity when Mp is block
-  diagonal (discontinuous pressures): W = (tau Mp)^{-1} is element-local
-  and the augmented-Lagrangian matrix A + B^T W B is SPD.  Continuous
-  pressures solve with the factorized saddle-point matrix instead.
+* ``smallest_generalized_eigs`` -- production path: shift-invert Lanczos
+  (ARPACK) above the dense cap; below it, a dense generalized eigensolve
+  unless a cost rule predicts ARPACK to be cheaper (see ``_arpack_budget``),
+  in which case ARPACK runs on a budget of shift-invert solves and falls
+  back to the dense route if it has not converged within it.  Its solves
+  with S + tau Mp use the Woodbury identity when Mp is block diagonal
+  (discontinuous pressures): W = (tau Mp)^{-1} is element-local and the
+  augmented-Lagrangian matrix A + B^T W B is SPD.  Continuous pressures
+  solve with the factorized saddle-point matrix instead.
 * ``mixed_block_eigs`` -- cross-check path solving the structured block
   pencil directly with QZ.
 * ``dense_schur`` -- explicit Schur matrix, the oracle building block.
@@ -49,6 +52,13 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-10  # relative asymmetry accepted in A and in the dense Schur matrix
 _LANCZOS_TOL = 1e-12  # ARPACK convergence tolerance
+# Cost rule below the dense cap, fitted on 2-core timings of SV P4-P3dc,
+# Q_n-Q_kdc and polygon-fan systems.  The dense route costs n_p solves with
+# A plus an n_p^3 eigh; ARPACK costs the augmented-Lagrangian factor plus
+# about two solves per Lanczos vector when it converges well.
+_DOFS_PER_LANCZOS_VECTOR = 10  # ARPACK first only above this many pressure dofs per vector
+_ROW_NNZ_MAX = 100  # ... and only while A.nnz / n_v stays below this (low order)
+_SOLVES_PER_LANCZOS_VECTOR = 3  # shift-invert solve budget before the dense fallback
 
 
 class NotPositiveDefinite(ArithmeticError):
@@ -59,12 +69,16 @@ class EigenSolverError(RuntimeError):
     """Eigensolver failed to meet its residual contract."""
 
 
+class _OverBudget(Exception):
+    """A budgeted ARPACK run has not converged within its shift-invert solves."""
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Tolerances and caps; the CLI's `solver` config block sets the same fields.
 
     Problems with more than dense_cap pressure dofs take the shift-invert
-    Lanczos route; max_iterations caps its restarts.
+    Lanczos route with no solve budget; max_iterations caps its restarts.
     """
 
     residual_tol: float = 1e-10
@@ -244,17 +258,23 @@ def _dense_eig_path(op, Mp, k, deflate, options):
     return _expand_deflated(y, w)
 
 
-def _block_inverse(Mp) -> sparse.csr_matrix | None:
-    """Mp^{-1} when Mp splits into several blocks, else None.
+def _pressure_blocks(Mp) -> np.ndarray | None:
+    """Block label of every pressure dof when Mp splits into several blocks.
 
     The blocks are the connected components of Mp's graph: one per element
-    for discontinuous pressures, so the inverse is as sparse as Mp and one
-    batched dense inverse per block size builds it.  Continuous pressures
-    couple everything into one block, whose inverse is dense.
+    for discontinuous pressures.  Continuous pressures couple everything
+    into one block, and the answer is None.
     """
     ncomp, labels = connected_components(Mp, directed=False)
-    if ncomp == 1:
-        return None
+    return labels if ncomp > 1 else None
+
+
+def _block_inverse(Mp, labels: np.ndarray) -> sparse.csr_matrix:
+    """Mp^{-1} for block-diagonal Mp with the block labels of `_pressure_blocks`.
+
+    The inverse is as sparse as Mp, and one batched dense inverse per block
+    size builds it.
+    """
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
@@ -270,18 +290,17 @@ def _block_inverse(Mp) -> sparse.csr_matrix | None:
     )
 
 
-def _shifted_solver(op, Mp, tau):
+def _shifted_solver(op, Mp, tau, labels):
     """b -> (S + tau Mp)^{-1} b.
 
-    For block-diagonal Mp, Woodbury with W = (tau Mp)^{-1} gives
-    (S + tau Mp)^{-1} = W - W B (A + B^T W B)^{-1} B^T W, and the augmented
-    Lagrangian matrix A + B^T W B is SPD and couples only velocity dofs
-    that share an element.  Otherwise the indefinite saddle-point matrix
-    [[A, B^T], [B, -tau Mp]] is factorized and solved.
+    For block-diagonal Mp (block labels given), Woodbury with
+    W = (tau Mp)^{-1} gives (S + tau Mp)^{-1} = W - W B (A + B^T W B)^{-1} B^T W,
+    and the augmented Lagrangian matrix A + B^T W B is SPD and couples only
+    velocity dofs that share an element.  Otherwise the indefinite
+    saddle-point matrix [[A, B^T], [B, -tau Mp]] is factorized and solved.
     """
-    Mp_inv = _block_inverse(Mp)
-    if Mp_inv is not None:
-        W = Mp_inv / tau
+    if labels is not None:
+        W = _block_inverse(Mp, labels) / tau
         B = op.B
         al = factorize_spd(op.factor.matrix + B.T @ (W @ B))
 
@@ -300,14 +319,39 @@ def _shifted_solver(op, Mp, tau):
     return solve
 
 
-def _arpack_eig_path(op, Mp, k, deflate, options):
+def _lanczos_basis_size(k: int, dim: int) -> int:
+    # a roomy Lanczos basis keeps clustered near-degenerate modes (one per
+    # symmetry orbit on symmetric meshes) from stalling the restarts
+    return min(dim, max(6 * k, 60))
+
+
+def _arpack_budget(op, labels, ncv: int) -> int | None:
+    """Shift-invert solve budget when ARPACK is predicted cheaper, else None.
+
+    Only for block-diagonal Mp (the Woodbury solves), many pressure dofs per
+    Lanczos vector and a sparse A: on high-order elements the
+    augmented-Lagrangian factor fills in and the dense route wins.
+    """
+    A = op.factor.matrix
+    if (
+        labels is not None
+        and op.shape[0] > _DOFS_PER_LANCZOS_VECTOR * ncv
+        and A.nnz < _ROW_NNZ_MAX * A.shape[0]
+    ):
+        return _SOLVES_PER_LANCZOS_VECTOR * ncv
+    return None
+
+
+def _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget):
+    """Shift-invert Lanczos; with a budget, raises _OverBudget instead of
+    running past that many shift-invert solves or failing to converge."""
     n = op.shape[0]
     dim = n - (1 if deflate is not None else 0)
     if k >= dim:
         raise EigenSolverError("problem too small for the iterative path")
     # dimensionless shift left of the spectrum of the (S, Mp) pencil
     tau = 0.05
-    solve_shifted = _shifted_solver(op, Mp, tau)
+    solve_shifted = _shifted_solver(op, Mp, tau, labels)
     if deflate is not None:
         # Lanczos on the zero-mean subspace {m.q = 0}: c = (S + tau Mp)^{-1} m
         # is the constant mode (S c = 0, so one solve), and P x = x - c (m.x)/(m.c)
@@ -320,12 +364,18 @@ def _arpack_eig_path(op, Mp, k, deflate, options):
     def project(x):
         return x if deflate is None else x - c * ((m @ x) / mc)
 
-    opinv = LinearOperator((n, n), matvec=lambda b: project(solve_shifted(b)), dtype=float)
+    solves = 0
+
+    def opinv_matvec(b):
+        nonlocal solves
+        if budget is not None and solves >= budget:
+            raise _OverBudget
+        solves += 1
+        return project(solve_shifted(b))
+
+    opinv = LinearOperator((n, n), matvec=opinv_matvec, dtype=float)
     rng = np.random.default_rng(options.seed)
     v0 = project(rng.standard_normal(n))
-    # a roomy Lanczos basis keeps clustered near-degenerate modes (one per
-    # symmetry orbit on symmetric meshes) from stalling the restarts
-    ncv = min(dim, max(6 * k, 60))
     try:
         _, vecs = eigsh(
             op.as_linear_operator(),
@@ -340,6 +390,8 @@ def _arpack_eig_path(op, Mp, k, deflate, options):
             maxiter=options.max_iterations,
         )
     except ArpackNoConvergence as exc:
+        if budget is not None:
+            raise _OverBudget from exc
         raise EigenSolverError(f"arpack route: {exc}") from exc
     return vecs
 
@@ -355,7 +407,9 @@ def smallest_generalized_eigs(
 
     With `deflate` (the mean vector m), the problem is restricted to the
     zero-mean subspace {q : m.q = 0}, removing the trivial constant mode.
-    Deterministic for a fixed options.seed.
+    Deterministic for a fixed options.seed.  `method` names the route whose
+    vectors were returned: a budgeted ARPACK run that fell back reports
+    "dense".
     """
     options = options or SolverOptions()
     Mp = sparse.csr_matrix(Mp)
@@ -365,9 +419,18 @@ def smallest_generalized_eigs(
     dim = n - (1 if deflate is not None else 0)
     if k < 1 or k > dim:
         raise EigenSolverError(f"k={k} outside the available dimension {dim}")
-    method = "dense" if n <= options.dense_cap else "arpack"
-    route = _dense_eig_path if method == "dense" else _arpack_eig_path
-    return _finish(op, Mp, route(op, Mp, k, deflate, options), method, options.residual_tol)
+    labels = _pressure_blocks(Mp)
+    ncv = _lanczos_basis_size(k, dim)
+    budget = None if n > options.dense_cap else _arpack_budget(op, labels, ncv)
+    method = "arpack" if n > options.dense_cap or budget is not None else "dense"
+    if method == "arpack":
+        try:
+            vecs = _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget)
+        except _OverBudget:
+            method = "dense"
+    if method == "dense":
+        vecs = _dense_eig_path(op, Mp, k, deflate, options)
+    return _finish(op, Mp, vecs, method, options.residual_tol)
 
 
 def mixed_block_eigs(

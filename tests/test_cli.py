@@ -14,6 +14,7 @@ from lbblab.cli import (
     plot_perturb_rate,
     plot_polygon_limit,
     plot_sv_sweep,
+    plot_sv_sweep_diff_fine,
     run_p_sweep,
     run_perturb_rate,
     run_polygon_limit,
@@ -69,10 +70,32 @@ def test_sv_sweep_deterministic_and_checked():
     assert all(r["flagged"] == "0" for r in rows)
 
 
-def test_sv_sweep_parallel_matches_serial():
-    serial = run_sv_sweep(SV_CFG, jobs=1)
-    parallel = run_sv_sweep(SV_CFG, jobs=4)
-    assert serial.csv == parallel.csv
+# the 8x2 points (640 pressure dofs) take the budgeted ARPACK route
+SV_TWO_GRIDS = dict(SV_CFG, grids=[[4, 1], [8, 2]])
+
+
+@pytest.fixture(scope="module")
+def sv_two_grids_serial():
+    return run_sv_sweep(SV_TWO_GRIDS, jobs=1)
+
+
+def test_sv_sweep_parallel_matches_serial(sv_two_grids_serial):
+    # Lanczos runs inside the worker threads, and scipy's ARPACK takes no lock
+    parallel = run_sv_sweep(SV_TWO_GRIDS, jobs=2)
+    assert sv_two_grids_serial.csv == parallel.csv
+
+
+def test_diff_fine_plot_ignores_roundoff_betas_at_singular_point(sv_two_grids_serial):
+    rows = _rows(sv_two_grids_serial.csv)
+    svg = sv_two_grids_serial.svgs["diff_fine"]
+    assert plot_sv_sweep_diff_fine(rows, 1e-6) == svg
+    zero = [r for r in rows if float(r["a"]) == 0.0]
+    assert [r["mesh"] for r in zero] == ["4x1", "8x2"]
+    assert all(float(r["beta"]) <= 1e-6 for r in zero)
+    # other roundoff betas, finest above coarse so that their ratio is plottable
+    for r, beta in zip(zero, (1.2e-15, 2.7e-15)):
+        r["beta"] = repr(beta)
+    assert plot_sv_sweep_diff_fine(rows, 1e-6) == svg
 
 
 def test_svg_regenerates_from_csv_alone():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from lbblab import spectral
+from lbblab.cli import sv_mesh
 from lbblab.fem import (
     BoundaryCondition,
     Continuity,
@@ -10,13 +12,14 @@ from lbblab.fem import (
     assemble_system,
     build_dof_map,
 )
-from lbblab.geometry import SvSplitParams, rect_grid, sv_split
+from lbblab.geometry import SvSplitParams, rect_grid, regular_polygon_mesh, sv_split
 from lbblab.spectral import (
     EigenSolverError,
     NotPositiveDefinite,
     SchurOperator,
     SolverOptions,
     _block_inverse,
+    _pressure_blocks,
     dense_schur,
     factorize_spd,
     mixed_block_eigs,
@@ -97,10 +100,10 @@ def test_block_inverse_mixed_block_sizes():
         blocks.append(G @ G.T + size * np.eye(size))
     perm = rng.permutation(12)
     Mp = sparse.block_diag(blocks, format="csr")[perm][:, perm]
-    inv = _block_inverse(Mp)
+    inv = _block_inverse(Mp, _pressure_blocks(Mp))
     assert inv.nnz == Mp.nnz
     assert np.abs((inv @ Mp).toarray() - np.eye(12)).max() <= 1e-12
-    assert _block_inverse(sparse.csr_matrix(np.ones((3, 3)))) is None
+    assert _pressure_blocks(sparse.csr_matrix(np.ones((3, 3)))) is None
 
 
 # ------------------------------------------------------------ Schur operator
@@ -185,20 +188,25 @@ def test_arpack_path_matches_dense(a):
     assert iterative.residuals.max() <= 1e-10
 
 
+def _pair_system(mesh, vdeg, pdeg, pcont=Continuity.DISCONTINUOUS):
+    family = Family.QUAD if mesh.is_quad else Family.TRIANGLE
+    dv = build_dof_map(
+        mesh, ElementSpace(family, vdeg, Continuity.C0, BoundaryCondition.ZERO_TRACE)
+    )
+    dp = build_dof_map(mesh, ElementSpace(family, pdeg, pcont, BoundaryCondition.NONE))
+    return assemble_system(dv, dp)
+
+
 def _sv_system(width, nx, a, vdeg, pdeg, pcont):
     mesh = sv_split(rect_grid(width, 1, nx, 1), SvSplitParams(b=0.4, special=(0, a)))
-    dv = build_dof_map(
-        mesh, ElementSpace(Family.TRIANGLE, vdeg, Continuity.C0, BoundaryCondition.ZERO_TRACE)
-    )
-    dp = build_dof_map(mesh, ElementSpace(Family.TRIANGLE, pdeg, pcont, BoundaryCondition.NONE))
-    return assemble_system(dv, dp)
+    return _pair_system(mesh, vdeg, pdeg, pcont)
 
 
 def test_arpack_saddle_route_continuous_pressure():
     # P2-P1 with continuous pressures: Mp is one block, so the shift-invert
     # solves go through the saddle-point LU instead of Woodbury
     sys_ = _sv_system(2, 2, 0.15, 2, 1, Continuity.C0)
-    assert _block_inverse(sys_.Mp) is None
+    assert _pressure_blocks(sys_.Mp) is None
     op = SchurOperator(sys_.B, factorize_spd(sys_.A))
     dense = smallest_generalized_eigs(op, sys_.Mp, 4, deflate=sys_.m)
     iterative = smallest_generalized_eigs(
@@ -213,7 +221,8 @@ def test_arpack_saddle_route_continuous_pressure():
 def test_arpack_woodbury_route_paper_pair():
     # the paper's P4-P3dc pair: Mp has one 10x10 block per triangle
     sys_ = _sv_system(4, 4, 0.02, 4, 3, Continuity.DISCONTINUOUS)
-    assert _block_inverse(sys_.Mp).nnz == 100 * (sys_.Mp.shape[0] // 10)
+    inverse = _block_inverse(sys_.Mp, _pressure_blocks(sys_.Mp))
+    assert inverse.nnz == 100 * (sys_.Mp.shape[0] // 10)
     op = SchurOperator(sys_.B, factorize_spd(sys_.A))
     res = smallest_generalized_eigs(
         op, sys_.Mp, 6, deflate=sys_.m, options=SolverOptions(dense_cap=1)
@@ -221,6 +230,86 @@ def test_arpack_woodbury_route_paper_pair():
     assert res.method == "arpack"
     assert np.allclose(res.values, brute_force_sigmas(sys_, deflate=True)[:6], atol=1e-10)
     assert res.residuals.max() <= 1e-10
+
+
+def _fig3_system(nx, ny):
+    # the Fig. 3 family: P4-P3dc on the split 4x1 rectangle, b = 0.4
+    mesh = sv_split(rect_grid(4, 1, nx, ny), SvSplitParams(b=0.4, special=(0, 0.04)))
+    return _pair_system(mesh, 4, 3)
+
+
+@pytest.mark.parametrize("nx, ny", [(8, 2), (12, 3)])
+def test_route_rule_sends_low_order_mid_size_to_arpack(nx, ny):
+    # 640 and 1440 pressure dofs, below dense_cap: ARPACK is predicted cheaper
+    sys_ = _fig3_system(nx, ny)
+    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    res = smallest_generalized_eigs(op, sys_.Mp, 6, deflate=sys_.m)
+    assert res.method == "arpack"
+    assert np.allclose(res.values, brute_force_sigmas(sys_, deflate=True)[:6], atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: quad_pair_system(12, 11, width=2.0, grid=(2, 2)),
+        # 1024 pressure dofs, but a row of A holds about 270 nonzeros
+        lambda: quad_pair_system(16, 15, width=2.0, grid=(2, 2)),
+        # 613 continuous pressures: Mp is one block, so no Woodbury solves
+        lambda: _pair_system(
+            sv_split(rect_grid(4, 2, 24, 12), SvSplitParams(b=0.4)), 2, 1, Continuity.C0
+        ),
+    ],
+    ids=["Q12-Q11dc", "Q16-Q15dc", "P2-P1"],
+)
+def test_route_rule_keeps_high_order_and_continuous_dense(build):
+    sys_ = build()
+    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    assert smallest_generalized_eigs(op, sys_.Mp, 3, deflate=sys_.m).method == "dense"
+
+
+def test_route_budget_falls_back_to_dense(monkeypatch):
+    # the fan's D_32 symmetry gives sigma_2 = sigma_3: Lanczos converges
+    # slowly on the pair, trips the solve budget, and the point is solved
+    # on the dense route exactly as without the ARPACK attempt
+    sys_ = _pair_system(regular_polygon_mesh(32, 1), 4, 3)
+    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    applies = []
+    real_eigsh = spectral.eigsh
+
+    def counting_eigsh(*args, OPinv, **kwargs):
+        def matvec(b):
+            applies.append(1)
+            return OPinv.matvec(b)
+
+        wrapped = spectral.LinearOperator(OPinv.shape, matvec=matvec, dtype=float)
+        return real_eigsh(*args, OPinv=wrapped, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counting_eigsh)
+    res = smallest_generalized_eigs(op, sys_.Mp, 4, deflate=sys_.m)
+    ncv = spectral._lanczos_basis_size(4, op.shape[0] - 1)
+    budget = spectral._arpack_budget(op, _pressure_blocks(sys_.Mp), ncv)
+    assert budget is not None and len(applies) == budget + 1  # the refused solve
+    vecs = spectral._dense_eig_path(op, sys_.Mp, 4, sys_.m, SolverOptions())
+    dense = spectral._finish(op, sys_.Mp, vecs, "dense", SolverOptions().residual_tol)
+    assert res.method == "dense"
+    assert np.array_equal(res.values, dense.values)
+    assert np.array_equal(res.vectors, dense.vectors)
+    assert res.values[2] - res.values[1] <= 1e-12 * res.values[1]
+
+
+def test_route_non_convergence_below_cap_falls_back_to_dense():
+    # one Lanczos restart cannot converge six pairs of P3-P2dc (864 pressure
+    # dofs) on the 12x3 split with a = 0; below dense_cap that is a dense
+    # point, not a failed one (above it: test_cli's failed-point test)
+    sys_ = _pair_system(sv_mesh(4, 1, 12, 3, 0.4, 0.0), 3, 2)
+    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    ncv = spectral._lanczos_basis_size(6, op.shape[0] - 1)
+    assert spectral._arpack_budget(op, _pressure_blocks(sys_.Mp), ncv) is not None
+    res = smallest_generalized_eigs(
+        op, sys_.Mp, 6, deflate=sys_.m, options=SolverOptions(max_iterations=1)
+    )
+    assert res.method == "dense"
+    assert np.allclose(res.values, brute_force_sigmas(sys_, deflate=True)[:6], atol=1e-10)
 
 
 def test_arpack_deterministic_given_seed():
