@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import io
 import json
 import math
@@ -835,7 +837,37 @@ def _write_outputs(prefix: str, out: RunOutput) -> None:
             f.write(text)
 
 
+# glibc mallopt parameters (malloc.h) and the values main pins them to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 8 << 20
+_TRIM_THRESHOLD_BYTES = 16 << 20
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds for the rest of the process.
+
+    By default glibc raises the mmap threshold to the size of every mapped
+    block that is freed, up to 32 MiB, and the trim threshold to twice
+    that.  After one large point, the next point's SuperLU workspaces then
+    land on the heap, and whether the heap shrinks back between points
+    depends on which small block sits at its top: a sweep's peak memory
+    moved by 20 MB from one run to the next.  Pinned, blocks of 8 MiB and
+    more always get their own mapping and go back to the OS when freed, and
+    at most 16 MiB of free heap stays resident.  Returns whether the C
+    library took both settings; False where there is no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    )
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = argparse.ArgumentParser(prog="lbblab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMAND_KINDS:

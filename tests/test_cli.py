@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,6 +212,43 @@ def test_main_exit_codes(tmp_path):
     assert main(["polygon", "--config", str(p), "--out", str(tmp_path / "y")]) == 1
     # unreadable config -> 1
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+# In a fresh interpreter: main pins glibc's thresholds, so a block below a
+# just-freed mapped block still gets its own mapping instead of the heap.
+_MALLOC_PROBE = """
+import ctypes, json, sys
+import numpy as np
+from lbblab.cli import main
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    print(json.dumps(None))
+    sys.exit(0)
+fields = "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost"
+MallInfo2 = type("MallInfo2", (ctypes.Structure,),
+                 {"_fields_": [(f, ctypes.c_size_t) for f in fields.split()]})
+libc.mallinfo2.restype = MallInfo2
+main(["sweep", "--config", sys.argv[1]])
+big = np.ones((24 << 20) // 8)
+del big  # without the pin, glibc's mmap threshold rises to 24 MiB here
+mapped_before = libc.mallinfo2().hblkhd
+block = np.ones((10 << 20) // 8)
+print(json.dumps(libc.mallinfo2().hblkhd - mapped_before))
+"""
+
+
+def test_main_pins_malloc_thresholds(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _MALLOC_PROBE, str(tmp_path / "missing.json")],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    mapped = json.loads(proc.stdout.splitlines()[-1])
+    if mapped is None:
+        pytest.skip("C library without mallinfo2")
+    assert mapped >= 10 << 20
 
 
 def test_single_beta_from_mesh_file(tmp_path):
