@@ -7,7 +7,8 @@ block.  Element matrices are batched matrix products (BLAS), one per
 element; the symmetric ones (stiffness, pressure mass) are made exactly
 symmetric per element, since a product of two differently weighted
 factors is symmetric only up to roundoff.  Assembly runs in fixed element
-order so reruns agree bitwise.
+order so reruns agree bitwise.  `assemble_system` also condenses the
+interior velocity dofs out of the same element matrices (`AssembledSystem`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from ..geometry import Mesh, ParentMap, reference_map
+from ..spectral import NotPositiveDefinite
 from .dofmap import DofMap
 from .elements import reference_element
 from .quadrature import quad_rule
@@ -67,12 +69,8 @@ def _scatter(row_dofs, col_dofs, local, shape):
     ).tocsr()
 
 
-def assemble_stiffness(dof_v: DofMap, exactness: int | None = None) -> sparse.csr_matrix:
-    """Vector Laplacian: block diag of two scalar grad-grad blocks.
-
-    dof_v is the scalar velocity dof map (typically C0 with zero trace);
-    rows and columns of eliminated dofs are dropped.
-    """
+def _stiffness_blocks(dof_v: DofMap, exactness: int | None = None) -> np.ndarray:
+    """Scalar grad-grad element matrices (ne, nb, nb), exactly symmetric."""
     space = dof_v.space
     ref = reference_element(space.family, space.degree)
     rule = quad_rule(space.family, exactness if exactness is not None else 2 * space.degree + 2)
@@ -80,11 +78,23 @@ def assemble_stiffness(dof_v: DofMap, exactness: int | None = None) -> sparse.cs
     ne, nq, _, nb = G.shape
     wdet = rule.weights[None, :] * det
     Gw = (G * wdet[:, :, None, None]).reshape(ne, 2 * nq, nb)
-    K = _symmetrize(np.matmul(Gw.transpose(0, 2, 1), G.reshape(ne, 2 * nq, nb)))
-    del G, Gw
-    n = dof_v.n_global
-    scalar = _scatter(dof_v.element_dofs, dof_v.element_dofs, K, (n, n))
+    return _symmetrize(np.matmul(Gw.transpose(0, 2, 1), G.reshape(ne, 2 * nq, nb)))
+
+
+def _vector_stiffness(element_dofs, K: np.ndarray, n: int) -> sparse.csr_matrix:
+    """diag(K, K) from the scalar element matrices K over n scalar dofs."""
+    scalar = _scatter(element_dofs, element_dofs, K, (n, n))
     return sparse.block_diag([scalar, scalar], format="csr")
+
+
+def assemble_stiffness(dof_v: DofMap, exactness: int | None = None) -> sparse.csr_matrix:
+    """Vector Laplacian: block diag of two scalar grad-grad blocks.
+
+    dof_v is the scalar velocity dof map (typically C0 with zero trace);
+    rows and columns of eliminated dofs are dropped.
+    """
+    K = _stiffness_blocks(dof_v, exactness)
+    return _vector_stiffness(dof_v.element_dofs, K, dof_v.n_global)
 
 
 def _pressure_tables(
@@ -121,17 +131,14 @@ def _pressure_tables(
     return tables[inverse], parent_map.parent
 
 
-def assemble_divergence(
+def _divergence_blocks(
     dof_v: DofMap,
     dof_p: DofMap,
     parent_map: ParentMap | None = None,
     exactness: int | None = None,
-) -> sparse.csr_matrix:
-    """Coupling matrix B with B[p, v] = integral of div(phi_v) * psi_p.
-
-    Columns are ordered (x-component block, y-component block) of the scalar
-    velocity dofs.  Integration runs over the (finer) velocity mesh.
-    """
+):
+    """Element matrices (Bx, By), each (ne, nbP, nb), of the velocity
+    elements, and the pressure dofs (ne, nbP) each one couples to."""
     sv, sp = dof_v.space, dof_p.space
     rule = quad_rule(
         sv.family,
@@ -145,14 +152,31 @@ def assemble_divergence(
     psiw = (psi * wdet[:, :, None]).transpose(0, 2, 1)
     del psi
     Bxy = np.matmul(psiw, G.reshape(ne, nq, 2 * nb))
-    del G, psiw
-    Bx, By = Bxy[:, :, :nb], Bxy[:, :, nb:]
-    edv = dof_v.element_dofs
-    edp = dof_p.element_dofs[p_elem]
+    return Bxy[:, :, :nb], Bxy[:, :, nb:], dof_p.element_dofs[p_elem]
+
+
+def _coupling(row_dofs, col_dofs, Bx, By, shape) -> sparse.csr_matrix:
+    """[Bx By] scattered: x-component columns first, then y."""
+    return sparse.hstack(
+        [_scatter(row_dofs, col_dofs, Bx, shape), _scatter(row_dofs, col_dofs, By, shape)],
+        format="csr",
+    )
+
+
+def assemble_divergence(
+    dof_v: DofMap,
+    dof_p: DofMap,
+    parent_map: ParentMap | None = None,
+    exactness: int | None = None,
+) -> sparse.csr_matrix:
+    """Coupling matrix B with B[p, v] = integral of div(phi_v) * psi_p.
+
+    Columns are ordered (x-component block, y-component block) of the scalar
+    velocity dofs.  Integration runs over the (finer) velocity mesh.
+    """
+    Bx, By, edp = _divergence_blocks(dof_v, dof_p, parent_map, exactness)
     shape = (dof_p.n_global, dof_v.n_global)
-    bx = _scatter(edp, edv, Bx, shape)
-    by = _scatter(edp, edv, By, shape)
-    return sparse.hstack([bx, by], format="csr")
+    return _coupling(edp, dof_v.element_dofs, Bx, By, shape)
 
 
 def assemble_pressure_mass(
@@ -177,12 +201,32 @@ def assemble_pressure_mass(
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """The three bilinear forms of one velocity/pressure pairing."""
+    """The three bilinear forms of one velocity/pressure pairing, and the
+    same pressure Schur complement after static condensation.
+
+    A, B, Mp and m are the full forms.  Eliminating the interior velocity
+    dofs I (Lagrange nodes inside one element) leaves the skeleton dofs S
+    and B A^{-1} B^T = D + C Ahat^{-1} C^T with
+
+        Ahat = A_SS - A_SI A_II^{-1} A_IS,  C = B_S - B_I A_II^{-1} A_IS,
+        D = B_I A_II^{-1} B_I^T.
+
+    Ahat = diag(Khat, Khat) is SPD and couples the skeleton dofs of each
+    element, and D has Mp's sparsity pattern.  D = E^T E with
+    E = L^{-1} B_I^T for the element Cholesky factors A_II = L L^T: the
+    dense and Woodbury routes take D assembled, while D q = E^T (E q) keeps
+    q.Dq at the roundoff floor squared on near-null pressure modes.
+    Without interior dofs Ahat = A, C = B, D = 0 and E has no rows.
+    """
 
     A: sparse.csr_matrix
     B: sparse.csr_matrix
     Mp: sparse.csr_matrix
     m: np.ndarray
+    Ahat: sparse.csr_matrix
+    C: sparse.csr_matrix
+    D: sparse.csr_matrix
+    E: sparse.csr_matrix
 
     @property
     def n_velocity(self) -> int:
@@ -193,13 +237,65 @@ class AssembledSystem:
         return self.Mp.shape[0]
 
 
+def _condense(dof_v: DofMap, K: np.ndarray, Bx: np.ndarray, By: np.ndarray, edp, n_p: int):
+    """(Ahat, C, D, E) of `AssembledSystem` from the element matrices.
+
+    Interior dofs belong to one element each, so the condensation is
+    element-local and per scalar component.  With K_II = L L^T (one batched
+    Cholesky) and Y = L^{-1} [K_IS, Bx_I^T, By_I^T], an element adds
+    K_SS - Y_S^T Y_S to Khat, Bx_S - Y_x^T Y_S and By_S - Y_y^T Y_S to the
+    two component blocks of C, Y_x^T Y_x + Y_y^T Y_y to D, and its own rows
+    Y_x and Y_y to E.  By Sylvester's law A is SPD iff every K_II and Ahat
+    are: a failed Cholesky raises NotPositiveDefinite, and factorizing Ahat
+    checks the rest.
+    """
+    ref = reference_element(dof_v.space.family, dof_v.space.degree)
+    inner = np.array([kind[0] == "i" for kind in ref.node_kind])
+    I, S = np.flatnonzero(inner), np.flatnonzero(~inner)
+    ed = dof_v.element_dofs
+    skeleton = np.ones(dof_v.n_global, dtype=bool)
+    skeleton[ed[:, I]] = False
+    number = np.cumsum(skeleton) - 1  # skeleton numbering in global dof order
+    eds = np.where(ed[:, S] >= 0, number[ed[:, S]], -1)
+    try:
+        L = np.linalg.cholesky(K[:, I[:, None], I])
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"interior stiffness block: {exc}") from exc
+    rhs = [K[:, I[:, None], S], Bx[:, :, I].transpose(0, 2, 1), By[:, :, I].transpose(0, 2, 1)]
+    Y = np.linalg.solve(L, np.concatenate(rhs, axis=2))
+    del L, rhs
+    ns, npl = len(S), Bx.shape[1]
+    YS, Yx, Yy = Y[:, :, :ns], Y[:, :, ns : ns + npl], Y[:, :, ns + npl :]
+    Khat = _symmetrize(K[:, S[:, None], S] - YS.transpose(0, 2, 1) @ YS)
+    Cx = Bx[:, :, S] - Yx.transpose(0, 2, 1) @ YS
+    Cy = By[:, :, S] - Yy.transpose(0, 2, 1) @ YS
+    Dloc = _symmetrize(Yx.transpose(0, 2, 1) @ Yx + Yy.transpose(0, 2, 1) @ Yy)
+    n_s, n_i = int(skeleton.sum()), Y.shape[0] * Y.shape[1]
+    rows = np.arange(n_i).reshape(Y.shape[:2])
+    return (
+        _vector_stiffness(eds, Khat, n_s),
+        _coupling(edp, eds, Cx, Cy, (n_p, n_s)),
+        _scatter(edp, edp, Dloc, (n_p, n_p)),
+        sparse.vstack(
+            [_scatter(rows, edp, Yx, (n_i, n_p)), _scatter(rows, edp, Yy, (n_i, n_p))],
+            format="csr",
+        ),
+    )
+
+
 def assemble_system(
     dof_v: DofMap, dof_p: DofMap, parent_map: ParentMap | None = None
 ) -> AssembledSystem:
-    A = assemble_stiffness(dof_v)
-    B = assemble_divergence(dof_v, dof_p, parent_map=parent_map)
+    """A, B, Mp and m, and the condensed (Ahat, C, D, E), from one pass
+    over the element matrices; those are dropped on return."""
+    K = _stiffness_blocks(dof_v)
+    Bx, By, edp = _divergence_blocks(dof_v, dof_p, parent_map)
     Mp, m = assemble_pressure_mass(dof_p)
-    return AssembledSystem(A=A, B=B, Mp=Mp, m=m)
+    ed, n_v, n_p = dof_v.element_dofs, dof_v.n_global, dof_p.n_global
+    A = _vector_stiffness(ed, K, n_v)
+    B = _coupling(edp, ed, Bx, By, (n_p, n_v))
+    Ahat, C, D, E = _condense(dof_v, K, Bx, By, edp, n_p)
+    return AssembledSystem(A=A, B=B, Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E)
 
 
 def export_matrix_coo(mat, path) -> None:

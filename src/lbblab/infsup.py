@@ -122,18 +122,26 @@ def _solve_config(config: PairConfig, k: int) -> tuple[GenEigResult, dict]:
     if deflated_dim < 1:
         raise DimensionZeroError("pressure space is zero-dimensional after deflation")
     system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
-    op = SchurOperator(system.B, factorize_spd(system.A))
+    n_velocity, Mp, m = system.n_velocity, system.Mp, system.m
+    op = SchurOperator(
+        system.C,
+        factorize_spd(system.Ahat),
+        system.D,
+        system.E,
+        row_nnz=system.A.nnz / n_velocity,
+    )
+    del system  # the full A and B only serve the oracles; freed, they lower the eigensolve's peak
     k_eff = min(k, deflated_dim)
     result = smallest_generalized_eigs(
         op,
-        system.Mp,
+        Mp,
         k_eff,
-        deflate=system.m if config.deflate_constants else None,
+        deflate=m if config.deflate_constants else None,
         options=config.solver,
     )
     meta = {
         "dof_p": dof_p,
-        "n_velocity": system.A.shape[0],
+        "n_velocity": n_velocity,
         "n_pressure": dof_p.n_global,
     }
     return result, meta

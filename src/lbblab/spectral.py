@@ -8,12 +8,17 @@ Three routes to the same spectrum:
   in which case ARPACK runs on a budget of shift-invert solves and falls
   back to the dense route if it has not converged within it.  Its solves
   with S + tau Mp use the Woodbury identity when Mp is block diagonal
-  (discontinuous pressures): W = (tau Mp)^{-1} is element-local and the
-  augmented-Lagrangian matrix A + B^T W B is SPD.  Continuous pressures
+  (discontinuous pressures): W = (tau Mp + D)^{-1} is element-local and the
+  augmented-Lagrangian matrix Ahat + C^T W C is SPD.  Continuous pressures
   solve with the factorized saddle-point matrix instead.
 * ``mixed_block_eigs`` -- cross-check path solving the structured block
   pencil directly with QZ.
 * ``dense_schur`` -- explicit Schur matrix, the oracle building block.
+
+The Schur operator is S = D + C Ahat^{-1} C^T, the pressure Schur
+complement of the statically condensed system (`lbblab.fem.AssembledSystem`):
+Ahat acts on the skeleton velocity dofs only, and D = 0, C = B, Ahat = A
+give the uncondensed B A^{-1} B^T.
 
 With a mean vector m to deflate, every route solves on the zero-mean
 pressures {q : m.q = 0}.  The dense and QZ routes need a basis of that
@@ -22,7 +27,7 @@ projects its start vector and every shift-invert solve Mp-orthogonally
 onto it.  All three end in ``_finish``: Rayleigh quotients, sorting and
 the residual contract.
 
-Every SPD matrix (A, and the augmented-Lagrangian matrix) goes through one
+Every SPD matrix (Ahat, and the augmented-Lagrangian matrix) goes through one
 ``SymFactorization``: a SuperLU factor with a minimum-degree ordering and
 diagonal pivots, which doubles as the positive-definiteness check.
 """
@@ -136,17 +141,36 @@ def factorize_spd(A) -> SymFactorization:
 
 
 class SchurOperator:
-    """q -> B A^{-1} B^T q on the pressure space."""
+    """q -> D q + C Ahat^{-1} C^T q on the pressure space.
 
-    def __init__(self, B, factor: SymFactorization):
-        self.B = sparse.csr_matrix(B)
+    `factor` holds the SPD velocity matrix Ahat and C is the
+    pressure-velocity coupling of the condensed system of
+    `lbblab.fem.AssembledSystem`; D = E^T E comes with its factor E, and D q
+    is applied as E^T (E q) so that q.Sq stays at the roundoff floor squared
+    on near-null modes.  Without D and E this is B A^{-1} B^T for the full
+    (A, B).  `row_nnz`, the nonzeros per row of the uncondensed stiffness
+    (default: of Ahat), measures element order for the route rule.
+    """
+
+    def __init__(
+        self, C, factor: SymFactorization, D=None, E=None, row_nnz: float | None = None
+    ):
+        self.C = sparse.csr_matrix(C)
         self.factor = factor
-        if self.B.shape[1] != factor.n:
-            raise ValueError("B column count does not match the factorization")
-        self.shape = (self.B.shape[0], self.B.shape[0])
+        if self.C.shape[1] != factor.n:
+            raise ValueError("C column count does not match the factorization")
+        n = self.C.shape[0]
+        self.shape = (n, n)
+        if (D is None) != (E is None):
+            raise ValueError("D and its factor E come together")
+        self.D = sparse.csr_matrix(self.shape) if D is None else sparse.csr_matrix(D)
+        self.E = sparse.csr_matrix((0, n)) if E is None else sparse.csr_matrix(E)
+        if self.D.shape != self.shape or self.E.shape[1] != n:
+            raise ValueError("D or E dimension mismatch")
+        self.row_nnz = factor.matrix.nnz / max(factor.n, 1) if row_nnz is None else row_nnz
 
     def apply(self, q: np.ndarray) -> np.ndarray:
-        return self.B @ self.factor.solve(self.B.T @ q)
+        return self.E.T @ (self.E @ q) + self.C @ self.factor.solve(self.C.T @ q)
 
     def as_linear_operator(self) -> LinearOperator:
         return LinearOperator(self.shape, matvec=self.apply, dtype=float)
@@ -163,16 +187,17 @@ class GenEigResult:
 
 
 def dense_schur(op: SchurOperator, cap: int | None = None, batch: int = 256) -> np.ndarray:
-    """Explicit Schur matrix from nP solves A z = B^T e_p (desk scale only)."""
+    """Explicit Schur matrix D + C Ahat^{-1} C^T from n_p solves
+    Ahat z = C^T e_p (desk scale only)."""
     n = op.shape[0]
     cap = SolverOptions().dense_cap if cap is None else cap
     if n > cap:
         raise EigenSolverError(f"dense Schur matrix of size {n} exceeds cap {cap}")
-    BT = op.B.T.tocsc()
-    S = np.empty((n, n))
+    CT = op.C.T.tocsc()
+    S = op.D.toarray()
     for j0 in range(0, n, batch):
         j1 = min(j0 + batch, n)
-        S[:, j0:j1] = op.B @ op.factor.solve(BT[:, j0:j1].toarray())
+        S[:, j0:j1] += op.C @ op.factor.solve(CT[:, j0:j1].toarray())
     scale = np.abs(S).max() or 1.0
     if np.abs(S - S.T).max() > _SYMMETRY_TOL * scale:
         raise EigenSolverError("dense Schur matrix failed its symmetry contract")
@@ -196,12 +221,18 @@ def _householder_to_e1(m: np.ndarray | None) -> np.ndarray | None:
 
 
 def _reflect_matrix(M: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """H M H without its first row and column, without forming H."""
+    """H M H without its first row and column, without forming H.
+
+    For symmetric M, H M H = M - w v^T - v w^T with v = 2 M w - 2 (w.Mw) w:
+    one rank-2 update, on the trailing block only.
+    """
     if w is None:
         return M
     Mw = M @ w
-    wMw = w @ Mw
-    return (M - 2.0 * np.outer(w, Mw) - 2.0 * np.outer(Mw, w) + 4.0 * wMw * np.outer(w, w))[1:, 1:]
+    v = 2.0 * Mw - (2.0 * (w @ Mw)) * w
+    out = M[1:, 1:] - np.outer(w[1:], v[1:])
+    out -= np.outer(v[1:], w[1:])
+    return out
 
 
 def _expand_deflated(y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -226,9 +257,9 @@ def _finish(op, Mp, vectors, method: str, tol: float) -> GenEigResult:
     """Sign-fix, Rayleigh-refine, sort and residual-check computed eigenvectors.
 
     The Rayleigh quotient is quadratically accurate in the eigenvector error,
-    and exactly nonnegative for the Schur operator (the numerator is a
-    squared A^{-1}-norm), so near-null modes come out at the roundoff floor
-    instead of the eigensolver's backward-error level.  S is applied once
+    and nonnegative for the Schur operator (the numerator is |E q|^2 plus a
+    squared Ahat^{-1}-norm), so near-null modes come out at the roundoff
+    floor instead of the eigensolver's backward-error level.  S is applied once
     per vector and serves both the quotient and the residual.
     """
     vecs = _canonical_sign(vectors)
@@ -291,26 +322,29 @@ def _block_inverse(Mp, labels: np.ndarray) -> sparse.csr_matrix:
 
 
 def _shifted_solver(op, Mp, tau, labels):
-    """b -> (S + tau Mp)^{-1} b.
+    """b -> (S + tau Mp)^{-1} b for S = D + C Ahat^{-1} C^T.
 
-    For block-diagonal Mp (block labels given), Woodbury with
-    W = (tau Mp)^{-1} gives (S + tau Mp)^{-1} = W - W B (A + B^T W B)^{-1} B^T W,
-    and the augmented Lagrangian matrix A + B^T W B is SPD and couples only
-    velocity dofs that share an element.  Otherwise the indefinite
-    saddle-point matrix [[A, B^T], [B, -tau Mp]] is factorized and solved.
+    S + tau Mp = M + C Ahat^{-1} C^T with M = tau Mp + D, which has Mp's
+    sparsity pattern.  For block-diagonal Mp (block labels given), Woodbury
+    with W = M^{-1} gives (S + tau Mp)^{-1} = W - W C (Ahat + C^T W C)^{-1} C^T W,
+    and the augmented Lagrangian matrix Ahat + C^T W C is SPD and couples
+    only skeleton velocity dofs that share an element.  Otherwise the
+    indefinite saddle-point matrix [[Ahat, C^T], [C, -M]] is factorized and
+    solved.
     """
+    M = tau * Mp + op.D
+    C, Ahat = op.C, op.factor.matrix
     if labels is not None:
-        W = _block_inverse(Mp, labels) / tau
-        B = op.B
-        al = factorize_spd(op.factor.matrix + B.T @ (W @ B))
+        W = _block_inverse(M, labels)
+        al = factorize_spd(Ahat + C.T @ (W @ C))
 
         def solve(b):
             Wb = W @ b
-            return Wb - W @ (B @ al.solve(B.T @ Wb))
+            return Wb - W @ (C @ al.solve(C.T @ Wb))
 
         return solve
     nv = op.factor.n
-    lu = splu(sparse.bmat([[op.factor.matrix, op.B.T], [op.B, -tau * Mp]], format="csc"))
+    lu = splu(sparse.bmat([[Ahat, C.T], [C, -M]], format="csc"))
     zeros_v = np.zeros(nv)
 
     def solve(b):
@@ -329,14 +363,13 @@ def _arpack_budget(op, labels, ncv: int) -> int | None:
     """Shift-invert solve budget when ARPACK is predicted cheaper, else None.
 
     Only for block-diagonal Mp (the Woodbury solves), many pressure dofs per
-    Lanczos vector and a sparse A: on high-order elements the
-    augmented-Lagrangian factor fills in and the dense route wins.
+    Lanczos vector and a sparse uncondensed stiffness A (`op.row_nnz`): on
+    high-order elements the dense route wins.
     """
-    A = op.factor.matrix
     if (
         labels is not None
         and op.shape[0] > _DOFS_PER_LANCZOS_VECTOR * ncv
-        and A.nnz < _ROW_NNZ_MAX * A.shape[0]
+        and op.row_nnz < _ROW_NNZ_MAX
     ):
         return _SOLVES_PER_LANCZOS_VECTOR * ncv
     return None

@@ -1,0 +1,193 @@
+"""Static condensation of the interior velocity dofs.
+
+The production Schur operator is D + C Ahat^{-1} C^T on the skeleton dofs
+(`AssembledSystem`); the uncondensed B A^{-1} B^T of the full (A, B) is
+its oracle, together with `brute_force_sigmas` and the QZ route, which
+both see only the full forms.
+"""
+
+import numpy as np
+import pytest
+
+from lbblab.cli import sv_mesh
+from lbblab.fem import (
+    BoundaryCondition,
+    Continuity,
+    ElementSpace,
+    Family,
+    assemble_system,
+    assembly,
+    build_dof_map,
+)
+from lbblab.geometry import (
+    SvSplitParams,
+    make_mesh,
+    rect_grid,
+    refine_chain,
+    regular_polygon_mesh,
+    sv_split,
+)
+from lbblab.infsup import PairConfig, compute_beta
+from lbblab.spectral import (
+    NotPositiveDefinite,
+    SchurOperator,
+    SolverOptions,
+    dense_schur,
+    factorize_spd,
+    mixed_block_eigs,
+    smallest_generalized_eigs,
+)
+
+from conftest import brute_force_sigmas
+
+DC, C0 = Continuity.DISCONTINUOUS, Continuity.C0
+
+
+def _spaces(family, vdeg, pdeg, pcont=DC):
+    return (
+        ElementSpace(family, vdeg, C0, BoundaryCondition.ZERO_TRACE),
+        ElementSpace(family, pdeg, pcont, BoundaryCondition.NONE),
+    )
+
+
+def _system(v_mesh, vdeg, pdeg, pcont=DC, p_mesh=None, parent_map=None):
+    family = Family.QUAD if v_mesh.is_quad else Family.TRIANGLE
+    vs, ps = _spaces(family, vdeg, pdeg, pcont)
+    dv = build_dof_map(v_mesh, vs)
+    dp = build_dof_map(p_mesh or v_mesh, ps)
+    return assemble_system(dv, dp, parent_map=parent_map)
+
+
+def _condensed(system):
+    return SchurOperator(system.C, factorize_spd(system.Ahat), system.D, system.E)
+
+
+def _full(system):
+    return SchurOperator(system.B, factorize_spd(system.A))
+
+
+def _sv():
+    return sv_split(rect_grid(2, 1, 2, 1), SvSplitParams(b=0.3, special=(1, -0.2)))
+
+
+def _perturbed_quads():
+    grid = rect_grid(2, 1, 2, 2)
+    rng = np.random.default_rng(7)
+    inner = ~np.isin(np.arange(len(grid.points)), grid.boundary_edges[:, :2])
+    pts = grid.points + rng.uniform(-0.15, 0.15, grid.points.shape) * inner[:, None]
+    return make_mesh(pts, quads=grid.elements)
+
+
+def _nested(coarse, vdeg, pdeg, levels=2):
+    fine, pm = refine_chain(coarse, levels)
+    return _system(fine, vdeg, pdeg, p_mesh=coarse, parent_map=pm)
+
+
+CASES = {
+    **{f"SV P{k}-P{k - 1}dc": (lambda k=k: _system(_sv(), k, k - 1)) for k in range(1, 7)},
+    **{
+        f"Q{n}-Q{n - 1}dc": (lambda n=n: _system(_perturbed_quads(), n, n - 1))
+        for n in range(1, 17)
+    },
+    "nested P3/P2dc": lambda: _nested(regular_polygon_mesh(5, 0), 3, 2),
+    "nested Q3/Q2dc": lambda: _nested(_perturbed_quads(), 3, 2),
+    "P2-P1": lambda: _system(_sv(), 2, 1, C0),
+    "P3-P2": lambda: _system(_sv(), 3, 2, C0),
+}
+
+
+@pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
+def test_condensed_schur_matches_full(build):
+    system = build()
+    S = dense_schur(_condensed(system))
+    S_full = dense_schur(_full(system))
+    assert np.abs(S - S_full).max() <= 1e-13 * np.abs(S_full).max()
+    Dd = system.D.toarray()
+    scale = np.abs(Dd).max(initial=0.0)
+    assert np.abs(Dd - Dd.T).max() <= 1e-15 * scale
+    assert np.abs(Dd - (system.E.T @ system.E).toarray()).max() <= 1e-14 * scale
+    assert np.abs(Dd[system.Mp.toarray() == 0]).max(initial=0.0) == 0.0  # Mp's pattern
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_no_interior_nodes_is_the_full_system(k):
+    # P1 and P2 have no interior Lagrange nodes: the same code path returns
+    # the full forms and a zero D
+    system = _system(_sv(), k, k - 1)
+    assert (system.Ahat != system.A).nnz == 0
+    assert (system.C != system.B).nnz == 0
+    assert system.E.shape[0] == 0 and not system.D.toarray().any()
+
+
+def test_skeleton_counts():
+    # Q16 on 2x2 quads: of 961 free dofs per component, 900 lie inside one
+    # element and 61 on the skeleton
+    system = _system(rect_grid(2, 1, 2, 2), 16, 15)
+    assert system.A.shape[0] == 1922 and system.Ahat.shape[0] == 122
+    assert system.E.shape[0] == 1922 - 122
+
+
+ORACLE_CASES = {
+    "SV P4-P3dc": lambda: _system(sv_mesh(4, 1, 4, 1, 0.4, 0.15), 4, 3),
+    "P3-P2": lambda: _system(_sv(), 3, 2, C0),
+    "nested Q3/Q2dc": lambda: _nested(_perturbed_quads(), 3, 2, levels=1),
+}
+
+
+@pytest.mark.parametrize("build", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+@pytest.mark.parametrize("options", [None, SolverOptions(dense_cap=1)], ids=["dense", "arpack"])
+def test_condensed_routes_match_oracles(build, options):
+    system = build()
+    k = 4
+    res = smallest_generalized_eigs(
+        _condensed(system), system.Mp, k, deflate=system.m, options=options
+    )
+    assert res.method == ("dense" if options is None else "arpack")
+    oracle = brute_force_sigmas(system, deflate=True)[:k]
+    qz = mixed_block_eigs(system.A, system.B, system.Mp, k, deflate=system.m).values
+    assert np.allclose(res.values, oracle, atol=1e-10)
+    assert np.allclose(res.values, qz, atol=1e-10)
+
+
+def test_spurious_mode_stays_at_the_roundoff_floor():
+    # Q_n-Q_(n-1)dc has a pressure mode with B^T q = 0; applying D through
+    # its factor E keeps its Rayleigh quotient nonnegative and near eps^2
+    # (the assembled D gives about -5e-17)
+    system = _system(rect_grid(2, 1, 2, 2), 8, 7)
+    res = smallest_generalized_eigs(_condensed(system), system.Mp, 2, deflate=system.m)
+    assert 0.0 <= res.values[0] <= 1e-26
+
+
+def test_compute_beta_routes_unchanged():
+    # the route rule measures element order on the uncondensed stiffness:
+    # Ahat has fewer than 100 nonzeros per row on these Q_n systems, A has more
+    cases = [
+        (sv_mesh(4, 1, 8, 2, 0.4, 0.04), Family.TRIANGLE, 4, 3, "arpack"),
+        (rect_grid(2, 1, 2, 2), Family.QUAD, 16, 15, "dense"),
+        (rect_grid(2, 1, 3, 3), Family.QUAD, 10, 9, "dense"),
+    ]
+    for mesh, family, vdeg, pdeg, method in cases:
+        vs, ps = _spaces(family, vdeg, pdeg)
+        config = PairConfig(velocity_space=vs, pressure_space=ps, velocity_mesh=mesh)
+        assert compute_beta(config, k=3).method == method
+
+
+def test_indefinite_interior_block_is_not_positive_definite(monkeypatch):
+    # A is SPD iff every interior block and Ahat are; a failed batched
+    # Cholesky of one element's interior block is classified, not a LinAlgError
+    stiffness = assembly._stiffness_blocks
+
+    def broken(dof_v, *args):
+        K = stiffness(dof_v, *args).copy()
+        kinds = assembly.reference_element(dof_v.space.family, dof_v.space.degree).node_kind
+        i = next(j for j, kind in enumerate(kinds) if kind[0] == "i")
+        K[0, i, i] = -K[0, i, i]
+        return K
+
+    monkeypatch.setattr(assembly, "_stiffness_blocks", broken)
+    vs, ps = _spaces(Family.TRIANGLE, 4, 3)
+    config = PairConfig(
+        velocity_space=vs, pressure_space=ps, velocity_mesh=sv_mesh(4, 1, 4, 1, 0.4, 0.2)
+    )
+    with pytest.raises(NotPositiveDefinite, match="interior stiffness block"):
+        compute_beta(config)
