@@ -3,17 +3,28 @@
 Velocity spaces are scalar dof maps used componentwise: the assembled
 stiffness is block-diagonal with two identical scalar blocks, and the
 divergence matrix has an x-derivative block followed by a y-derivative
-block.  Element matrices are batched matrix products (BLAS), one per
-element; the symmetric ones (stiffness, pressure mass) are made exactly
-symmetric per element, since a product of two differently weighted
-factors is symmetric only up to roundoff.  Assembly runs in fixed element
-order so reruns agree bitwise.  `assemble_system` also condenses the
-interior velocity dofs out of the same element matrices (`AssembledSystem`).
+block.  Element matrices are batched matrix products (BLAS); the symmetric
+ones (stiffness, pressure mass) are made exactly symmetric per element,
+since a product of two differently weighted factors is symmetric only up
+to roundoff.
+
+An element matrix depends on its element only through the edge vectors
+its reference map is built from, and for nested pressures through its
+child-to-parent map.  The kernels therefore run once per class of
+congruent elements (`_element_classes`: 1 class for all 2048 quads of a
+uniform grid), and the class matrices are expanded to every element just
+before the scatter.  Equal inputs give bitwise-equal element matrices, so
+the result is the one of a kernel call per element, bit for bit; assembly
+runs in fixed element order, so reruns agree bitwise too.
+`assemble_system` condenses the interior velocity dofs out of the same
+class matrices and builds the uncondensed A and B only when they are read
+(`AssembledSystem`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -25,9 +36,29 @@ from .elements import reference_element
 from .quadrature import quad_rule
 
 
-def _element_geometry(mesh: Mesh, ref_pts: np.ndarray):
-    """(detJ, Jinv) at reference points, batched over elements."""
-    _, J = reference_map(mesh.points[mesh.elements], ref_pts)
+def _element_classes(mesh: Mesh, tag: np.ndarray | None = None):
+    """(rep, inverse): one representative element per class of congruent
+    elements, and the class of every element.
+
+    Two elements share a class when the edge vectors `reference_map` builds
+    J from are bitwise equal (p1-p0 and p2-p0 on triangles; p1-p0, p3-p0 and
+    p0-p1+p2-p3 on quads) and so are their integer tags, if given.
+    """
+    p = mesh.points[mesh.elements]
+    if mesh.is_quad:
+        edges = (p[:, 1] - p[:, 0], p[:, 3] - p[:, 0], p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3])
+    else:
+        edges = (p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    key = np.concatenate(edges, axis=1).view(np.int64)  # bits: 0.0 and -0.0 differ
+    if tag is not None:
+        key = np.column_stack([key, tag])
+    _, rep, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return rep, inverse.ravel()
+
+
+def _element_geometry(mesh: Mesh, ref_pts: np.ndarray, rep=slice(None)):
+    """(detJ, Jinv) at reference points, batched over the elements rep."""
+    _, J = reference_map(mesh.points[mesh.elements[rep]], ref_pts)
     det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
     if (det <= 0).any():
         raise ValueError("singular or inverted element Jacobian")
@@ -39,15 +70,15 @@ def _element_geometry(mesh: Mesh, ref_pts: np.ndarray):
     return det, Jinv
 
 
-def _physical_gradients(mesh: Mesh, ref_pts: np.ndarray, grad_hat: np.ndarray):
+def _physical_gradients(mesh: Mesh, ref_pts: np.ndarray, grad_hat: np.ndarray, rep):
     """Physical basis gradients and detJ at the reference points.
 
     grad_hat is the reference gradient table (nq, nb, 2).  Returns
-    (G, det) with G of shape (ne, nq, 2, nb), G[e, q, d, b] the d-th
-    partial derivative of basis function b at point q of element e, and
-    det of shape (ne, nq), unweighted.
+    (G, det) with G of shape (nc, nq, 2, nb), G[c, q, d, b] the d-th
+    partial derivative of basis function b at point q of element rep[c],
+    and det of shape (nc, nq), unweighted.
     """
-    det, Jinv = _element_geometry(mesh, ref_pts)
+    det, Jinv = _element_geometry(mesh, ref_pts, rep)
     G = np.matmul(Jinv.swapaxes(2, 3), grad_hat.transpose(0, 2, 1))
     return G, det
 
@@ -69,16 +100,17 @@ def _scatter(row_dofs, col_dofs, local, shape):
     ).tocsr()
 
 
-def _stiffness_blocks(dof_v: DofMap, exactness: int | None = None) -> np.ndarray:
-    """Scalar grad-grad element matrices (ne, nb, nb), exactly symmetric."""
+def _stiffness_blocks(dof_v: DofMap, rep, exactness: int | None = None) -> np.ndarray:
+    """Scalar grad-grad element matrices (nc, nb, nb) of the elements rep,
+    exactly symmetric."""
     space = dof_v.space
     ref = reference_element(space.family, space.degree)
     rule = quad_rule(space.family, exactness if exactness is not None else 2 * space.degree + 2)
-    G, det = _physical_gradients(dof_v.mesh, rule.points, ref.grad(rule.points))
-    ne, nq, _, nb = G.shape
+    G, det = _physical_gradients(dof_v.mesh, rule.points, ref.grad(rule.points), rep)
+    nc, nq, _, nb = G.shape
     wdet = rule.weights[None, :] * det
-    Gw = (G * wdet[:, :, None, None]).reshape(ne, 2 * nq, nb)
-    return _symmetrize(np.matmul(Gw.transpose(0, 2, 1), G.reshape(ne, 2 * nq, nb)))
+    Gw = (G * wdet[:, :, None, None]).reshape(nc, 2 * nq, nb)
+    return _symmetrize(np.matmul(Gw.transpose(0, 2, 1), G.reshape(nc, 2 * nq, nb)))
 
 
 def _vector_stiffness(element_dofs, K: np.ndarray, n: int) -> sparse.csr_matrix:
@@ -93,21 +125,19 @@ def assemble_stiffness(dof_v: DofMap, exactness: int | None = None) -> sparse.cs
     dof_v is the scalar velocity dof map (typically C0 with zero trace);
     rows and columns of eliminated dofs are dropped.
     """
-    K = _stiffness_blocks(dof_v, exactness)
-    return _vector_stiffness(dof_v.element_dofs, K, dof_v.n_global)
+    rep, inverse = _element_classes(dof_v.mesh)
+    K = _stiffness_blocks(dof_v, rep, exactness)
+    return _vector_stiffness(dof_v.element_dofs, K[inverse], dof_v.n_global)
 
 
-def _pressure_tables(
-    dof_p: DofMap, v_mesh: Mesh, ref_pts: np.ndarray, parent_map: ParentMap | None
-):
-    """Pressure basis values at the velocity rule points, per velocity element.
+def _pressure_maps(dof_p: DofMap, v_mesh: Mesh, parent_map: ParentMap | None):
+    """How each velocity element sees the pressure basis.
 
-    Returns (values (ne,nq,nbP), pressure_element (ne,)).  With a parent map
-    the points are pushed through the child-to-parent affine reference maps
-    (exact for the nested uniform refinements produced by the geometry
-    module); identical affine maps share one evaluation.
+    Returns (maps, map_class, p_elem): the distinct child-to-parent affine
+    reference maps as rows (matrix, offset), the map of every velocity
+    element, and the pressure element it lies in.  On a shared mesh maps is
+    None and every element has the identity map 0.
     """
-    ref_p = reference_element(dof_p.space.family, dof_p.space.degree)
     ne = v_mesh.n_elements
     if parent_map is None:
         if dof_p.mesh is not v_mesh and not (
@@ -115,44 +145,50 @@ def _pressure_tables(
             and np.array_equal(dof_p.mesh.elements, v_mesh.elements)
         ):
             raise ValueError("pressure mesh differs from velocity mesh: parent map required")
-        psi = ref_p.eval(ref_pts)
-        return np.broadcast_to(psi, (ne, *psi.shape)), np.arange(ne)
+        return None, np.zeros(ne, dtype=np.intp), np.arange(ne)
     if len(parent_map.parent) != ne:
         raise ValueError("parent map does not match the velocity mesh")
     stacked = np.concatenate(
         [parent_map.matrix.reshape(ne, 4), parent_map.offset], axis=1
     )
-    uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    tables = np.empty((len(uniq), len(ref_pts), ref_p.n_basis))
-    for u, row in enumerate(uniq):
-        M = row[:4].reshape(2, 2)
-        off = row[4:]
-        tables[u] = ref_p.eval(ref_pts @ M.T + off)
-    return tables[inverse], parent_map.parent
+    maps, map_class = np.unique(stacked, axis=0, return_inverse=True)
+    return maps, map_class.ravel(), parent_map.parent
+
+
+def _pressure_tables(dof_p: DofMap, maps, ref_pts: np.ndarray) -> np.ndarray:
+    """Pressure basis values (nmaps, nq, nbP) at the velocity rule points
+    pushed through each map of `_pressure_maps` (exact for the nested
+    uniform refinements produced by the geometry module)."""
+    ref_p = reference_element(dof_p.space.family, dof_p.space.degree)
+    if maps is None:
+        return ref_p.eval(ref_pts)[None]
+    return np.stack([ref_p.eval(ref_pts @ row[:4].reshape(2, 2).T + row[4:]) for row in maps])
 
 
 def _divergence_blocks(
     dof_v: DofMap,
     dof_p: DofMap,
-    parent_map: ParentMap | None = None,
+    rep,
+    maps,
+    map_class: np.ndarray,
     exactness: int | None = None,
 ):
-    """Element matrices (Bx, By), each (ne, nbP, nb), of the velocity
-    elements, and the pressure dofs (ne, nbP) each one couples to."""
+    """Element matrices (Bx, By), each (nc, nbP, nb), of the velocity
+    elements rep, with the pressure maps of `_pressure_maps`."""
     sv, sp = dof_v.space, dof_p.space
     rule = quad_rule(
         sv.family,
         exactness if exactness is not None else 2 * max(sv.degree, sp.degree) + 2,
     )
     ref_v = reference_element(sv.family, sv.degree)
-    G, det = _physical_gradients(dof_v.mesh, rule.points, ref_v.grad(rule.points))
-    ne, nq, _, nb = G.shape
+    G, det = _physical_gradients(dof_v.mesh, rule.points, ref_v.grad(rule.points), rep)
+    nc, nq, _, nb = G.shape
     wdet = rule.weights[None, :] * det
-    psi, p_elem = _pressure_tables(dof_p, dof_v.mesh, rule.points, parent_map)
+    psi = _pressure_tables(dof_p, maps, rule.points)[map_class[rep]]
     psiw = (psi * wdet[:, :, None]).transpose(0, 2, 1)
     del psi
-    Bxy = np.matmul(psiw, G.reshape(ne, nq, 2 * nb))
-    return Bxy[:, :, :nb], Bxy[:, :, nb:], dof_p.element_dofs[p_elem]
+    Bxy = np.matmul(psiw, G.reshape(nc, nq, 2 * nb))
+    return Bxy[:, :, :nb], Bxy[:, :, nb:]
 
 
 def _coupling(row_dofs, col_dofs, Bx, By, shape) -> sparse.csr_matrix:
@@ -174,9 +210,13 @@ def assemble_divergence(
     Columns are ordered (x-component block, y-component block) of the scalar
     velocity dofs.  Integration runs over the (finer) velocity mesh.
     """
-    Bx, By, edp = _divergence_blocks(dof_v, dof_p, parent_map, exactness)
+    maps, map_class, p_elem = _pressure_maps(dof_p, dof_v.mesh, parent_map)
+    rep, inverse = _element_classes(dof_v.mesh, map_class)
+    Bx, By = _divergence_blocks(dof_v, dof_p, rep, maps, map_class, exactness)
     shape = (dof_p.n_global, dof_v.n_global)
-    return _coupling(edp, dof_v.element_dofs, Bx, By, shape)
+    return _coupling(
+        dof_p.element_dofs[p_elem], dof_v.element_dofs, Bx[inverse], By[inverse], shape
+    )
 
 
 def assemble_pressure_mass(
@@ -186,17 +226,45 @@ def assemble_pressure_mass(
     sp_ = dof_p.space
     ref = reference_element(sp_.family, sp_.degree)
     rule = quad_rule(sp_.family, exactness if exactness is not None else 2 * sp_.degree + 2)
-    det, _ = _element_geometry(dof_p.mesh, rule.points)
+    rep, inverse = _element_classes(dof_p.mesh)
+    det, _ = _element_geometry(dof_p.mesh, rule.points, rep)
     wdet = rule.weights[None, :] * det
     psi = ref.eval(rule.points)
     Mloc = _symmetrize(np.matmul(psi.T[None] * wdet[:, None, :], psi))
-    mloc = wdet @ psi
     ed = dof_p.element_dofs
     n = dof_p.n_global
-    Mp = _scatter(ed, ed, Mloc, (n, n))
+    Mp = _scatter(ed, ed, Mloc[inverse], (n, n))
     m = np.zeros(n)
-    np.add.at(m, ed.ravel(), mloc.ravel())
+    # from the expanded weights: with one class, (1, nq) @ psi would take
+    # numpy's matrix-vector route, whose sums round differently
+    np.add.at(m, ed.ravel(), (wdet[inverse] @ psi).ravel())
     return Mp, m
+
+
+@dataclass(frozen=True)
+class _ClassBlocks:
+    """Velocity element matrices per element class, and what scatters them:
+    `inverse` gives every element's class, `ed` and `edp` its velocity and
+    pressure dofs."""
+
+    K: np.ndarray
+    Bx: np.ndarray
+    By: np.ndarray
+    inverse: np.ndarray
+    ed: np.ndarray
+    edp: np.ndarray
+    n_v: int
+    n_p: int
+
+
+def _uncondensed_stiffness(blocks: _ClassBlocks) -> sparse.csr_matrix:
+    return _vector_stiffness(blocks.ed, blocks.K[blocks.inverse], blocks.n_v)
+
+
+def _uncondensed_coupling(blocks: _ClassBlocks) -> sparse.csr_matrix:
+    inv = blocks.inverse
+    shape = (blocks.n_p, blocks.n_v)
+    return _coupling(blocks.edp, blocks.ed, blocks.Bx[inv], blocks.By[inv], shape)
 
 
 @dataclass(frozen=True)
@@ -204,9 +272,10 @@ class AssembledSystem:
     """The three bilinear forms of one velocity/pressure pairing, and the
     same pressure Schur complement after static condensation.
 
-    A, B, Mp and m are the full forms.  Eliminating the interior velocity
-    dofs I (Lagrange nodes inside one element) leaves the skeleton dofs S
-    and B A^{-1} B^T = D + C Ahat^{-1} C^T with
+    Mp and m are the pressure mass and mean vector.  Eliminating the
+    interior velocity dofs I (Lagrange nodes inside one element) from the
+    stiffness A and coupling B leaves the skeleton dofs S and
+    B A^{-1} B^T = D + C Ahat^{-1} C^T with
 
         Ahat = A_SS - A_SI A_II^{-1} A_IS,  C = B_S - B_I A_II^{-1} A_IS,
         D = B_I A_II^{-1} B_I^T.
@@ -217,37 +286,51 @@ class AssembledSystem:
     dense and Woodbury routes take D assembled, while D q = E^T (E q) keeps
     q.Dq at the roundoff floor squared on near-null pressure modes.
     Without interior dofs Ahat = A, C = B, D = 0 and E has no rows.
+
+    The solve path reads only the condensed forms.  The uncondensed A and B
+    serve the oracles and the export: each is scattered from the retained
+    class matrices on first access.  n_velocity and nnz_A, the size and
+    nonzero count of A, are known without building it.
     """
 
-    A: sparse.csr_matrix
-    B: sparse.csr_matrix
     Mp: sparse.csr_matrix
     m: np.ndarray
     Ahat: sparse.csr_matrix
     C: sparse.csr_matrix
     D: sparse.csr_matrix
     E: sparse.csr_matrix
+    n_velocity: int
+    nnz_A: int
+    blocks: _ClassBlocks = field(repr=False)
 
-    @property
-    def n_velocity(self) -> int:
-        return self.A.shape[0]
+    @cached_property
+    def A(self) -> sparse.csr_matrix:
+        return _uncondensed_stiffness(self.blocks)
+
+    @cached_property
+    def B(self) -> sparse.csr_matrix:
+        return _uncondensed_coupling(self.blocks)
 
     @property
     def n_pressure(self) -> int:
         return self.Mp.shape[0]
 
 
-def _condense(dof_v: DofMap, K: np.ndarray, Bx: np.ndarray, By: np.ndarray, edp, n_p: int):
-    """(Ahat, C, D, E) of `AssembledSystem` from the element matrices.
+def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp, n_p: int):
+    """(Ahat, C, D, E) of `AssembledSystem` and nnz(A) from the class
+    matrices K, Bx, By and the class `inverse` of every element.
 
     Interior dofs belong to one element each, so the condensation is
-    element-local and per scalar component.  With K_II = L L^T (one batched
-    Cholesky) and Y = L^{-1} [K_IS, Bx_I^T, By_I^T], an element adds
-    K_SS - Y_S^T Y_S to Khat, Bx_S - Y_x^T Y_S and By_S - Y_y^T Y_S to the
-    two component blocks of C, Y_x^T Y_x + Y_y^T Y_y to D, and its own rows
-    Y_x and Y_y to E.  By Sylvester's law A is SPD iff every K_II and Ahat
-    are: a failed Cholesky raises NotPositiveDefinite, and factorizing Ahat
-    checks the rest.
+    element-local and per scalar component, and runs once per class.  With
+    K_II = L L^T (one batched Cholesky) and Y = L^{-1} [K_IS, Bx_I^T, By_I^T],
+    an element adds K_SS - Y_S^T Y_S to Khat, Bx_S - Y_x^T Y_S and
+    By_S - Y_y^T Y_S to the two component blocks of C, Y_x^T Y_x + Y_y^T Y_y
+    to D, and its own rows Y_x and Y_y to E.  By Sylvester's law A is SPD
+    iff every K_II and Ahat are: a failed Cholesky raises
+    NotPositiveDefinite, and factorizing Ahat checks the rest.  A has the
+    entries of Ahat plus, per element and component, n_I^2 + 2 n_I n_S(e)
+    in the rows and columns of its n_I interior dofs, n_S(e) being the
+    element's skeleton dofs that are not eliminated.
     """
     ref = reference_element(dof_v.space.family, dof_v.space.degree)
     inner = np.array([kind[0] == "i" for kind in ref.node_kind])
@@ -270,32 +353,38 @@ def _condense(dof_v: DofMap, K: np.ndarray, Bx: np.ndarray, By: np.ndarray, edp,
     Cx = Bx[:, :, S] - Yx.transpose(0, 2, 1) @ YS
     Cy = By[:, :, S] - Yy.transpose(0, 2, 1) @ YS
     Dloc = _symmetrize(Yx.transpose(0, 2, 1) @ Yx + Yy.transpose(0, 2, 1) @ Yy)
-    n_s, n_i = int(skeleton.sum()), Y.shape[0] * Y.shape[1]
-    rows = np.arange(n_i).reshape(Y.shape[:2])
-    return (
-        _vector_stiffness(eds, Khat, n_s),
-        _coupling(edp, eds, Cx, Cy, (n_p, n_s)),
-        _scatter(edp, edp, Dloc, (n_p, n_p)),
-        sparse.vstack(
-            [_scatter(rows, edp, Yx, (n_i, n_p)), _scatter(rows, edp, Yy, (n_i, n_p))],
-            format="csr",
-        ),
+    n_s, n_I = int(skeleton.sum()), len(I)
+    rows = np.arange(len(ed) * n_I).reshape(len(ed), n_I)
+    Ahat = _vector_stiffness(eds, Khat[inverse], n_s)
+    C = _coupling(edp, eds, Cx[inverse], Cy[inverse], (n_p, n_s))
+    D = _scatter(edp, edp, Dloc[inverse], (n_p, n_p))
+    E = sparse.vstack(
+        [
+            _scatter(rows, edp, Yx[inverse], (rows.size, n_p)),
+            _scatter(rows, edp, Yy[inverse], (rows.size, n_p)),
+        ],
+        format="csr",
     )
+    nnz_A = Ahat.nnz + 2 * (rows.size * n_I + 2 * n_I * int((eds >= 0).sum()))
+    return Ahat, C, D, E, nnz_A
 
 
 def assemble_system(
     dof_v: DofMap, dof_p: DofMap, parent_map: ParentMap | None = None
 ) -> AssembledSystem:
-    """A, B, Mp and m, and the condensed (Ahat, C, D, E), from one pass
-    over the element matrices; those are dropped on return."""
-    K = _stiffness_blocks(dof_v)
-    Bx, By, edp = _divergence_blocks(dof_v, dof_p, parent_map)
+    """Mp and m, and the condensed (Ahat, C, D, E), from one kernel pass per
+    element class; A and B follow on access (`AssembledSystem`)."""
+    maps, map_class, p_elem = _pressure_maps(dof_p, dof_v.mesh, parent_map)
+    rep, inverse = _element_classes(dof_v.mesh, map_class)
+    K = _stiffness_blocks(dof_v, rep)
+    Bx, By = _divergence_blocks(dof_v, dof_p, rep, maps, map_class)
     Mp, m = assemble_pressure_mass(dof_p)
-    ed, n_v, n_p = dof_v.element_dofs, dof_v.n_global, dof_p.n_global
-    A = _vector_stiffness(ed, K, n_v)
-    B = _coupling(edp, ed, Bx, By, (n_p, n_v))
-    Ahat, C, D, E = _condense(dof_v, K, Bx, By, edp, n_p)
-    return AssembledSystem(A=A, B=B, Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E)
+    edp, n_v, n_p = dof_p.element_dofs[p_elem], dof_v.n_global, dof_p.n_global
+    Ahat, C, D, E, nnz_A = _condense(dof_v, K, Bx, By, inverse, edp, n_p)
+    blocks = _ClassBlocks(K, Bx, By, inverse, dof_v.element_dofs, edp, n_v, n_p)
+    return AssembledSystem(
+        Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E, n_velocity=2 * n_v, nnz_A=nnz_A, blocks=blocks
+    )
 
 
 def export_matrix_coo(mat, path) -> None:

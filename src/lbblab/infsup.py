@@ -128,9 +128,9 @@ def _solve_config(config: PairConfig, k: int) -> tuple[GenEigResult, dict]:
         factorize_spd(system.Ahat),
         system.D,
         system.E,
-        row_nnz=system.A.nnz / n_velocity,
+        row_nnz=system.nnz_A / n_velocity,
     )
-    del system  # the full A and B only serve the oracles; freed, they lower the eigensolve's peak
+    del system  # A and B were never built; this frees the class blocks before the eigensolve
     k_eff = min(k, deflated_dim)
     result = smallest_generalized_eigs(
         op,

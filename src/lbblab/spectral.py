@@ -59,11 +59,16 @@ _SYMMETRY_TOL = 1e-10  # relative asymmetry accepted in A and in the dense Schur
 _LANCZOS_TOL = 1e-12  # ARPACK convergence tolerance
 # Cost rule below the dense cap, fitted on 2-core timings of SV P4-P3dc,
 # Q_n-Q_kdc and polygon-fan systems.  The dense route costs n_p solves with
-# A plus an n_p^3 eigh; ARPACK costs the augmented-Lagrangian factor plus
-# about two solves per Lanczos vector when it converges well.
+# Ahat (n_s on a small skeleton, see dense_schur) plus an n_p^3 eigh; ARPACK
+# costs the augmented-Lagrangian factor plus about two solves per Lanczos
+# vector when it converges well.
 _DOFS_PER_LANCZOS_VECTOR = 10  # ARPACK first only above this many pressure dofs per vector
 _ROW_NNZ_MAX = 100  # ... and only while A.nnz / n_v stays below this (low order)
 _SOLVES_PER_LANCZOS_VECTOR = 3  # shift-invert solve budget before the dense fallback
+# dense_schur takes the skeleton side (n_s solves and dense products) when
+# this many skeleton dofs still number at most the pressure dofs; below that
+# ratio the n_p sparse column solves are cheaper (SV P4-P3dc, polygon fans)
+_SKELETON_SIDE = 4
 
 
 class NotPositiveDefinite(ArithmeticError):
@@ -187,17 +192,26 @@ class GenEigResult:
 
 
 def dense_schur(op: SchurOperator, cap: int | None = None, batch: int = 256) -> np.ndarray:
-    """Explicit Schur matrix D + C Ahat^{-1} C^T from n_p solves
-    Ahat z = C^T e_p (desk scale only)."""
+    """Explicit Schur matrix D + C Ahat^{-1} C^T (desk scale only).
+
+    From the side with fewer solves: with a small skeleton
+    (_SKELETON_SIDE n_s <= n_p, as on high-order quads) F = Ahat^{-1} from
+    n_s solves and S = D + (C F) C^T by dense products; otherwise n_p solves
+    Ahat z = C^T e_p in batches of columns.
+    """
     n = op.shape[0]
     cap = SolverOptions().dense_cap if cap is None else cap
     if n > cap:
         raise EigenSolverError(f"dense Schur matrix of size {n} exceeds cap {cap}")
-    CT = op.C.T.tocsc()
     S = op.D.toarray()
-    for j0 in range(0, n, batch):
-        j1 = min(j0 + batch, n)
-        S[:, j0:j1] += op.C @ op.factor.solve(CT[:, j0:j1].toarray())
+    if _SKELETON_SIDE * op.factor.n <= n:
+        Cd = op.C.toarray()
+        S += (Cd @ op.factor.solve(np.eye(op.factor.n))) @ Cd.T
+    else:
+        CT = op.C.T.tocsc()
+        for j0 in range(0, n, batch):
+            j1 = min(j0 + batch, n)
+            S[:, j0:j1] += op.C @ op.factor.solve(CT[:, j0:j1].toarray())
     scale = np.abs(S).max() or 1.0
     if np.abs(S - S.T).max() > _SYMMETRY_TOL * scale:
         raise EigenSolverError("dense Schur matrix failed its symmetry contract")

@@ -35,6 +35,20 @@ def brute_force_sigmas(system, deflate=True):
     return np.sort(vals)
 
 
+def per_element_system(dof_v, dof_p, parent_map=None):
+    """`assemble_system` with the element kernels run over every element,
+    one class per element: the per-element assembly that the classes of
+    congruent elements must reproduce bit for bit."""
+    from lbblab.fem import assembly
+
+    def one_class_per_element(mesh, tag=None):
+        return np.arange(mesh.n_elements), np.arange(mesh.n_elements)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_element_classes", one_class_per_element)
+        return assemble_system(dof_v, dof_p, parent_map=parent_map)
+
+
 def quad_pair_system(nx_deg, p_deg, width=1.0, height=1.0, grid=(1, 1)):
     """Assembled Q_n velocity / Q_k discontinuous pressure system."""
     from lbblab.geometry import rect_grid

@@ -28,6 +28,7 @@ from lbblab.geometry import (
     sv_split,
 )
 from lbblab.infsup import PairConfig, compute_beta
+from lbblab import spectral
 from lbblab.spectral import (
     NotPositiveDefinite,
     SchurOperator,
@@ -91,6 +92,7 @@ CASES = {
     },
     "nested P3/P2dc": lambda: _nested(regular_polygon_mesh(5, 0), 3, 2),
     "nested Q3/Q2dc": lambda: _nested(_perturbed_quads(), 3, 2),
+    "nested Q2/Q1dc": lambda: _nested(_perturbed_quads(), 2, 1),
     "P2-P1": lambda: _system(_sv(), 2, 1, C0),
     "P3-P2": lambda: _system(_sv(), 3, 2, C0),
 }
@@ -170,6 +172,70 @@ def test_compute_beta_routes_unchanged():
         vs, ps = _spaces(family, vdeg, pdeg)
         config = PairConfig(velocity_space=vs, pressure_space=ps, velocity_mesh=mesh)
         assert compute_beta(config, k=3).method == method
+
+
+@pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
+def test_nnz_of_A_without_building_A(build):
+    # the route rule reads A.nnz / n_v; the condensed path counts both
+    system = build()
+    assert system.nnz_A == system.A.nnz
+    assert system.n_velocity == system.A.shape[0]
+
+
+def test_solve_path_builds_no_uncondensed_matrices(monkeypatch):
+    builds = []
+
+    def counted(name):
+        build = getattr(assembly, name)
+
+        def wrapper(blocks):
+            builds.append(name)
+            return build(blocks)
+
+        return wrapper
+
+    for name in ("_uncondensed_stiffness", "_uncondensed_coupling"):
+        monkeypatch.setattr(assembly, name, counted(name))
+    cases = [
+        (sv_mesh(4, 1, 8, 2, 0.4, 0.04), Family.TRIANGLE, 4, 3),
+        (rect_grid(2, 1, 2, 2), Family.QUAD, 16, 15),
+    ]
+    for mesh, family, vdeg, pdeg in cases:
+        vs, ps = _spaces(family, vdeg, pdeg)
+        compute_beta(PairConfig(velocity_space=vs, pressure_space=ps, velocity_mesh=mesh), k=3)
+    assert builds == []
+    # the oracles' A and B are built once each, on first access
+    system = _system(rect_grid(2, 1, 2, 2), 3, 2)
+    assert system.A is system.A and system.B is system.B
+    assert builds == ["_uncondensed_stiffness", "_uncondensed_coupling"]
+
+
+@pytest.mark.parametrize(
+    "build, n_solves",
+    [
+        (lambda: _system(rect_grid(2, 1, 2, 2), 16, 15), lambda op: op.factor.n),
+        (lambda: _system(sv_mesh(4, 1, 8, 2, 0.4, 0.04), 4, 3), lambda op: op.shape[0]),
+    ],
+    ids=["Q16-Q15dc skeleton side", "SV P4-P3dc 8x2 column side"],
+)
+def test_dense_schur_sides_agree(build, n_solves, monkeypatch):
+    op = _condensed(build())
+    columns = []
+    solve = op.factor.solve
+
+    def counted_solve(b):
+        columns.append(b.shape[1])
+        return solve(b)
+
+    monkeypatch.setattr(op.factor, "solve", counted_solve)
+    S = dense_schur(op)
+    assert sum(columns) == n_solves(op)  # the side the rule picks
+    sides = []
+    for ratio in (0, op.shape[0] + 1):  # always the skeleton side, never
+        monkeypatch.setattr(spectral, "_SKELETON_SIDE", ratio)
+        sides.append(dense_schur(op))
+    assert np.abs(sides[0] - sides[1]).max() <= 1e-13 * np.abs(sides[1]).max()
+    assert any(np.array_equal(S, side) for side in sides)
 
 
 def test_indefinite_interior_block_is_not_positive_definite(monkeypatch):
