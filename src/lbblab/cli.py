@@ -39,6 +39,7 @@ from .infsup import (
     DimensionZeroError,
     PairConfig,
     compute_beta,
+    compute_betas,
     eigenfunction_export,
 )
 from .spectral import EigenSolverError, NotPositiveDefinite, SolverOptions
@@ -196,14 +197,32 @@ def _point_failed(exc: Exception) -> None:
     sys.stderr.write(f"warning: sweep point failed: {type(exc).__name__}: {exc}\n")
 
 
+# the failures that a sweep point may have: a flagged row, not an aborted run
+_POINT_FAILURES = (EigenSolverError, NotPositiveDefinite, DimensionZeroError)
+
+
 def _safe_beta(config: PairConfig, k: int) -> BetaResult | None:
-    """compute_beta, with the failures a sweep point may have mapped to None
-    (a flagged row); anything else aborts the run."""
+    """compute_beta, with a point failure mapped to None.
+
+    A lone point goes through `compute_beta` rather than `_safe_betas`:
+    that call is the per-point boundary perfbench/tracing.py spans.
+    """
     try:
         return compute_beta(config, k=k)
-    except (EigenSolverError, NotPositiveDefinite, DimensionZeroError) as exc:
+    except _POINT_FAILURES as exc:
         _point_failed(exc)
         return None
+
+
+def _safe_betas(configs: list[PairConfig], k: int) -> list[BetaResult | None]:
+    """compute_betas (chained points), with each point failure mapped to None."""
+    out = []
+    for res in compute_betas(configs, k, failures=_POINT_FAILURES):
+        if isinstance(res, Exception):
+            _point_failed(res)
+            res = None
+        out.append(res)
+    return out
 
 
 def _parallel(fn, items, jobs: int):
@@ -389,16 +408,23 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
 
     points = [(g, a) for g in grids for a in a_values]
 
-    def work(item):
-        (nx, ny), a = item
-        try:
-            mesh = sv_mesh(width, height, nx, ny, b, a, special)
-        except MeshError as exc:
-            _point_failed(exc)
-            return None
-        return _safe_beta(_pair(mesh, vdeg, pdeg, solver), k)
+    def work(grid):
+        # one chain per grid: its points share everything but the special quad
+        nx, ny = grid
+        results, chain = [], []
+        for a in a_values:
+            try:
+                mesh = sv_mesh(width, height, nx, ny, b, a, special)
+            except MeshError as exc:
+                results += _safe_betas(chain, k)
+                chain = []
+                _point_failed(exc)
+                results.append(None)
+                continue
+            chain.append(_pair(mesh, vdeg, pdeg, solver))
+        return results + _safe_betas(chain, k)
 
-    results = _parallel(work, points, jobs)
+    results = [res for rows in _parallel(work, grids, jobs) for res in rows]
     text, parsed = _beta_table(
         ["mesh", "a", "beta_ref"],
         [([f"{nx}x{ny}", _g(a), _ref_cell(beta_ref)], res)
@@ -876,7 +902,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output path prefix")
         p.add_argument("--seed", type=int, default=None, help="override the solver seed")
         p.add_argument("--check", action="store_true", help="fail (exit 2) on failed checks")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for sweep points")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker threads for sweep points (sv-sweep: for its grids)")
     args = parser.parse_args(argv)
 
     try:

@@ -6,9 +6,10 @@ from .elements import (
     reference_element,
 )
 from .quadrature import QuadratureRule, quad_rule
-from .dofmap import DofMap, build_dof_map
+from .dofmap import DofMap, build_dof_map, moved_dof_map
 from .assembly import (
     AssembledSystem,
+    SystemFamily,
     assemble_divergence,
     assemble_pressure_mass,
     assemble_stiffness,
@@ -24,12 +25,14 @@ __all__ = [
     "ElementSpace",
     "Family",
     "QuadratureRule",
+    "SystemFamily",
     "assemble_divergence",
     "assemble_pressure_mass",
     "assemble_stiffness",
     "assemble_system",
     "build_dof_map",
     "export_matrix_coo",
+    "moved_dof_map",
     "quad_rule",
     "reference_element",
 ]

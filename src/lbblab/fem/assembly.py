@@ -18,12 +18,13 @@ the result is the one of a kernel call per element, bit for bit; assembly
 runs in fixed element order, so reruns agree bitwise too.
 `assemble_system` condenses the interior velocity dofs out of the same
 class matrices and builds the uncondensed A and B only when they are read
-(`AssembledSystem`).
+(`AssembledSystem`).  `SystemFamily` reassembles a system on a moved mesh
+of the same connectivity from the moved elements alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -219,18 +220,26 @@ def assemble_divergence(
     )
 
 
+def _pressure_mass_blocks(dof_p: DofMap, rep, exactness: int | None = None):
+    """(Mloc, wdet, psi) of the pressure elements rep: the exactly symmetric
+    mass matrices (nc, nb, nb), the weights times detJ at the rule points
+    (nc, nq), and the basis table (nq, nb); an element's share of the mean
+    vector is its row of wdet @ psi."""
+    sp_ = dof_p.space
+    ref = reference_element(sp_.family, sp_.degree)
+    rule = quad_rule(sp_.family, exactness if exactness is not None else 2 * sp_.degree + 2)
+    det, _ = _element_geometry(dof_p.mesh, rule.points, rep)
+    wdet = rule.weights[None, :] * det
+    psi = ref.eval(rule.points)
+    return _symmetrize(np.matmul(psi.T[None] * wdet[:, None, :], psi)), wdet, psi
+
+
 def assemble_pressure_mass(
     dof_p: DofMap, exactness: int | None = None
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Pressure mass matrix and the mean vector m with m_i = integral of psi_i."""
-    sp_ = dof_p.space
-    ref = reference_element(sp_.family, sp_.degree)
-    rule = quad_rule(sp_.family, exactness if exactness is not None else 2 * sp_.degree + 2)
     rep, inverse = _element_classes(dof_p.mesh)
-    det, _ = _element_geometry(dof_p.mesh, rule.points, rep)
-    wdet = rule.weights[None, :] * det
-    psi = ref.eval(rule.points)
-    Mloc = _symmetrize(np.matmul(psi.T[None] * wdet[:, None, :], psi))
+    Mloc, wdet, psi = _pressure_mass_blocks(dof_p, rep, exactness)
     ed = dof_p.element_dofs
     n = dof_p.n_global
     Mp = _scatter(ed, ed, Mloc[inverse], (n, n))
@@ -316,6 +325,42 @@ class AssembledSystem:
         return self.Mp.shape[0]
 
 
+def _skeleton(dof_v: DofMap):
+    """(I, S, eds, n_s): the local interior nodes (Lagrange nodes inside one
+    element) and the other, skeleton nodes; every element's skeleton dofs in
+    the skeleton numbering (global dof order, -1 where eliminated); and the
+    number of skeleton dofs."""
+    ref = reference_element(dof_v.space.family, dof_v.space.degree)
+    inner = np.array([kind[0] == "i" for kind in ref.node_kind])
+    I, S = np.flatnonzero(inner), np.flatnonzero(~inner)
+    ed = dof_v.element_dofs
+    skeleton = np.ones(dof_v.n_global, dtype=bool)
+    skeleton[ed[:, I]] = False
+    number = np.cumsum(skeleton) - 1  # skeleton numbering in global dof order
+    eds = np.where(ed[:, S] >= 0, number[ed[:, S]], -1)
+    return I, S, eds, int(skeleton.sum())
+
+
+def _condensed_blocks(K, Bx, By, I: np.ndarray, S: np.ndarray):
+    """(Khat, Cx, Cy, Dloc, Yx, Yy) per element or class, as in `_condense`,
+    from the element matrices K, Bx, By and the interior and skeleton
+    nodes I and S."""
+    try:
+        L = np.linalg.cholesky(K[:, I[:, None], I])
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"interior stiffness block: {exc}") from exc
+    rhs = [K[:, I[:, None], S], Bx[:, :, I].transpose(0, 2, 1), By[:, :, I].transpose(0, 2, 1)]
+    Y = np.linalg.solve(L, np.concatenate(rhs, axis=2))
+    del L, rhs
+    ns, npl = len(S), Bx.shape[1]
+    YS, Yx, Yy = Y[:, :, :ns], Y[:, :, ns : ns + npl], Y[:, :, ns + npl :]
+    Khat = _symmetrize(K[:, S[:, None], S] - YS.transpose(0, 2, 1) @ YS)
+    Cx = Bx[:, :, S] - Yx.transpose(0, 2, 1) @ YS
+    Cy = By[:, :, S] - Yy.transpose(0, 2, 1) @ YS
+    Dloc = _symmetrize(Yx.transpose(0, 2, 1) @ Yx + Yy.transpose(0, 2, 1) @ Yy)
+    return Khat, Cx, Cy, Dloc, Yx, Yy
+
+
 def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp, n_p: int):
     """(Ahat, C, D, E) of `AssembledSystem` and nnz(A) from the class
     matrices K, Bx, By and the class `inverse` of every element.
@@ -332,28 +377,9 @@ def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp, n_p: int):
     in the rows and columns of its n_I interior dofs, n_S(e) being the
     element's skeleton dofs that are not eliminated.
     """
-    ref = reference_element(dof_v.space.family, dof_v.space.degree)
-    inner = np.array([kind[0] == "i" for kind in ref.node_kind])
-    I, S = np.flatnonzero(inner), np.flatnonzero(~inner)
-    ed = dof_v.element_dofs
-    skeleton = np.ones(dof_v.n_global, dtype=bool)
-    skeleton[ed[:, I]] = False
-    number = np.cumsum(skeleton) - 1  # skeleton numbering in global dof order
-    eds = np.where(ed[:, S] >= 0, number[ed[:, S]], -1)
-    try:
-        L = np.linalg.cholesky(K[:, I[:, None], I])
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"interior stiffness block: {exc}") from exc
-    rhs = [K[:, I[:, None], S], Bx[:, :, I].transpose(0, 2, 1), By[:, :, I].transpose(0, 2, 1)]
-    Y = np.linalg.solve(L, np.concatenate(rhs, axis=2))
-    del L, rhs
-    ns, npl = len(S), Bx.shape[1]
-    YS, Yx, Yy = Y[:, :, :ns], Y[:, :, ns : ns + npl], Y[:, :, ns + npl :]
-    Khat = _symmetrize(K[:, S[:, None], S] - YS.transpose(0, 2, 1) @ YS)
-    Cx = Bx[:, :, S] - Yx.transpose(0, 2, 1) @ YS
-    Cy = By[:, :, S] - Yy.transpose(0, 2, 1) @ YS
-    Dloc = _symmetrize(Yx.transpose(0, 2, 1) @ Yx + Yy.transpose(0, 2, 1) @ Yy)
-    n_s, n_I = int(skeleton.sum()), len(I)
+    I, S, eds, n_s = _skeleton(dof_v)
+    Khat, Cx, Cy, Dloc, Yx, Yy = _condensed_blocks(K, Bx, By, I, S)
+    ed, n_I = dof_v.element_dofs, len(I)
     rows = np.arange(len(ed) * n_I).reshape(len(ed), n_I)
     Ahat = _vector_stiffness(eds, Khat[inverse], n_s)
     C = _coupling(edp, eds, Cx[inverse], Cy[inverse], (n_p, n_s))
@@ -385,6 +411,127 @@ def assemble_system(
     return AssembledSystem(
         Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E, n_velocity=2 * n_v, nnz_A=nnz_A, blocks=blocks
     )
+
+
+class _MovingEntries:
+    """A CSR matrix `_scatter`ed from element matrices, whose entries from a
+    few moved elements are rewritten in place.
+
+    `row_dofs`, `col_dofs` and `local0` are the moved elements' dofs and
+    their matrices in `matrix`.  What the other elements contribute to the
+    entries the moved ones touch is kept (`matrix` minus theirs), and
+    `update(local)` writes it plus the new matrices `local` into `matrix`'s
+    data.  An entry of one element is then exactly its new value; an entry
+    that moved and fixed elements share may round differently from a fresh
+    `_scatter`.
+    """
+
+    def __init__(self, matrix: sparse.csr_matrix, row_dofs, col_dofs, local0: np.ndarray):
+        matrix.sort_indices()
+        nr, nc = row_dofs.shape[1], col_dofs.shape[1]
+        rows = np.repeat(row_dofs, nc, axis=1).ravel()
+        cols = np.tile(col_dofs, (1, nr)).ravel()
+        self._keep = (rows >= 0) & (cols >= 0)
+        n = matrix.shape[1]
+        row_of = np.repeat(np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr))
+        slot = np.searchsorted(
+            row_of * n + matrix.indices, rows[self._keep].astype(np.int64) * n + cols[self._keep]
+        )
+        self.matrix = matrix
+        self._touched, self._slot = np.unique(slot, return_inverse=True)
+        self._fixed = matrix.data[self._touched] - self._sums(local0)
+
+    def _sums(self, local: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self._slot, weights=local.ravel()[self._keep], minlength=len(self._touched)
+        )
+
+    def update(self, local: np.ndarray) -> sparse.csr_matrix:
+        self.matrix.data[self._touched] = self._fixed + self._sums(local)
+        return self.matrix
+
+
+class SystemFamily:
+    """Condensed systems of one pairing on meshes that share a first mesh's
+    connectivity and differ from it only at the `moved` elements.
+
+    Built from the first mesh's `system` and its dof maps, with velocities
+    and pressures on the same mesh.  `system(mesh)` runs the kernels and the
+    condensation of the moved elements only and writes their entries into
+    the first system's matrices, in place (`_MovingEntries`): the matrices
+    it returns are the same objects at every call.  With discontinuous
+    pressures every entry of Mp, C, D and E belongs to one element, so
+    these equal `assemble_system`'s bit for bit; entries of Ahat that moved
+    and fixed elements share may round differently.
+
+    `border` holds the skeleton dofs (Ahat's numbering, both components)
+    that the moved elements touch: Ahat changes only in that diagonal
+    block, and C, D, E and Mp only in the moved elements' pressure rows.
+    """
+
+    def __init__(self, system: AssembledSystem, dof_v: DofMap, dof_p: DofMap, moved: np.ndarray):
+        _pressure_maps(dof_p, dof_v.mesh, None)  # same mesh, no parent map
+        self.dof_v, self.dof_p, self.blocks = dof_v, dof_p, system.blocks
+        mv = self.moved = np.flatnonzero(moved)
+        self.I, self.S, eds, n_s = _skeleton(dof_v)
+        ne, n_I = dof_v.mesh.n_elements, len(self.I)
+        rows = np.arange(ne * n_I).reshape(ne, n_I)[mv]
+        eds2 = np.concatenate([eds[mv], np.where(eds[mv] >= 0, eds[mv] + n_s, -1)])
+        edp = dof_p.element_dofs[mv]
+        edp2 = np.concatenate([edp, edp])
+        (Khat2, C2, Dloc, E2, Mloc, mloc), _ = self._moved_blocks(dof_v, dof_p)
+        self._Ahat = _MovingEntries(system.Ahat, eds2, eds2, Khat2)
+        self._C = _MovingEntries(system.C, edp2, eds2, C2)
+        self._D = _MovingEntries(system.D, edp, edp, Dloc)
+        self._E = _MovingEntries(system.E, np.concatenate([rows, rows + ne * n_I]), edp2, E2)
+        self._Mp = _MovingEntries(system.Mp, edp, edp, Mloc)
+        self._m = system.m
+        self._m_dofs, self._m_slot = np.unique(edp, return_inverse=True)
+        self._m_fixed = self._m[self._m_dofs] - self._m_sums(mloc)
+        self.n_velocity, self.nnz_A = system.n_velocity, system.nnz_A
+        border = np.unique(eds2)
+        self.border = border[border >= 0]
+
+    def _m_sums(self, mloc: np.ndarray) -> np.ndarray:
+        return np.bincount(self._m_slot.ravel(), weights=mloc.ravel(), minlength=len(self._m_dofs))
+
+    def _moved_blocks(self, dof_v: DofMap, dof_p: DofMap):
+        """The moved elements' matrices: the two components of Khat, C and E
+        stacked, D, the pressure mass and the mean vector shares."""
+        mv = self.moved
+        K = _stiffness_blocks(dof_v, mv)
+        Bx, By = _divergence_blocks(dof_v, dof_p, mv, None, np.zeros(dof_v.mesh.n_elements, int))
+        Khat, Cx, Cy, Dloc, Yx, Yy = _condensed_blocks(K, Bx, By, self.I, self.S)
+        Mloc, wdet, psi = _pressure_mass_blocks(dof_p, mv)
+        stacked = (np.concatenate([Khat, Khat]), np.concatenate([Cx, Cy]), Dloc,
+                   np.concatenate([Yx, Yy]), Mloc, wdet @ psi)
+        return stacked, (K, Bx, By)
+
+    def system(self, mesh: Mesh) -> AssembledSystem:
+        """The condensed system on `mesh`, a member of the family; the
+        matrices are rewritten by the next call."""
+        # the kernels read only the mesh and the space of a dof map
+        dof_v, dof_p = replace(self.dof_v, mesh=mesh), replace(self.dof_p, mesh=mesh)
+        (Khat2, C2, Dloc, E2, Mloc, mloc), (K, Bx, By) = self._moved_blocks(dof_v, dof_p)
+        self._m[self._m_dofs] = self._m_fixed + self._m_sums(mloc)
+        b = self.blocks
+        inverse = b.inverse.copy()
+        inverse[self.moved] = len(b.K) + np.arange(len(self.moved))
+        blocks = replace(
+            b, K=np.concatenate([b.K, K]), Bx=np.concatenate([b.Bx, Bx]),
+            By=np.concatenate([b.By, By]), inverse=inverse,
+        )
+        return AssembledSystem(
+            Mp=self._Mp.update(Mloc),
+            m=self._m,
+            Ahat=self._Ahat.update(Khat2),
+            C=self._C.update(C2),
+            D=self._D.update(Dloc),
+            E=self._E.update(E2),
+            n_velocity=self.n_velocity,
+            nnz_A=self.nnz_A,
+            blocks=blocks,
+        )
 
 
 def export_matrix_coo(mat, path) -> None:

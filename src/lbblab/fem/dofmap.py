@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,3 +108,19 @@ def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
         is_boundary_dof=boundary_arr,
         dof_points=points_arr,
     )
+
+
+def moved_dof_map(dof: DofMap, mesh: Mesh) -> DofMap:
+    """`dof`'s numbering on `mesh`, which has the connectivity of dof.mesh
+    and possibly moved vertices.
+
+    Every dof keeps its number, and its point is taken from the element
+    where `build_dof_map` first meets it, so the result is
+    build_dof_map(mesh, dof.space) bit for bit.
+    """
+    if mesh is dof.mesh:
+        return dof
+    ref = reference_element(dof.space.family, dof.space.degree)
+    phys, _ = reference_map(mesh.points[mesh.elements], ref.nodes)
+    ids, first = np.unique(dof.element_dofs.ravel(), return_index=True)
+    return replace(dof, mesh=mesh, dof_points=phys.reshape(-1, 2)[first[ids >= 0]])

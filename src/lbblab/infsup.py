@@ -3,10 +3,20 @@
 beta_n is the square root of the smallest Schur eigenvalue on the zero-mean
 pressure subspace; with deflation disabled the trivial constant mode shows
 up as sigma_0 = 0 and beta_n is taken from sigma_1 instead.
+
+`compute_betas` solves a sequence of pairings, and successive pairings on
+meshes of one connectivity as one chain: a sweep that moves a few
+vertices (Fig. 3 moves the apex of one quad) builds the dof maps, the
+unmoved elements' matrices and the factor of Ahat restricted to the dofs
+those elements alone touch once, and each eigensolve starts from the
+previous point's eigenvectors.  `compute_beta` is the chain of one
+pairing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -18,11 +28,14 @@ from .fem import (
     Continuity,
     DofMap,
     ElementSpace,
+    SystemFamily,
     assemble_system,
     build_dof_map,
+    moved_dof_map,
 )
 from .geometry import Mesh, ParentMap, element_sizes
 from .spectral import (
+    BorderedFactorization,
     GenEigResult,
     SchurOperator,
     SolverOptions,
@@ -36,6 +49,7 @@ __all__ = [
     "PairConfig",
     "UscReport",
     "compute_beta",
+    "compute_betas",
     "eigenfunction_export",
     "schur_spectrum",
     "usc_check",
@@ -112,78 +126,205 @@ class BetaResult:
     dof_p: DofMap = field(repr=False)
 
 
-def _solve_config(config: PairConfig, k: int) -> tuple[GenEigResult, dict]:
-    dof_v = build_dof_map(config.velocity_mesh, config.velocity_space)
-    pressure_mesh = config.pressure_mesh or config.velocity_mesh
-    dof_p = build_dof_map(pressure_mesh, config.pressure_space)
-    if dof_v.n_global == 0:
-        raise DimensionZeroError("velocity space is empty (all dofs on the boundary)")
-    deflated_dim = dof_p.n_global - (1 if config.deflate_constants else 0)
-    if deflated_dim < 1:
-        raise DimensionZeroError("pressure space is zero-dimensional after deflation")
-    system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
-    n_velocity, Mp, m = system.n_velocity, system.Mp, system.m
-    op = SchurOperator(
-        system.C,
-        factorize_spd(system.Ahat),
-        system.D,
-        system.E,
-        row_nnz=system.nnz_A / n_velocity,
-    )
-    del system  # A and B were never built; this frees the class blocks before the eigensolve
-    k_eff = min(k, deflated_dim)
-    result = smallest_generalized_eigs(
-        op,
-        Mp,
-        k_eff,
-        deflate=m if config.deflate_constants else None,
-        options=config.solver,
-    )
-    meta = {
-        "dof_p": dof_p,
-        "n_velocity": n_velocity,
-        "n_pressure": dof_p.n_global,
-    }
-    return result, meta
+# A chain keeps its first mesh's matrices and Ahat factor only while the
+# moved elements touch at most this many skeleton velocity dofs: each one
+# adds a row and column to the dense Schur complement factored per point
+# (58 for the special quad of a P4 Scott-Vogelius sweep).
+_BORDER_MAX = 128
+
+
+def _same_family(a: PairConfig, b: PairConfig) -> bool:
+    """Whether b may continue a chain that a is in: the same spaces, options
+    and connectivity.  On a shared velocity/pressure mesh vertices may move;
+    nested pairs chain only on the very same meshes and parent map."""
+    if (a.velocity_space, a.pressure_space, a.deflate_constants, a.solver) != (
+        b.velocity_space, b.pressure_space, b.deflate_constants, b.solver
+    ):
+        return False
+    va, vb = a.velocity_mesh, b.velocity_mesh
+    if a.pressure_mesh is not None or b.pressure_mesh is not None:
+        return va is vb and a.pressure_mesh is b.pressure_mesh and a.parent_map is b.parent_map
+    return va.points.shape == vb.points.shape and np.array_equal(va.elements, vb.elements)
+
+
+def _chain_groups(configs):
+    """Maximal runs of successive configs of one family."""
+    groups: list[list[PairConfig]] = []
+    for config in configs:
+        if groups and _same_family(groups[-1][0], config):
+            groups[-1].append(config)
+        else:
+            groups.append([config])
+    return groups
+
+
+def _moved_elements(configs) -> np.ndarray:
+    """Velocity elements whose vertices differ, in any config, from the first
+    config's mesh."""
+    first = configs[0].velocity_mesh
+    corners = first.points[first.elements]
+    moved = np.zeros(first.n_elements, dtype=bool)
+    for config in configs[1:]:
+        mesh = config.velocity_mesh
+        if mesh is not first:
+            moved |= (mesh.points[mesh.elements] != corners).any(axis=(1, 2))
+    return moved
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_free_heap() -> None:
+    """Return the free pages of the C heap to the OS.
+
+    A chain keeps its matrices and a factor from point to point, and they
+    pin the top of the heap: glibc then returns none of a point's freed temporaries, and a
+    sweep's resident memory grows by a few MB per point.  Trimmed after
+    each point, it stays at the single-point level.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+class _Chain:
+    """Successive configs of one family (`_same_family`), solved in order.
+
+    Built once per chain: the dof maps and, when elements move along the
+    chain and touch at most _BORDER_MAX skeleton dofs, a `SystemFamily`
+    and the bordered factor of Ahat (`BorderedFactorization`).  Each point
+    then assembles only its moved elements and factors the dense Schur
+    complement of Ahat on their dofs.  Otherwise every point is assembled
+    and factored in full.  Either way the ARPACK route starts from the
+    previous point's eigenvectors (`ritz`, None for a cold start).  A
+    chain of one config is exactly the single-point computation.
+    """
+
+    def __init__(self, configs: list[PairConfig], k: int):
+        self.configs, self.k = configs, k
+        self.dof_v = self.family = self.ahat = self.ritz = None
+
+    def _build(self) -> None:
+        first = self.configs[0]
+        dof_v = build_dof_map(first.velocity_mesh, first.velocity_space)
+        pressure_mesh = first.pressure_mesh or first.velocity_mesh
+        self.dof_p = build_dof_map(pressure_mesh, first.pressure_space)
+        if dof_v.n_global == 0:
+            raise DimensionZeroError("velocity space is empty (all dofs on the boundary)")
+        self.dim = self.dof_p.n_global - (1 if first.deflate_constants else 0)
+        if self.dim < 1:
+            raise DimensionZeroError("pressure space is zero-dimensional after deflation")
+        moved = _moved_elements(self.configs)
+        if moved.any():
+            family = SystemFamily(assemble_system(dof_v, self.dof_p), dof_v, self.dof_p, moved)
+            if 0 < len(family.border) <= _BORDER_MAX:
+                self.family = family
+        self.dof_v = dof_v
+
+    def eigs(self, config: PairConfig) -> tuple[GenEigResult, int, DofMap]:
+        """The point's eigenpairs, velocity dof count and pressure dof map."""
+        if self.dof_v is None:
+            self._build()
+        mesh = config.velocity_mesh
+        dof_p = moved_dof_map(self.dof_p, config.pressure_mesh or mesh)
+        if self.family is None:
+            dof_v = moved_dof_map(self.dof_v, mesh)
+            system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
+            factor = factorize_spd(system.Ahat)
+        else:
+            system = self.family.system(mesh)
+            L = self.family.border
+            if self.ahat is None:
+                self.ahat = BorderedFactorization(system.Ahat.copy(), L)
+            factor = self.ahat.with_border(system.Ahat[L][:, L].toarray(), system.Ahat)
+        n_velocity, Mp, m = system.n_velocity, system.Mp, system.m
+        op = SchurOperator(
+            system.C, factor, system.D, system.E, row_nnz=system.nnz_A / n_velocity
+        )
+        del system  # A and B were never built; this frees the class blocks before the eigensolve
+        result = smallest_generalized_eigs(
+            op,
+            Mp,
+            min(self.k, self.dim),
+            deflate=m if config.deflate_constants else None,
+            options=config.solver,
+            start=self.ritz,
+        )
+        self.ritz = result.vectors
+        if self.family is not None:
+            _release_free_heap()
+        return result, n_velocity, dof_p
+
+    def beta(self, config: PairConfig) -> BetaResult:
+        result, n_velocity, dof_p = self.eigs(config)
+        sigmas = result.values
+        if config.deflate_constants:
+            lead, eigenfunction = sigmas[0], result.vectors[:, 0]
+        elif len(sigmas) < 2:
+            raise DimensionZeroError("pressure space has no mode beyond the constants")
+        else:
+            lead, eigenfunction = sigmas[1], result.vectors[:, 1]
+        diam_v, _ = element_sizes(config.velocity_mesh)
+        _, inr_p = element_sizes(config.pressure_mesh or config.velocity_mesh)
+        return BetaResult(
+            beta=float(np.sqrt(max(lead, 0.0))),
+            sigmas=sigmas,
+            eigenfunction=eigenfunction,
+            n_velocity=n_velocity,
+            n_pressure=dof_p.n_global,
+            max_diameter_velocity=diam_v,
+            min_inradius_pressure=inr_p,
+            residual_max=float(result.residuals.max()),
+            method=result.method,
+            config_hash=config.hash(),
+            dof_p=dof_p,
+        )
+
+
+def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
+    """beta_n and the k smallest eigenvalues for each config, in order.
+
+    Successive configs that share spaces, options and connectivity (a sweep
+    over one mesh family) form a chain (`_Chain`): what does not depend on
+    the moving vertices is built once, and each eigensolve starts from the
+    previous point's.  A point that raises one of `failures` gets the
+    exception in place of its result, and the next point starts cold; any
+    other exception propagates.  Without deflation each point is solved as
+    in `compute_beta`.
+    """
+    out = []
+    for group in _chain_groups(configs):
+        chain = _Chain(group, k if group[0].deflate_constants else max(k, 2))
+        for config in group:
+            try:
+                out.append(chain.beta(config))
+            except failures as exc:
+                chain.ritz = None
+                out.append(exc)
+    return out
 
 
 def compute_beta(config: PairConfig, k: int = 6) -> BetaResult:
     """Assemble the pairing and return beta_n plus the k smallest eigenvalues.
 
     With deflation (default), beta_n^2 is the smallest returned eigenvalue;
-    without it, sigma_0 = 0 is reported first and beta_n^2 is sigma_1.
+    without it, sigma_0 = 0 is reported first and beta_n^2 is sigma_1.  The
+    chain of one config of `compute_betas`.
     """
-    result, meta = _solve_config(config, k if config.deflate_constants else max(k, 2))
-    sigmas = result.values
-    if not config.deflate_constants and len(sigmas) < 2:
-        raise DimensionZeroError("pressure space has no mode beyond the constants")
-    if config.deflate_constants:
-        lead = sigmas[0]
-        eigenfunction = result.vectors[:, 0]
-    else:
-        lead = sigmas[1]
-        eigenfunction = result.vectors[:, 1]
-    beta = float(np.sqrt(max(lead, 0.0)))
-    diam_v, _ = element_sizes(config.velocity_mesh)
-    _, inr_p = element_sizes(config.pressure_mesh or config.velocity_mesh)
-    return BetaResult(
-        beta=beta,
-        sigmas=sigmas,
-        eigenfunction=eigenfunction,
-        n_velocity=meta["n_velocity"],
-        n_pressure=meta["n_pressure"],
-        max_diameter_velocity=diam_v,
-        min_inradius_pressure=inr_p,
-        residual_max=float(result.residuals.max()),
-        method=result.method,
-        config_hash=config.hash(),
-        dof_p=meta["dof_p"],
-    )
+    return compute_betas([config], k)[0]
 
 
 def schur_spectrum(config: PairConfig, k: int = 6) -> np.ndarray:
     """The k smallest Schur eigenvalues for the pairing, ascending."""
-    result, _ = _solve_config(config, k)
+    result, _, _ = _Chain([config], k).eigs(config)
     return result.values
 
 

@@ -30,6 +30,12 @@ the residual contract.
 Every SPD matrix (Ahat, and the augmented-Lagrangian matrix) goes through one
 ``SymFactorization``: a SuperLU factor with a minimum-degree ordering and
 diagonal pivots, which doubles as the positive-definiteness check.
+
+Along a sweep of systems that differ only near a few moved elements, Ahat
+changes only in the block of the skeleton dofs L those elements touch:
+``BorderedFactorization`` factors the rest once and each system's dense
+Schur complement on L.  The ARPACK route can start from the eigenvectors
+of the previous system.
 """
 
 from __future__ import annotations
@@ -39,10 +45,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eig, eigh
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 __all__ = [
+    "BorderedFactorization",
     "EigenSolverError",
     "GenEigResult",
     "NotPositiveDefinite",
@@ -106,19 +114,22 @@ class SymFactorization:
     diagonal, so the factor is P A P^T = L U with U = D L^T.  By Sylvester's
     law of inertia A is positive definite iff every pivot is positive: an
     off-diagonal pivot (perm_r != perm_c), a pivot <= 0 on the diagonal of
-    U or an exactly singular factor raises NotPositiveDefinite.
+    U or an exactly singular factor raises NotPositiveDefinite.  `matrix`
+    is A in CSC form, or None with keep_matrix=False: factors that nothing
+    reads the matrix of do not hold it.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, keep_matrix: bool = True):
         A = sparse.csc_matrix(A)
         n = A.shape[0]
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
-        scale = abs(A).max() if A.nnz else 0.0
-        asym = abs(A - A.T).max() if A.nnz else 0.0
+        # on the stored values: abs() of a sparse matrix copies its pattern too
+        scale = np.abs(A.data).max(initial=0.0)
+        asym = np.abs((A - A.T).data).max(initial=0.0)
         if asym > _SYMMETRY_TOL * max(scale, 1e-300):
             raise ValueError("matrix is not symmetric")
-        self.matrix = A
+        self.matrix = A if keep_matrix else None
         self.n = n
         try:
             lu = splu(
@@ -141,25 +152,97 @@ class SymFactorization:
         return self._lu.solve(np.asarray(b, dtype=float))
 
 
-def factorize_spd(A) -> SymFactorization:
-    return SymFactorization(A)
+def factorize_spd(A, keep_matrix: bool = True) -> SymFactorization:
+    return SymFactorization(A, keep_matrix)
+
+
+class BorderedFactorization:
+    """Solves with SPD matrices that differ from each other only in one
+    small diagonal block.
+
+    Split the unknowns into a border L and the rest R,
+    M = [[M_RR, M_RL], [M_LR, M_LL]].  When only M_LL changes from one
+    matrix to the next (a sweep that moves a few elements, L being the dofs
+    they touch), M_RR is factored once and G = M_LR M_RR^{-1} M_RL is formed
+    once from the matrix given here.  Each matrix of the family then needs
+    only the dense Cholesky factor of its Schur complement
+    Sigma = M_LL - G (`with_border`), and a solve is two sparse solves on
+    R plus a dense one on L.  By Sylvester's law M is SPD iff M_RR and
+    Sigma are.
+
+    M (CSR) is consumed: its border rows and columns are overwritten with
+    those of the identity, and that matrix, [[M_RR, 0], [0, I]] in the
+    original order, is the one factored.  So no copy of M_RR is made, and
+    vectors keep their full length.
+    """
+
+    _BATCH = 16  # border columns per multi-column solve while forming G
+
+    def __init__(self, M: sparse.csr_matrix, border: np.ndarray):
+        n = M.shape[0]
+        self.n, self.border = n, np.asarray(border)
+        in_border = np.zeros(n, dtype=bool)
+        in_border[self.border] = True
+        self._M_LR = M[self.border]
+        self._M_LR.data[in_border[self._M_LR.indices]] = 0.0
+        self._M_LR.eliminate_zeros()
+        rows = np.repeat(np.arange(n), np.diff(M.indptr))
+        edge = in_border[rows] | in_border[M.indices]
+        M.data[edge] = 0.0
+        M.data[edge & (rows == M.indices)] = 1.0
+        del rows, edge
+        M.eliminate_zeros()
+        # M is symmetric, so its transpose is the CSC form of the same arrays
+        self._rest_factor = factorize_spd(M.T, keep_matrix=False)
+        nL = len(self.border)
+        G = np.empty((nL, nL))
+        for j0 in range(0, nL, self._BATCH):
+            j1 = min(j0 + self._BATCH, nL)
+            G[:, j0:j1] = self._M_LR @ self._rest_factor.solve(self._M_LR[j0:j1].T.toarray())
+        self._G = 0.5 * (G + G.T)
+
+    def with_border(self, M_LL: np.ndarray, matrix=None) -> "BorderedSolve":
+        """The factor of the member with border block M_LL (dense); `matrix`,
+        the member itself, is kept for whoever reads `.matrix`."""
+        return BorderedSolve(self, M_LL, matrix)
+
+
+class BorderedSolve:
+    """One member of a `BorderedFactorization`: `solve` and `n` as on
+    SymFactorization."""
+
+    def __init__(self, family: BorderedFactorization, M_LL: np.ndarray, matrix=None):
+        self.family, self.n, self.matrix = family, family.n, matrix
+        self._sigma, info = dpotrf(M_LL - family._G, lower=1)
+        if info != 0:
+            raise NotPositiveDefinite(f"border Schur complement: potrf info {info}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        f, L = self.family, self.family.border
+        b = np.asarray(b, dtype=float)
+        b_R = b.copy()
+        b_R[L] = 0.0
+        out = f._rest_factor.solve(b_R)  # zero on the border
+        u_L, _ = dpotrs(self._sigma, b[L] - f._M_LR @ out, lower=1)
+        out -= f._rest_factor.solve(f._M_LR.T @ u_L)
+        out[L] = u_L
+        return out
 
 
 class SchurOperator:
     """q -> D q + C Ahat^{-1} C^T q on the pressure space.
 
-    `factor` holds the SPD velocity matrix Ahat and C is the
-    pressure-velocity coupling of the condensed system of
-    `lbblab.fem.AssembledSystem`; D = E^T E comes with its factor E, and D q
-    is applied as E^T (E q) so that q.Sq stays at the roundoff floor squared
-    on near-null modes.  Without D and E this is B A^{-1} B^T for the full
-    (A, B).  `row_nnz`, the nonzeros per row of the uncondensed stiffness
-    (default: of Ahat), measures element order for the route rule.
+    `factor` (a SymFactorization, or a BorderedSolve along a sweep) holds
+    the SPD velocity matrix Ahat and C is the pressure-velocity coupling of
+    the condensed system of `lbblab.fem.AssembledSystem`; D = E^T E comes
+    with its factor E, and D q is applied as E^T (E q) so that q.Sq stays
+    at the roundoff floor squared on near-null modes.  Without D and E this
+    is B A^{-1} B^T for the full (A, B).  `row_nnz`, the nonzeros per row
+    of the uncondensed stiffness (default: of Ahat), measures element order
+    for the route rule.
     """
 
-    def __init__(
-        self, C, factor: SymFactorization, D=None, E=None, row_nnz: float | None = None
-    ):
+    def __init__(self, C, factor, D=None, E=None, row_nnz: float | None = None):
         self.C = sparse.csr_matrix(C)
         self.factor = factor
         if self.C.shape[1] != factor.n:
@@ -212,10 +295,26 @@ def dense_schur(op: SchurOperator, cap: int | None = None, batch: int = 256) -> 
         for j0 in range(0, n, batch):
             j1 = min(j0 + batch, n)
             S[:, j0:j1] += op.C @ op.factor.solve(CT[:, j0:j1].toarray())
+    return _symmetric_part(S)
+
+
+def _symmetric_part(S: np.ndarray) -> np.ndarray:
+    """0.5 (S + S^T) after checking that S is symmetric to _SYMMETRY_TOL.
+
+    One contiguous transpose serves both passes: read in place, S.T strides
+    by a whole row.  The values are those of S.T bit for bit, and the sum
+    is formed in that copy, so no more n x n arrays are alive at once than
+    S and two temporaries.
+    """
     scale = np.abs(S).max() or 1.0
-    if np.abs(S - S.T).max() > _SYMMETRY_TOL * scale:
+    ST = S.T.copy()
+    gap = S - ST
+    if np.abs(gap, out=gap).max() > _SYMMETRY_TOL * scale:
         raise EigenSolverError("dense Schur matrix failed its symmetry contract")
-    return 0.5 * (S + S.T)
+    del gap
+    ST += S
+    ST *= 0.5
+    return ST
 
 
 def _householder_to_e1(m: np.ndarray | None) -> np.ndarray | None:
@@ -350,11 +449,13 @@ def _shifted_solver(op, Mp, tau, labels):
     C, Ahat = op.C, op.factor.matrix
     if labels is not None:
         W = _block_inverse(M, labels)
-        al = factorize_spd(Ahat + C.T @ (W @ C))
+        al = factorize_spd(Ahat + C.T @ (W @ C), keep_matrix=False)
+
+        CT = C.T  # one transposed view, not one per solve
 
         def solve(b):
             Wb = W @ b
-            return Wb - W @ (C @ al.solve(C.T @ Wb))
+            return Wb - W @ (C @ al.solve(CT @ Wb))
 
         return solve
     nv = op.factor.n
@@ -389,9 +490,15 @@ def _arpack_budget(op, labels, ncv: int) -> int | None:
     return None
 
 
-def _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget):
+def _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget, start=None):
     """Shift-invert Lanczos; with a budget, raises _OverBudget instead of
-    running past that many shift-invert solves or failing to converge."""
+    running past that many shift-invert solves or failing to converge.
+
+    The start vector is the seeded random vector r, or, with the
+    eigenvectors x_j of a nearby system (`start`),
+    sum_j x_j / |x_j|_Mp + 1e-3 r / |r|_Mp: close to the wanted eigenspace,
+    and with a component along every eigenvector.
+    """
     n = op.shape[0]
     dim = n - (1 if deflate is not None else 0)
     if k >= dim:
@@ -421,13 +528,20 @@ def _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget):
         return project(solve_shifted(b))
 
     opinv = LinearOperator((n, n), matvec=opinv_matvec, dtype=float)
+    # Mp as a sparse matrix would reach ARPACK through the multi-vector
+    # product, three wrapper calls deeper, once per Lanczos step
+    mass = LinearOperator((n, n), matvec=lambda x: Mp @ x, dtype=float)
     rng = np.random.default_rng(options.seed)
-    v0 = project(rng.standard_normal(n))
+    v0 = rng.standard_normal(n)
+    if start is not None:
+        norms = np.sqrt(np.einsum("ij,ij->j", start, Mp @ start))
+        v0 = start @ (1.0 / norms) + 1e-3 * v0 / np.sqrt(v0 @ (Mp @ v0))
+    v0 = project(v0)
     try:
         _, vecs = eigsh(
             op.as_linear_operator(),
             k=k,
-            M=Mp,
+            M=mass,
             sigma=-tau,
             which="LM",
             OPinv=opinv,
@@ -449,14 +563,16 @@ def smallest_generalized_eigs(
     k: int,
     deflate: np.ndarray | None = None,
     options: SolverOptions | None = None,
+    start: np.ndarray | None = None,
 ) -> GenEigResult:
     """k smallest eigenvalues of S q = sigma Mp q, ascending.
 
     With `deflate` (the mean vector m), the problem is restricted to the
     zero-mean subspace {q : m.q = 0}, removing the trivial constant mode.
-    Deterministic for a fixed options.seed.  `method` names the route whose
-    vectors were returned: a budgeted ARPACK run that fell back reports
-    "dense".
+    Deterministic for a fixed options.seed and start.  `method` names the route whose vectors were
+    returned: a budgeted ARPACK run that fell back reports "dense".  The
+    ARPACK route starts from `start`, the eigenvectors of a nearby system
+    (the previous point of a sweep), when they are given.
     """
     options = options or SolverOptions()
     Mp = sparse.csr_matrix(Mp)
@@ -472,7 +588,7 @@ def smallest_generalized_eigs(
     method = "arpack" if n > options.dense_cap or budget is not None else "dense"
     if method == "arpack":
         try:
-            vecs = _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget)
+            vecs = _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget, start)
         except _OverBudget:
             method = "dense"
     if method == "dense":

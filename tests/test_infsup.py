@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -15,16 +16,25 @@ from lbblab.fem import (
     assemble_system,
     build_dof_map,
 )
-from lbblab.geometry import SvSplitParams, rect_grid, regular_polygon_mesh, sv_split
+from lbblab import infsup, spectral
+from lbblab.geometry import MeshError, SvSplitParams, rect_grid, regular_polygon_mesh, sv_split
 from lbblab.infsup import (
     DimensionZeroError,
     PairConfig,
     compute_beta,
+    compute_betas,
     eigenfunction_export,
     schur_spectrum,
     usc_check,
 )
-from lbblab.spectral import SchurOperator, factorize_spd, smallest_generalized_eigs
+from lbblab.spectral import (
+    EigenSolverError,
+    NotPositiveDefinite,
+    SchurOperator,
+    SolverOptions,
+    factorize_spd,
+    smallest_generalized_eigs,
+)
 
 from conftest import brute_force_sigmas
 
@@ -349,3 +359,182 @@ def test_beta_proportional_to_regularity_index():
         ratios.append(beta / idx)
     spread = (max(ratios) - min(ratios)) / np.mean(ratios)
     assert spread < 0.01
+
+
+# ------------------------------------------------------------ chains
+
+
+CHAIN_A = (-0.45, -0.1, 0.0, 0.1, 0.45)
+
+
+def _sv_chain(nx, ny, a_values, velocity=P4, pressure=P3DC):
+    return [
+        PairConfig(
+            velocity_space=velocity,
+            pressure_space=pressure,
+            velocity_mesh=sv_mesh(4, 1, nx, ny, b=0.4, a=a),
+        )
+        for a in a_values
+    ]
+
+
+def _assert_same_point(got, want):
+    # sigmas to 1e-12 relative; sigma_1 at a = 0 is roundoff (about 1e-30),
+    # there the same bound holds in absolute terms
+    assert got.method == want.method
+    assert (got.n_velocity, got.n_pressure, got.config_hash) == (
+        want.n_velocity, want.n_pressure, want.config_hash
+    )
+    big = np.abs(want.sigmas) > 1e-8
+    diff = np.abs(got.sigmas - want.sigmas)
+    assert np.all(diff[big] <= 1e-12 * np.abs(want.sigmas[big]))
+    assert np.all(diff[~big] <= 1e-12)
+
+
+def _spy_factorizations(monkeypatch):
+    calls = []
+    real = spectral.factorize_spd
+
+    def spy(A, *args, **kwargs):
+        calls.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "factorize_spd", spy)
+    monkeypatch.setattr(infsup, "factorize_spd", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid, method", [((4, 1), "dense"), ((8, 2), "arpack")], ids=["4x1-dense", "8x2-arpack"]
+)
+def test_chain_matches_fresh_points(grid, method, monkeypatch):
+    configs = _sv_chain(*grid, CHAIN_A)
+    factored = _spy_factorizations(monkeypatch)
+    fresh = [compute_beta(config, k=6) for config in configs]
+    assert len(factored) == {"dense": 1, "arpack": 2}[method] * len(configs)
+    factored.clear()
+    chained = compute_betas(configs, k=6)
+    # Ahat is factored once per chain; the augmented-Lagrangian matrix of
+    # the ARPACK route, which depends on the point, once per point
+    assert len(factored) == {"dense": 1, "arpack": 1 + len(configs)}[method]
+    for got, want in zip(chained, fresh):
+        assert want.method == method
+        _assert_same_point(got, want)
+
+
+def test_chain_moves_only_the_special_quad():
+    from lbblab.cli import _center_quad
+
+    q = _center_quad(rect_grid(4, 1, 8, 2))
+    moved = infsup._moved_elements(_sv_chain(8, 2, CHAIN_A))
+    assert np.flatnonzero(moved).tolist() == [4 * q, 4 * q + 1, 4 * q + 2, 4 * q + 3]
+
+
+def test_new_connectivity_or_spaces_start_a_new_chain():
+    p3 = ElementSpace(Family.TRIANGLE, 3, Continuity.C0, BoundaryCondition.ZERO_TRACE)
+    p2dc = ElementSpace(Family.TRIANGLE, 2, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
+    configs = (
+        _sv_chain(4, 1, (0.1, 0.2))
+        + _sv_chain(8, 2, (0.1,))
+        + _sv_chain(4, 1, (0.3,))
+        + _sv_chain(4, 1, (0.3,), velocity=p3, pressure=p2dc)
+    )
+    groups = infsup._chain_groups(configs)
+    assert [len(g) for g in groups] == [2, 1, 1, 1]
+    for got, config in zip(compute_betas(configs, k=4), configs):
+        _assert_same_point(got, compute_beta(config, k=4))
+
+
+def _failing_at(monkeypatch, target, exc_type, starts):
+    """Make the solve of the point at a = target raise exc_type; record for
+    every solved point whether it started from Ritz vectors."""
+    from lbblab import cli
+
+    if exc_type is MeshError:
+        real_mesh = cli.sv_mesh
+
+        def sv_mesh_failing(width, height, nx, ny, b, a=None, special=None):
+            if a == target:
+                raise MeshError("injected")
+            return real_mesh(width, height, nx, ny, b, a, special)
+
+        monkeypatch.setattr(cli, "sv_mesh", sv_mesh_failing)
+    real_eigs = infsup.smallest_generalized_eigs
+
+    def eigs(op, Mp, k, deflate=None, options=None, start=None):
+        starts.append(start is not None)
+        if exc_type is not MeshError and len(starts) == 3:
+            raise exc_type("injected")
+        return real_eigs(op, Mp, k, deflate=deflate, options=options, start=start)
+
+    monkeypatch.setattr(infsup, "smallest_generalized_eigs", eigs)
+
+
+@pytest.mark.parametrize("exc_type", [MeshError, EigenSolverError, NotPositiveDefinite])
+def test_failed_sweep_point_is_flagged_and_the_chain_goes_on_cold(exc_type, monkeypatch, capsys):
+    from lbblab.cli import run_sv_sweep
+
+    cfg = {
+        "kind": "sv-sweep", "width": 4, "height": 1, "grids": [[8, 2]], "b": 0.4,
+        "a_start": 0.0, "a_stop": 0.04, "a_step": 0.01, "k": 6,
+    }
+    starts = []
+    _failing_at(monkeypatch, 0.02, exc_type, starts)
+    rows = list(csv.DictReader(io.StringIO(run_sv_sweep(cfg).csv)))
+    monkeypatch.undo()
+    assert [r["flagged"] for r in rows] == ["0", "0", "1", "0", "0"]
+    assert f"warning: sweep point failed: {exc_type.__name__}: injected" in capsys.readouterr().err
+    # the point after the failure starts cold, the others from their predecessor
+    if exc_type is MeshError:  # no solve at a = 0.02; a new chain after it
+        assert starts == [False, True, False, True]
+    else:
+        assert starts == [False, True, True, False, True]
+    for r in rows:
+        if r["flagged"] == "0":
+            want = compute_beta(_sv_chain(8, 2, (float(r["a"]),))[0], k=6)
+            got = np.array([float(r[f"sigma_{j}"]) for j in range(1, 7)])
+            big = np.abs(want.sigmas) > 1e-8
+            assert np.all(np.abs(got - want.sigmas)[big] <= 1e-12 * want.sigmas[big])
+            assert np.all(np.abs(got - want.sigmas)[~big] <= 1e-12)
+
+
+def test_unlisted_failure_propagates_from_a_chain(monkeypatch):
+    starts = []
+    _failing_at(monkeypatch, None, EigenSolverError, starts)
+    with pytest.raises(EigenSolverError, match="injected"):
+        compute_betas(_sv_chain(4, 1, (0.1, 0.2, 0.3, 0.4)), k=3)
+
+
+def test_warm_start_keeps_every_eigenvalue():
+    # on 8x2 the 6 smallest include the near-double pair 0.0528959 and
+    # 0.0528962, and at |a| = 0.45 sigma_1 nears the sigma_2 cluster; a warm
+    # start must lose none of them (the dense route is the reference)
+    a_values = (0.02, 0.03, 0.04, 0.44, 0.45, -0.44, -0.45)
+    configs = _sv_chain(8, 2, a_values)
+    chained = compute_betas(configs, k=6)
+    assert chained[0].sigmas[2:4] == pytest.approx([0.0528959, 0.0528962], abs=5e-8)
+    for config, got in zip(configs, chained):
+        assert got.method == "arpack"
+        mesh = config.velocity_mesh
+        sys_ = assemble_system(build_dof_map(mesh, P4), build_dof_map(mesh, P3DC))
+        op = SchurOperator(sys_.C, factorize_spd(sys_.Ahat), sys_.D, sys_.E)
+        vectors = spectral._dense_eig_path(op, sys_.Mp, 6, sys_.m, SolverOptions())
+        dense = spectral._finish(op, sys_.Mp, vectors, "dense", 1e-10)
+        assert np.abs(got.sigmas - dense.values).max() <= 1e-10
+
+
+def test_chain_with_many_moved_elements_solves_each_point_in_full(monkeypatch):
+    # a global decentering moves every apex: the moved elements touch more
+    # skeleton dofs than a bordered factor pays off for, so each point is
+    # assembled and Ahat factored in full, and only the dof maps and the
+    # warm start carry over
+    configs = [
+        PairConfig(velocity_space=P4, pressure_space=P3DC, velocity_mesh=sv_mesh(4, 1, 8, 2, b=b))
+        for b in (0.3, 0.35, 0.4)
+    ]
+    assert infsup._moved_elements(configs).all()
+    factored = _spy_factorizations(monkeypatch)
+    chained = compute_betas(configs, k=6)
+    assert len(factored) == 2 * len(configs)
+    for got, config in zip(chained, configs):
+        _assert_same_point(got, compute_beta(config, k=6))
