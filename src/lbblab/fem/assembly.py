@@ -463,10 +463,6 @@ class SystemFamily:
     pressures every entry of Mp, C, D and E belongs to one element, so
     these equal `assemble_system`'s bit for bit; entries of Ahat that moved
     and fixed elements share may round differently.
-
-    `border` holds the skeleton dofs (Ahat's numbering, both components)
-    that the moved elements touch: Ahat changes only in that diagonal
-    block, and C, D, E and Mp only in the moved elements' pressure rows.
     """
 
     def __init__(self, system: AssembledSystem, dof_v: DofMap, dof_p: DofMap, moved: np.ndarray):
@@ -489,8 +485,6 @@ class SystemFamily:
         self._m_dofs, self._m_slot = np.unique(edp, return_inverse=True)
         self._m_fixed = self._m[self._m_dofs] - self._m_sums(mloc)
         self.n_velocity, self.nnz_A = system.n_velocity, system.nnz_A
-        border = np.unique(eds2)
-        self.border = border[border >= 0]
 
     def _m_sums(self, mloc: np.ndarray) -> np.ndarray:
         return np.bincount(self._m_slot.ravel(), weights=mloc.ravel(), minlength=len(self._m_dofs))

@@ -6,17 +6,14 @@ up as sigma_0 = 0 and beta_n is taken from sigma_1 instead.
 
 `compute_betas` solves a sequence of pairings, and successive pairings on
 meshes of one connectivity as one chain: a sweep that moves a few
-vertices (Fig. 3 moves the apex of one quad) builds the dof maps, the
-unmoved elements' matrices and the factor of Ahat restricted to the dofs
-those elements alone touch once, and each eigensolve starts from the
+vertices (Fig. 3 moves the apex of one quad) builds the dof maps and the
+unmoved elements' matrices once, and each eigensolve starts from the
 previous point's eigenvectors.  `compute_beta` is the chain of one
 pairing.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -35,7 +32,6 @@ from .fem import (
 )
 from .geometry import Mesh, ParentMap, element_sizes
 from .spectral import (
-    BorderedFactorization,
     GenEigResult,
     SchurOperator,
     SolverOptions,
@@ -126,13 +122,6 @@ class BetaResult:
     dof_p: DofMap = field(repr=False)
 
 
-# A chain keeps its first mesh's matrices and Ahat factor only while the
-# moved elements touch at most this many skeleton velocity dofs: each one
-# adds a row and column to the dense Schur complement factored per point
-# (58 for the special quad of a P4 Scott-Vogelius sweep).
-_BORDER_MAX = 128
-
-
 def _same_family(a: PairConfig, b: PairConfig) -> bool:
     """Whether b may continue a chain that a is in: the same spaces, options
     and connectivity.  On a shared velocity/pressure mesh vertices may move;
@@ -171,46 +160,21 @@ def _moved_elements(configs) -> np.ndarray:
     return moved
 
 
-@functools.cache
-def _malloc_trim():
-    """glibc's malloc_trim, or None where the C library has none."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
-def _release_free_heap() -> None:
-    """Return the free pages of the C heap to the OS.
-
-    A chain keeps its matrices and a factor from point to point, and they
-    pin the top of the heap: glibc then returns none of a point's freed temporaries, and a
-    sweep's resident memory grows by a few MB per point.  Trimmed after
-    each point, it stays at the single-point level.
-    """
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
-
-
 class _Chain:
     """Successive configs of one family (`_same_family`), solved in order.
 
     Built once per chain: the dof maps and, when elements move along the
-    chain and touch at most _BORDER_MAX skeleton dofs, a `SystemFamily`
-    and the bordered factor of Ahat (`BorderedFactorization`).  Each point
-    then assembles only its moved elements and factors the dense Schur
-    complement of Ahat on their dofs.  Otherwise every point is assembled
-    and factored in full.  Either way the ARPACK route starts from the
-    previous point's eigenvectors (`ritz`, None for a cold start).  A
-    chain of one config is exactly the single-point computation.
+    chain, a `SystemFamily` from the first mesh's system, so that each
+    point assembles only its moved elements; otherwise every point is
+    assembled in full.  Each point factors its own Ahat, and the ARPACK
+    route starts from the previous point's eigenvectors (`ritz`, None for
+    a cold start).  A chain of one config is exactly the single-point
+    computation.
     """
 
     def __init__(self, configs: list[PairConfig], k: int):
         self.configs, self.k = configs, k
-        self.dof_v = self.family = self.ahat = self.ritz = None
+        self.dof_v = self.family = self.ritz = None
 
     def _build(self) -> None:
         first = self.configs[0]
@@ -224,9 +188,7 @@ class _Chain:
             raise DimensionZeroError("pressure space is zero-dimensional after deflation")
         moved = _moved_elements(self.configs)
         if moved.any():
-            family = SystemFamily(assemble_system(dof_v, self.dof_p), dof_v, self.dof_p, moved)
-            if 0 < len(family.border) <= _BORDER_MAX:
-                self.family = family
+            self.family = SystemFamily(assemble_system(dof_v, self.dof_p), dof_v, self.dof_p, moved)
         self.dof_v = dof_v
 
     def eigs(self, config: PairConfig) -> tuple[GenEigResult, int, DofMap]:
@@ -238,13 +200,9 @@ class _Chain:
         if self.family is None:
             dof_v = moved_dof_map(self.dof_v, mesh)
             system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
-            factor = factorize_spd(system.Ahat)
         else:
             system = self.family.system(mesh)
-            L = self.family.border
-            if self.ahat is None:
-                self.ahat = BorderedFactorization(system.Ahat.copy(), L)
-            factor = self.ahat.with_border(system.Ahat[L][:, L].toarray(), system.Ahat)
+        factor = factorize_spd(system.Ahat)
         n_velocity, Mp, m = system.n_velocity, system.Mp, system.m
         op = SchurOperator(
             system.C, factor, system.D, system.E, row_nnz=system.nnz_A / n_velocity
@@ -259,8 +217,6 @@ class _Chain:
             start=self.ritz,
         )
         self.ritz = result.vectors
-        if self.family is not None:
-            _release_free_heap()
         return result, n_velocity, dof_p
 
     def beta(self, config: PairConfig) -> BetaResult:
@@ -296,18 +252,20 @@ def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     over one mesh family) form a chain (`_Chain`): what does not depend on
     the moving vertices is built once, and each eigensolve starts from the
     previous point's.  A point that raises one of `failures` gets the
-    exception in place of its result, and the next point starts cold; any
-    other exception propagates.  Without deflation each point is solved as
-    in `compute_beta`.
+    exception in place of its result, and the points after it form a new
+    chain, which starts cold; any other exception propagates.  Without
+    deflation each point is solved as in `compute_beta`.
     """
     out = []
     for group in _chain_groups(configs):
-        chain = _Chain(group, k if group[0].deflate_constants else max(k, 2))
-        for config in group:
+        chain = None
+        for i, config in enumerate(group):
+            if chain is None:
+                chain = _Chain(group[i:], k if config.deflate_constants else max(k, 2))
             try:
                 out.append(chain.beta(config))
             except failures as exc:
-                chain.ritz = None
+                chain = None
                 out.append(exc)
     return out
 

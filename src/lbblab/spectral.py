@@ -31,11 +31,8 @@ Every SPD matrix (Ahat, and the augmented-Lagrangian matrix) goes through one
 ``SymFactorization``: a SuperLU factor with a minimum-degree ordering and
 diagonal pivots, which doubles as the positive-definiteness check.
 
-Along a sweep of systems that differ only near a few moved elements, Ahat
-changes only in the block of the skeleton dofs L those elements touch:
-``BorderedFactorization`` factors the rest once and each system's dense
-Schur complement on L.  The ARPACK route can start from the eigenvectors
-of the previous system.
+Along a sweep of nearby systems the ARPACK route can start from the
+eigenvectors of the previous system.
 """
 
 from __future__ import annotations
@@ -45,12 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eig, eigh
-from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 __all__ = [
-    "BorderedFactorization",
     "EigenSolverError",
     "GenEigResult",
     "NotPositiveDefinite",
@@ -156,93 +151,21 @@ def factorize_spd(A, keep_matrix: bool = True) -> SymFactorization:
     return SymFactorization(A, keep_matrix)
 
 
-class BorderedFactorization:
-    """Solves with SPD matrices that differ from each other only in one
-    small diagonal block.
-
-    Split the unknowns into a border L and the rest R,
-    M = [[M_RR, M_RL], [M_LR, M_LL]].  When only M_LL changes from one
-    matrix to the next (a sweep that moves a few elements, L being the dofs
-    they touch), M_RR is factored once and G = M_LR M_RR^{-1} M_RL is formed
-    once from the matrix given here.  Each matrix of the family then needs
-    only the dense Cholesky factor of its Schur complement
-    Sigma = M_LL - G (`with_border`), and a solve is two sparse solves on
-    R plus a dense one on L.  By Sylvester's law M is SPD iff M_RR and
-    Sigma are.
-
-    M (CSR) is consumed: its border rows and columns are overwritten with
-    those of the identity, and that matrix, [[M_RR, 0], [0, I]] in the
-    original order, is the one factored.  So no copy of M_RR is made, and
-    vectors keep their full length.
-    """
-
-    _BATCH = 16  # border columns per multi-column solve while forming G
-
-    def __init__(self, M: sparse.csr_matrix, border: np.ndarray):
-        n = M.shape[0]
-        self.n, self.border = n, np.asarray(border)
-        in_border = np.zeros(n, dtype=bool)
-        in_border[self.border] = True
-        self._M_LR = M[self.border]
-        self._M_LR.data[in_border[self._M_LR.indices]] = 0.0
-        self._M_LR.eliminate_zeros()
-        rows = np.repeat(np.arange(n), np.diff(M.indptr))
-        edge = in_border[rows] | in_border[M.indices]
-        M.data[edge] = 0.0
-        M.data[edge & (rows == M.indices)] = 1.0
-        del rows, edge
-        M.eliminate_zeros()
-        # M is symmetric, so its transpose is the CSC form of the same arrays
-        self._rest_factor = factorize_spd(M.T, keep_matrix=False)
-        nL = len(self.border)
-        G = np.empty((nL, nL))
-        for j0 in range(0, nL, self._BATCH):
-            j1 = min(j0 + self._BATCH, nL)
-            G[:, j0:j1] = self._M_LR @ self._rest_factor.solve(self._M_LR[j0:j1].T.toarray())
-        self._G = 0.5 * (G + G.T)
-
-    def with_border(self, M_LL: np.ndarray, matrix=None) -> "BorderedSolve":
-        """The factor of the member with border block M_LL (dense); `matrix`,
-        the member itself, is kept for whoever reads `.matrix`."""
-        return BorderedSolve(self, M_LL, matrix)
-
-
-class BorderedSolve:
-    """One member of a `BorderedFactorization`: `solve` and `n` as on
-    SymFactorization."""
-
-    def __init__(self, family: BorderedFactorization, M_LL: np.ndarray, matrix=None):
-        self.family, self.n, self.matrix = family, family.n, matrix
-        self._sigma, info = dpotrf(M_LL - family._G, lower=1)
-        if info != 0:
-            raise NotPositiveDefinite(f"border Schur complement: potrf info {info}")
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        f, L = self.family, self.family.border
-        b = np.asarray(b, dtype=float)
-        b_R = b.copy()
-        b_R[L] = 0.0
-        out = f._rest_factor.solve(b_R)  # zero on the border
-        u_L, _ = dpotrs(self._sigma, b[L] - f._M_LR @ out, lower=1)
-        out -= f._rest_factor.solve(f._M_LR.T @ u_L)
-        out[L] = u_L
-        return out
-
-
 class SchurOperator:
     """q -> D q + C Ahat^{-1} C^T q on the pressure space.
 
-    `factor` (a SymFactorization, or a BorderedSolve along a sweep) holds
-    the SPD velocity matrix Ahat and C is the pressure-velocity coupling of
-    the condensed system of `lbblab.fem.AssembledSystem`; D = E^T E comes
-    with its factor E, and D q is applied as E^T (E q) so that q.Sq stays
-    at the roundoff floor squared on near-null modes.  Without D and E this
-    is B A^{-1} B^T for the full (A, B).  `row_nnz`, the nonzeros per row
-    of the uncondensed stiffness (default: of Ahat), measures element order
-    for the route rule.
+    `factor` holds the SPD velocity matrix Ahat and C is the
+    pressure-velocity coupling of the condensed system of
+    `lbblab.fem.AssembledSystem`; D = E^T E comes with its factor E, and D q
+    is applied as E^T (E q) so that q.Sq stays at the roundoff floor squared
+    on near-null modes.  Without D and E this is B A^{-1} B^T for the full
+    (A, B).  `row_nnz`, the nonzeros per row of the uncondensed stiffness
+    (default: of Ahat), measures element order for the route rule.
     """
 
-    def __init__(self, C, factor, D=None, E=None, row_nnz: float | None = None):
+    def __init__(
+        self, C, factor: SymFactorization, D=None, E=None, row_nnz: float | None = None
+    ):
         self.C = sparse.csr_matrix(C)
         self.factor = factor
         if self.C.shape[1] != factor.n:

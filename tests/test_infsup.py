@@ -391,16 +391,17 @@ def _assert_same_point(got, want):
     assert np.all(diff[~big] <= 1e-12)
 
 
-def _spy_factorizations(monkeypatch):
+def _spy(monkeypatch, name, modules=(infsup,)):
+    """Record the first argument of every call to `name` in `modules`."""
     calls = []
-    real = spectral.factorize_spd
+    real = getattr(modules[0], name)
 
-    def spy(A, *args, **kwargs):
-        calls.append(A.shape)
-        return real(A, *args, **kwargs)
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "factorize_spd", spy)
-    monkeypatch.setattr(infsup, "factorize_spd", spy)
+    for module in modules:
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -409,14 +410,16 @@ def _spy_factorizations(monkeypatch):
 )
 def test_chain_matches_fresh_points(grid, method, monkeypatch):
     configs = _sv_chain(*grid, CHAIN_A)
-    factored = _spy_factorizations(monkeypatch)
     fresh = [compute_beta(config, k=6) for config in configs]
-    assert len(factored) == {"dense": 1, "arpack": 2}[method] * len(configs)
-    factored.clear()
+    assembled = _spy(monkeypatch, "assemble_system")
+    mapped = _spy(monkeypatch, "build_dof_map")
+    factored = _spy(monkeypatch, "factorize_spd", (infsup, spectral))
     chained = compute_betas(configs, k=6)
-    # Ahat is factored once per chain; the augmented-Lagrangian matrix of
-    # the ARPACK route, which depends on the point, once per point
-    assert len(factored) == {"dense": 1, "arpack": 1 + len(configs)}[method]
+    # the dof maps and the first mesh's system are built once per chain;
+    # Ahat, and on the ARPACK route the augmented-Lagrangian matrix, are
+    # factored once per point
+    assert (len(assembled), len(mapped)) == (1, 2)
+    assert len(factored) == {"dense": 1, "arpack": 2}[method] * len(configs)
     for got, want in zip(chained, fresh):
         assert want.method == method
         _assert_same_point(got, want)
@@ -498,6 +501,28 @@ def test_failed_sweep_point_is_flagged_and_the_chain_goes_on_cold(exc_type, monk
             assert np.all(np.abs(got - want.sigmas)[~big] <= 1e-12)
 
 
+def test_failure_at_a_chains_first_point_flags_only_that_point(monkeypatch):
+    # the first mesh's system cannot be built: that point is flagged, and
+    # the next point starts a new chain from its own mesh
+    configs = _sv_chain(4, 1, (0.1, 0.2, 0.3))
+    real = infsup.assemble_system
+    assembled = []
+
+    def assemble(dof_v, dof_p, **kwargs):
+        assembled.append(dof_v.mesh)
+        if dof_v.mesh is configs[0].velocity_mesh:
+            raise NotPositiveDefinite("injected")
+        return real(dof_v, dof_p, **kwargs)
+
+    monkeypatch.setattr(infsup, "assemble_system", assemble)
+    got = compute_betas(configs, k=4, failures=(NotPositiveDefinite,))
+    monkeypatch.undo()
+    assert isinstance(got[0], NotPositiveDefinite)
+    assert assembled == [configs[0].velocity_mesh, configs[1].velocity_mesh]
+    for result, config in zip(got[1:], configs[1:]):
+        _assert_same_point(result, compute_beta(config, k=4))
+
+
 def test_unlisted_failure_propagates_from_a_chain(monkeypatch):
     starts = []
     _failing_at(monkeypatch, None, EigenSolverError, starts)
@@ -523,18 +548,14 @@ def test_warm_start_keeps_every_eigenvalue():
         assert np.abs(got.sigmas - dense.values).max() <= 1e-10
 
 
-def test_chain_with_many_moved_elements_solves_each_point_in_full(monkeypatch):
-    # a global decentering moves every apex: the moved elements touch more
-    # skeleton dofs than a bordered factor pays off for, so each point is
-    # assembled and Ahat factored in full, and only the dof maps and the
-    # warm start carry over
+def test_chain_with_every_element_moved_matches_fresh_points():
+    # a global decentering moves every apex: every element is reassembled
+    # at each point, and none of the first mesh's entries is kept
     configs = [
         PairConfig(velocity_space=P4, pressure_space=P3DC, velocity_mesh=sv_mesh(4, 1, 8, 2, b=b))
         for b in (0.3, 0.35, 0.4)
     ]
     assert infsup._moved_elements(configs).all()
-    factored = _spy_factorizations(monkeypatch)
     chained = compute_betas(configs, k=6)
-    assert len(factored) == 2 * len(configs)
     for got, config in zip(chained, configs):
         _assert_same_point(got, compute_beta(config, k=6))

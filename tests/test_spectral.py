@@ -179,59 +179,6 @@ def test_dense_schur_symmetry_contract_is_bitwise_the_strided_one(build, monkeyp
     assert np.abs(R - R.T.copy()).max() == np.abs(R - R.T).max()
 
 
-# ------------------------------------------------------------ bordered factors
-
-
-def _bordered_case(n=300, seed=4):
-    """An SPD 1D Laplacian plus a random SPD block on a few scattered dofs."""
-    rng = np.random.default_rng(seed)
-    border = np.sort(rng.choice(n, 12, replace=False))
-    main = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
-    G = rng.standard_normal((12, 12))
-    block = sparse.coo_matrix((G @ G.T).ravel(), shape=(1, 144))
-    extra = sparse.csr_matrix(
-        (block.data, (np.repeat(border, 12), np.tile(border, 12))), shape=(n, n)
-    )
-    return sparse.csr_matrix(main + extra), border
-
-
-def test_bordered_factorization_solves_every_member():
-    M, border = _bordered_case()
-    family = spectral.BorderedFactorization(M.copy(), border)
-    rng = np.random.default_rng(5)
-    for shift in (0.0, 0.5, 3.0):
-        member = M + sparse.csr_matrix(
-            (shift * np.ones(len(border)), (border, border)), shape=M.shape
-        )
-        M_LL = member[border][:, border].toarray()
-        solver = family.with_border(M_LL, member)
-        assert solver.matrix is member and solver.n == M.shape[0]
-        b = rng.standard_normal((M.shape[0], 3))
-        for rhs in (b, b[:, 0]):
-            x = solver.solve(rhs)
-            assert np.abs(x - factorize_spd(member).solve(rhs)).max() <= 1e-12 * np.abs(x).max()
-
-
-def test_bordered_factorization_checks_the_border_block():
-    M, border = _bordered_case()
-    family = spectral.BorderedFactorization(M.copy(), border)
-    M_LL = M[border][:, border].toarray()
-    M_LL[3, 3] = -10.0
-    with pytest.raises(NotPositiveDefinite):
-        family.with_border(M_LL)
-
-
-def test_bordered_factorization_consumes_its_matrix():
-    # the border rows and columns become the identity's, in place
-    M, border = _bordered_case()
-    given = M.copy()
-    spectral.BorderedFactorization(given, border)
-    rest = np.setdiff1d(np.arange(M.shape[0]), border)
-    assert (given[border][:, border] != sparse.eye(len(border))).nnz == 0
-    assert given[border][:, rest].nnz == 0
-    assert (given[rest][:, rest] != M[rest][:, rest]).nnz == 0
-
-
 # ------------------------------------------------------------ eigen paths
 
 
