@@ -476,7 +476,7 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
             )
         )
     if slope_rows:
-        rel_max = max(float(r[4]) for r in slope_rows)
+        rel_max = float(np.max([float(r[4]) for r in slope_rows]))  # NaN if any is NaN
         checks.append(
             CheckResult(
                 "linear-near-zero",

@@ -9,7 +9,6 @@ from .quadrature import QuadratureRule, quad_rule
 from .dofmap import DofMap, build_dof_map, moved_dof_map
 from .assembly import (
     AssembledSystem,
-    SystemFamily,
     assemble_divergence,
     assemble_pressure_mass,
     assemble_stiffness,
@@ -25,7 +24,6 @@ __all__ = [
     "ElementSpace",
     "Family",
     "QuadratureRule",
-    "SystemFamily",
     "assemble_divergence",
     "assemble_pressure_mass",
     "assemble_stiffness",

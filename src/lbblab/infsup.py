@@ -6,8 +6,8 @@ up as sigma_0 = 0 and beta_n is taken from sigma_1 instead.
 
 `compute_betas` solves a sequence of pairings, and successive pairings on
 meshes of one connectivity as one chain: a sweep that moves a few
-vertices (Fig. 3 moves the apex of one quad) builds the dof maps and the
-unmoved elements' matrices once, and each eigensolve starts from the
+vertices (Fig. 3 moves the apex of one quad) builds the dof maps once,
+assembles every point in full, and starts each eigensolve from the
 previous point's eigenvectors.  `compute_beta` is the chain of one
 pairing.
 """
@@ -25,7 +25,6 @@ from .fem import (
     Continuity,
     DofMap,
     ElementSpace,
-    SystemFamily,
     assemble_system,
     build_dof_map,
     moved_dof_map,
@@ -147,37 +146,22 @@ def _chain_groups(configs):
     return groups
 
 
-def _moved_elements(configs) -> np.ndarray:
-    """Velocity elements whose vertices differ, in any config, from the first
-    config's mesh."""
-    first = configs[0].velocity_mesh
-    corners = first.points[first.elements]
-    moved = np.zeros(first.n_elements, dtype=bool)
-    for config in configs[1:]:
-        mesh = config.velocity_mesh
-        if mesh is not first:
-            moved |= (mesh.points[mesh.elements] != corners).any(axis=(1, 2))
-    return moved
-
-
 class _Chain:
     """Successive configs of one family (`_same_family`), solved in order.
 
-    Built once per chain: the dof maps and, when elements move along the
-    chain, a `SystemFamily` from the first mesh's system, so that each
-    point assembles only its moved elements; otherwise every point is
-    assembled in full.  Each point factors its own Ahat, and the ARPACK
-    route starts from the previous point's eigenvectors (`ritz`, None for
-    a cold start).  A chain of one config is exactly the single-point
-    computation.
+    The dof maps are built once per chain, from its first config, and
+    rebound to each point's mesh; every point is assembled in full and
+    factors its own Ahat, and the ARPACK route starts from the previous
+    point's eigenvectors (`ritz`, None for a cold start).  A chain of one
+    config is exactly the single-point computation.
     """
 
-    def __init__(self, configs: list[PairConfig], k: int):
-        self.configs, self.k = configs, k
-        self.dof_v = self.family = self.ritz = None
+    def __init__(self, first: PairConfig, k: int):
+        self.first, self.k = first, k
+        self.dof_v = self.ritz = None
 
     def _build(self) -> None:
-        first = self.configs[0]
+        first = self.first
         dof_v = build_dof_map(first.velocity_mesh, first.velocity_space)
         pressure_mesh = first.pressure_mesh or first.velocity_mesh
         self.dof_p = build_dof_map(pressure_mesh, first.pressure_space)
@@ -186,9 +170,6 @@ class _Chain:
         self.dim = self.dof_p.n_global - (1 if first.deflate_constants else 0)
         if self.dim < 1:
             raise DimensionZeroError("pressure space is zero-dimensional after deflation")
-        moved = _moved_elements(self.configs)
-        if moved.any():
-            self.family = SystemFamily(assemble_system(dof_v, self.dof_p), dof_v, self.dof_p, moved)
         self.dof_v = dof_v
 
     def eigs(self, config: PairConfig) -> tuple[GenEigResult, int, DofMap]:
@@ -196,12 +177,9 @@ class _Chain:
         if self.dof_v is None:
             self._build()
         mesh = config.velocity_mesh
+        dof_v = moved_dof_map(self.dof_v, mesh)
         dof_p = moved_dof_map(self.dof_p, config.pressure_mesh or mesh)
-        if self.family is None:
-            dof_v = moved_dof_map(self.dof_v, mesh)
-            system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
-        else:
-            system = self.family.system(mesh)
+        system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
         factor = factorize_spd(system.Ahat)
         n_velocity, Mp, m = system.n_velocity, system.Mp, system.m
         op = SchurOperator(
@@ -249,9 +227,9 @@ def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     """beta_n and the k smallest eigenvalues for each config, in order.
 
     Successive configs that share spaces, options and connectivity (a sweep
-    over one mesh family) form a chain (`_Chain`): what does not depend on
-    the moving vertices is built once, and each eigensolve starts from the
-    previous point's.  A point that raises one of `failures` gets the
+    over one mesh family) form a chain (`_Chain`): the dof maps are built
+    once, every point is assembled in full, and each eigensolve starts from
+    the previous point's.  A point that raises one of `failures` gets the
     exception in place of its result, and the points after it form a new
     chain, which starts cold; any other exception propagates.  Without
     deflation each point is solved as in `compute_beta`.
@@ -259,9 +237,9 @@ def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     out = []
     for group in _chain_groups(configs):
         chain = None
-        for i, config in enumerate(group):
+        for config in group:
             if chain is None:
-                chain = _Chain(group[i:], k if config.deflate_constants else max(k, 2))
+                chain = _Chain(config, k if config.deflate_constants else max(k, 2))
             try:
                 out.append(chain.beta(config))
             except failures as exc:
@@ -282,7 +260,7 @@ def compute_beta(config: PairConfig, k: int = 6) -> BetaResult:
 
 def schur_spectrum(config: PairConfig, k: int = 6) -> np.ndarray:
     """The k smallest Schur eigenvalues for the pairing, ascending."""
-    result, _, _ = _Chain([config], k).eigs(config)
+    result, _, _ = _Chain(config, k).eigs(config)
     return result.values
 
 

@@ -72,6 +72,7 @@ _SOLVES_PER_LANCZOS_VECTOR = 3  # shift-invert solve budget before the dense fal
 # this many skeleton dofs still number at most the pressure dofs; below that
 # ratio the n_p sparse column solves are cheaper (SV P4-P3dc, polygon fans)
 _SKELETON_SIDE = 4
+_SCHUR_BATCH = 256  # pressure columns per solve on dense_schur's pressure side
 
 
 class NotPositiveDefinite(ArithmeticError):
@@ -197,13 +198,13 @@ class GenEigResult:
     method: str
 
 
-def dense_schur(op: SchurOperator, cap: int | None = None, batch: int = 256) -> np.ndarray:
+def dense_schur(op: SchurOperator, cap: int | None = None) -> np.ndarray:
     """Explicit Schur matrix D + C Ahat^{-1} C^T (desk scale only).
 
     From the side with fewer solves: with a small skeleton
     (_SKELETON_SIDE n_s <= n_p, as on high-order quads) F = Ahat^{-1} from
     n_s solves and S = D + (C F) C^T by dense products; otherwise n_p solves
-    Ahat z = C^T e_p in batches of columns.
+    Ahat z = C^T e_p in batches of _SCHUR_BATCH columns.
     """
     n = op.shape[0]
     cap = SolverOptions().dense_cap if cap is None else cap
@@ -215,8 +216,8 @@ def dense_schur(op: SchurOperator, cap: int | None = None, batch: int = 256) -> 
         S += (Cd @ op.factor.solve(np.eye(op.factor.n))) @ Cd.T
     else:
         CT = op.C.T.tocsc()
-        for j0 in range(0, n, batch):
-            j1 = min(j0 + batch, n)
+        for j0 in range(0, n, _SCHUR_BATCH):
+            j1 = min(j0 + _SCHUR_BATCH, n)
             S[:, j0:j1] += op.C @ op.factor.solve(CT[:, j0:j1].toarray())
     return _symmetric_part(S)
 

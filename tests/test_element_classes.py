@@ -113,49 +113,7 @@ def test_nested_classes_split_by_pressure_map():
     assert len(assembly._element_classes(fine, map_class)[0]) == 16
 
 
-# --------------------------------------------- moved elements (SystemFamily)
-
-
-def _sv_spaces(vdeg, pdeg, pcont):
-    return (
-        ElementSpace(Family.TRIANGLE, vdeg, Continuity.C0, BoundaryCondition.ZERO_TRACE),
-        ElementSpace(Family.TRIANGLE, pdeg, pcont, BoundaryCondition.NONE),
-    )
-
-
-@pytest.mark.parametrize(
-    "vdeg, pdeg, pcont",
-    [(4, 3, Continuity.DISCONTINUOUS), (2, 1, Continuity.C0)],
-    ids=["P4-P3dc", "P2-P1"],
-)
-def test_system_family_matches_fresh_assembly(vdeg, pdeg, pcont):
-    # the special quad's apex moves; every other element keeps its matrices
-    vs, ps = _sv_spaces(vdeg, pdeg, pcont)
-    first = sv_mesh(4, 1, 4, 1, 0.4, -0.3)
-    moved = (sv_mesh(4, 1, 4, 1, 0.4, 0.2).points[first.elements]
-             != first.points[first.elements]).any(axis=(1, 2))
-    dv, dp = build_dof_map(first, vs), build_dof_map(first, ps)
-    family = assembly.SystemFamily(assemble_system(dv, dp), dv, dp, moved)
-    for a in (0.2, -0.3, 0.45):
-        mesh = sv_mesh(4, 1, 4, 1, 0.4, a)
-        got = family.system(mesh)
-        want = assemble_system(build_dof_map(mesh, vs), build_dof_map(mesh, ps))
-        for name in ("Mp", "C", "D", "E", "Ahat"):
-            g, w = getattr(got, name), getattr(want, name)
-            w.sort_indices()
-            assert np.array_equal(g.indptr, w.indptr) and np.array_equal(g.indices, w.indices)
-            if name == "Ahat" or pcont is Continuity.C0:
-                # entries that moved and fixed elements share are summed in another order
-                scale = np.abs(w.data).max(initial=0)
-                assert np.abs(g.data - w.data).max(initial=0) <= 1e-14 * scale
-            else:
-                assert np.array_equal(g.data, w.data), name
-        if pcont is Continuity.C0:
-            assert np.allclose(got.m, want.m, rtol=1e-14, atol=0)
-        else:
-            assert np.array_equal(got.m, want.m)
-        assert (got.n_velocity, got.nnz_A) == (want.n_velocity, want.nnz_A)
-        assert (got.A != want.A).nnz == 0 and (got.B != want.B).nnz == 0
+# --------------------------------------------- moved dof maps
 
 
 @pytest.mark.parametrize(

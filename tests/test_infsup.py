@@ -415,22 +415,24 @@ def test_chain_matches_fresh_points(grid, method, monkeypatch):
     mapped = _spy(monkeypatch, "build_dof_map")
     factored = _spy(monkeypatch, "factorize_spd", (infsup, spectral))
     chained = compute_betas(configs, k=6)
-    # the dof maps and the first mesh's system are built once per chain;
+    # the dof maps are built once per chain; every point is assembled, and
     # Ahat, and on the ARPACK route the augmented-Lagrangian matrix, are
     # factored once per point
-    assert (len(assembled), len(mapped)) == (1, 2)
+    assert (len(assembled), len(mapped)) == (len(configs), 2)
     assert len(factored) == {"dense": 1, "arpack": 2}[method] * len(configs)
     for got, want in zip(chained, fresh):
         assert want.method == method
         _assert_same_point(got, want)
 
 
-def test_chain_moves_only_the_special_quad():
-    from lbblab.cli import _center_quad
-
-    q = _center_quad(rect_grid(4, 1, 8, 2))
-    moved = infsup._moved_elements(_sv_chain(8, 2, CHAIN_A))
-    assert np.flatnonzero(moved).tolist() == [4 * q, 4 * q + 1, 4 * q + 2, 4 * q + 3]
+def test_dense_chain_points_are_the_fresh_points():
+    # the dense route does not read the previous point's eigenvectors, so
+    # with every point assembled in full a chain point is the fresh one
+    configs = _sv_chain(4, 1, (0.02, 0.03, 0.04, 0.05))
+    for got, config in zip(compute_betas(configs, k=6), configs):
+        want = compute_beta(config, k=6)
+        assert got.method == want.method == "dense"
+        assert np.array_equal(got.sigmas, want.sigmas)
 
 
 def test_new_connectivity_or_spaces_start_a_new_chain():
@@ -448,16 +450,17 @@ def test_new_connectivity_or_spaces_start_a_new_chain():
         _assert_same_point(got, compute_beta(config, k=4))
 
 
-def _failing_at(monkeypatch, target, exc_type, starts):
-    """Make the solve of the point at a = target raise exc_type; record for
-    every solved point whether it started from Ritz vectors."""
+def _failing_at(monkeypatch, target, exc_type, starts, grid=None):
+    """Make the solve of the point at a = target (on `grid` only, if given)
+    raise exc_type; record for every solved point whether it started from
+    Ritz vectors."""
     from lbblab import cli
 
     if exc_type is MeshError:
         real_mesh = cli.sv_mesh
 
         def sv_mesh_failing(width, height, nx, ny, b, a=None, special=None):
-            if a == target:
+            if a == target and grid in (None, (nx, ny)):
                 raise MeshError("injected")
             return real_mesh(width, height, nx, ny, b, a, special)
 
@@ -501,8 +504,30 @@ def test_failed_sweep_point_is_flagged_and_the_chain_goes_on_cold(exc_type, monk
             assert np.all(np.abs(got - want.sigmas)[~big] <= 1e-12)
 
 
+@pytest.mark.parametrize(
+    "grids", [[[4, 1], [8, 2]], [[8, 2], [4, 1]]], ids=["4x1-first", "8x2-first"]
+)
+def test_nan_slope_residual_fails_the_linearity_check(grids, monkeypatch):
+    # a failed point in the window makes its grid's residual NaN, and the
+    # check must fail wherever that grid sits in the list
+    from lbblab.cli import run_sv_sweep
+
+    cfg = {
+        "kind": "sv-sweep", "width": 4, "height": 1, "grids": grids, "b": 0.4,
+        "a_start": 0.02, "a_stop": 0.04, "a_step": 0.01, "k": 3,
+    }
+    _failing_at(monkeypatch, 0.03, MeshError, [], grid=(8, 2))
+    out = run_sv_sweep(cfg)
+    slopes = csv.DictReader(io.StringIO(out.extra_csv["slopes"]))
+    rel = {r["mesh"]: r["relative_residual"] for r in slopes}
+    assert rel["8x2"] == "nan" and rel["4x1"] != "nan"
+    (check,) = [c for c in out.checks if c.name == "linear-near-zero"]
+    assert not check.passed
+    assert check.detail == "max relative residual nan < 0.2"
+
+
 def test_failure_at_a_chains_first_point_flags_only_that_point(monkeypatch):
-    # the first mesh's system cannot be built: that point is flagged, and
+    # the first point's system cannot be built: that point is flagged, and
     # the next point starts a new chain from its own mesh
     configs = _sv_chain(4, 1, (0.1, 0.2, 0.3))
     real = infsup.assemble_system
@@ -518,7 +543,7 @@ def test_failure_at_a_chains_first_point_flags_only_that_point(monkeypatch):
     got = compute_betas(configs, k=4, failures=(NotPositiveDefinite,))
     monkeypatch.undo()
     assert isinstance(got[0], NotPositiveDefinite)
-    assert assembled == [configs[0].velocity_mesh, configs[1].velocity_mesh]
+    assert assembled == [config.velocity_mesh for config in configs]
     for result, config in zip(got[1:], configs[1:]):
         _assert_same_point(result, compute_beta(config, k=4))
 
@@ -549,13 +574,12 @@ def test_warm_start_keeps_every_eigenvalue():
 
 
 def test_chain_with_every_element_moved_matches_fresh_points():
-    # a global decentering moves every apex: every element is reassembled
-    # at each point, and none of the first mesh's entries is kept
+    # a global decentering moves every apex, so every element of the later
+    # meshes differs from the first mesh's
     configs = [
         PairConfig(velocity_space=P4, pressure_space=P3DC, velocity_mesh=sv_mesh(4, 1, 8, 2, b=b))
         for b in (0.3, 0.35, 0.4)
     ]
-    assert infsup._moved_elements(configs).all()
     chained = compute_betas(configs, k=6)
     for got, config in zip(chained, configs):
         _assert_same_point(got, compute_beta(config, k=6))
