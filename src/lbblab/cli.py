@@ -277,11 +277,13 @@ def _usc_all_rows(rows: list[dict], cfg: dict) -> CheckResult:
 
 def _doubling_ratios(name: str, rows: list[dict], column: str, window) -> CheckResult:
     """Ratio of `column` between consecutive rows whose n doubles must lie
-    in `window`."""
+    in `window`.  A pair whose lower-n value is NaN or not positive has no
+    ratio: it counts as a failed one, NaN."""
     ns = [int(r["n"]) for r in rows]
     vals = {int(r["n"]): float(r[column]) for r in rows}
     ratios = [
-        vals[b] / vals[a] for a, b in zip(ns, ns[1:]) if b == 2 * a and vals.get(a, 0) > 0
+        vals[b] / vals[a] if vals[a] > 0 else math.nan
+        for a, b in zip(ns, ns[1:]) if b == 2 * a
     ]
     return CheckResult(
         name,

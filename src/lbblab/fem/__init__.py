@@ -6,7 +6,7 @@ from .elements import (
     reference_element,
 )
 from .quadrature import QuadratureRule, quad_rule
-from .dofmap import DofMap, build_dof_map, moved_dof_map
+from .dofmap import DofMap, build_dof_map
 from .assembly import (
     AssembledSystem,
     assemble_divergence,
@@ -30,7 +30,6 @@ __all__ = [
     "assemble_system",
     "build_dof_map",
     "export_matrix_coo",
-    "moved_dof_map",
     "quad_rule",
     "reference_element",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,41 +58,38 @@ def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
             dof_points=phys.reshape(ne * nloc, 2),
         )
 
-    boundary_vertices = set(mesh.boundary_edges[:, 0]) | set(mesh.boundary_edges[:, 1])
-    boundary_pairs = {
-        (min(a, b), max(a, b)) for a, b, _ in mesh.boundary_edges
-    }
+    # one int64 key per (element, local node): the vertex id; npts +
+    # edge * (k - 1) + slot for edge nodes, the edge keyed min * npts + max
+    # and the slot counted from its lower-index vertex; a unique key for
+    # interior nodes
+    kind = np.array([c[0] for c in ref.node_kind])
+    v, ed, inner = (np.flatnonzero(kind == c) for c in "vei")
+    entity = np.array([c[1] for c in ref.node_kind])
+    slot = np.array([c[2] if c[0] == "e" else 0 for c in ref.node_kind])
+    npts, nv = len(mesh.points), elems.shape[1]
+    elems = elems.astype(np.int64)
+    on_vertex = np.zeros(npts, dtype=bool)
+    on_vertex[mesh.boundary_edges[:, :2]] = True
+    bnd = np.sort(mesh.boundary_edges[:, :2].astype(np.int64), axis=1)
 
-    ids: dict[tuple, int] = {}
-    element_dofs = np.empty((ne, nloc), dtype=np.int64)
-    points: list[np.ndarray] = []
-    boundary: list[bool] = []
-    nv = elems.shape[1]
-    for e in range(ne):
-        verts = elems[e]
-        for loc, kind in enumerate(ref.node_kind):
-            if kind[0] == "v":
-                key = ("v", int(verts[kind[1]]))
-                on_boundary = verts[kind[1]] in boundary_vertices
-            elif kind[0] == "e":
-                edge, slot = kind[1], kind[2]
-                a, b = int(verts[edge]), int(verts[(edge + 1) % nv])
-                if a > b:
-                    a, b = b, a
-                    slot = (k - 2) - slot
-                key = ("e", a, b, slot)
-                on_boundary = (a, b) in boundary_pairs
-            else:
-                key = ("i", e, kind[1])
-                on_boundary = False
-            if key not in ids:
-                ids[key] = len(points)
-                points.append(phys[e, loc])
-                boundary.append(on_boundary)
-            element_dofs[e, loc] = ids[key]
+    keys = np.empty((ne, nloc), dtype=np.int64)
+    on_boundary = np.zeros((ne, nloc), dtype=bool)
+    keys[:, v] = elems[:, entity[v]]
+    on_boundary[:, v] = on_vertex[keys[:, v]]
+    a, b = elems[:, entity[ed]], elems[:, (entity[ed] + 1) % nv]
+    edge = np.minimum(a, b) * npts + np.maximum(a, b)
+    keys[:, ed] = npts + edge * (k - 1) + np.where(a > b, (k - 2) - slot[ed], slot[ed])
+    on_boundary[:, ed] = np.isin(edge, bnd[:, 0] * npts + bnd[:, 1])
+    keys[:, inner] = npts + npts * npts * (k - 1) + np.arange(ne)[:, None] * nloc + inner
 
-    points_arr = np.array(points)
-    boundary_arr = np.array(boundary, dtype=bool)
+    # number the keys in order of first appearance
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = np.arange(len(order))
+    element_dofs = number[inverse].reshape(ne, nloc)
+    points_arr = phys.reshape(ne * nloc, 2)[first[order]]
+    boundary_arr = on_boundary.ravel()[first[order]]
     if space.bc is BoundaryCondition.ZERO_TRACE:
         keep = ~boundary_arr
         renumber = -np.ones(len(points_arr), dtype=np.int64)
@@ -109,18 +106,3 @@ def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
         dof_points=points_arr,
     )
 
-
-def moved_dof_map(dof: DofMap, mesh: Mesh) -> DofMap:
-    """`dof`'s numbering on `mesh`, which has the connectivity of dof.mesh
-    and possibly moved vertices.
-
-    Every dof keeps its number, and its point is taken from the element
-    where `build_dof_map` first meets it, so the result is
-    build_dof_map(mesh, dof.space) bit for bit.
-    """
-    if mesh is dof.mesh:
-        return dof
-    ref = reference_element(dof.space.family, dof.space.degree)
-    phys, _ = reference_map(mesh.points[mesh.elements], ref.nodes)
-    ids, first = np.unique(dof.element_dofs.ravel(), return_index=True)
-    return replace(dof, mesh=mesh, dof_points=phys.reshape(-1, 2)[first[ids >= 0]])

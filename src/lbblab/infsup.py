@@ -4,12 +4,10 @@ beta_n is the square root of the smallest Schur eigenvalue on the zero-mean
 pressure subspace; with deflation disabled the trivial constant mode shows
 up as sigma_0 = 0 and beta_n is taken from sigma_1 instead.
 
-`compute_betas` solves a sequence of pairings, and successive pairings on
-meshes of one connectivity as one chain: a sweep that moves a few
-vertices (Fig. 3 moves the apex of one quad) builds the dof maps once,
-assembles every point in full, and starts each eigensolve from the
-previous point's eigenvectors.  `compute_beta` is the chain of one
-pairing.
+`compute_betas` solves a sequence of pairings, each built and assembled
+afresh.  A pairing of the same family as the previous one (the same
+spaces, options and connectivity: Fig. 3 moves the apex of one quad)
+starts its eigensolve from the previous point's eigenvectors.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .fem import (
     ElementSpace,
     assemble_system,
     build_dof_map,
-    moved_dof_map,
 )
 from .geometry import Mesh, ParentMap, element_sizes
 from .spectral import (
@@ -122,9 +119,9 @@ class BetaResult:
 
 
 def _same_family(a: PairConfig, b: PairConfig) -> bool:
-    """Whether b may continue a chain that a is in: the same spaces, options
-    and connectivity.  On a shared velocity/pressure mesh vertices may move;
-    nested pairs chain only on the very same meshes and parent map."""
+    """Whether b may warm-start from a: the same spaces, options and
+    connectivity.  On a shared velocity/pressure mesh vertices may move;
+    nested pairs warm-start only on the very same meshes and parent map."""
     if (a.velocity_space, a.pressure_space, a.deflate_constants, a.solver) != (
         b.velocity_space, b.pressure_space, b.deflate_constants, b.solver
     ):
@@ -135,116 +132,82 @@ def _same_family(a: PairConfig, b: PairConfig) -> bool:
     return va.points.shape == vb.points.shape and np.array_equal(va.elements, vb.elements)
 
 
-def _chain_groups(configs):
-    """Maximal runs of successive configs of one family."""
-    groups: list[list[PairConfig]] = []
-    for config in configs:
-        if groups and _same_family(groups[-1][0], config):
-            groups[-1].append(config)
-        else:
-            groups.append([config])
-    return groups
+def _eigs(config: PairConfig, k: int, start=None) -> tuple[GenEigResult, int, DofMap]:
+    """The pairing's k smallest eigenpairs, velocity dof count and pressure
+    dof map.  The ARPACK route starts from `start`, the eigenvectors of a
+    previous point of the same family (`_same_family`), if given."""
+    mesh = config.velocity_mesh
+    dof_v = build_dof_map(mesh, config.velocity_space)
+    dof_p = build_dof_map(config.pressure_mesh or mesh, config.pressure_space)
+    if dof_v.n_global == 0:
+        raise DimensionZeroError("velocity space is empty (all dofs on the boundary)")
+    dim = dof_p.n_global - (1 if config.deflate_constants else 0)
+    if dim < 1:
+        raise DimensionZeroError("pressure space is zero-dimensional after deflation")
+    system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
+    factor = factorize_spd(system.Ahat)
+    n_velocity, Mp, m = system.n_velocity, system.Mp, system.m
+    op = SchurOperator(system.C, factor, system.D, system.E, row_nnz=system.nnz_A / n_velocity)
+    del system  # A and B were never built; this frees the class blocks before the eigensolve
+    result = smallest_generalized_eigs(
+        op,
+        Mp,
+        min(k, dim),
+        deflate=m if config.deflate_constants else None,
+        options=config.solver,
+        start=start,
+    )
+    return result, n_velocity, dof_p
 
 
-class _Chain:
-    """Successive configs of one family (`_same_family`), solved in order.
-
-    The dof maps are built once per chain, from its first config, and
-    rebound to each point's mesh; every point is assembled in full and
-    factors its own Ahat, and the ARPACK route starts from the previous
-    point's eigenvectors (`ritz`, None for a cold start).  A chain of one
-    config is exactly the single-point computation.
-    """
-
-    def __init__(self, first: PairConfig, k: int):
-        self.first, self.k = first, k
-        self.dof_v = self.ritz = None
-
-    def _build(self) -> None:
-        first = self.first
-        dof_v = build_dof_map(first.velocity_mesh, first.velocity_space)
-        pressure_mesh = first.pressure_mesh or first.velocity_mesh
-        self.dof_p = build_dof_map(pressure_mesh, first.pressure_space)
-        if dof_v.n_global == 0:
-            raise DimensionZeroError("velocity space is empty (all dofs on the boundary)")
-        self.dim = self.dof_p.n_global - (1 if first.deflate_constants else 0)
-        if self.dim < 1:
-            raise DimensionZeroError("pressure space is zero-dimensional after deflation")
-        self.dof_v = dof_v
-
-    def eigs(self, config: PairConfig) -> tuple[GenEigResult, int, DofMap]:
-        """The point's eigenpairs, velocity dof count and pressure dof map."""
-        if self.dof_v is None:
-            self._build()
-        mesh = config.velocity_mesh
-        dof_v = moved_dof_map(self.dof_v, mesh)
-        dof_p = moved_dof_map(self.dof_p, config.pressure_mesh or mesh)
-        system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
-        factor = factorize_spd(system.Ahat)
-        n_velocity, Mp, m = system.n_velocity, system.Mp, system.m
-        op = SchurOperator(
-            system.C, factor, system.D, system.E, row_nnz=system.nnz_A / n_velocity
-        )
-        del system  # A and B were never built; this frees the class blocks before the eigensolve
-        result = smallest_generalized_eigs(
-            op,
-            Mp,
-            min(self.k, self.dim),
-            deflate=m if config.deflate_constants else None,
-            options=config.solver,
-            start=self.ritz,
-        )
-        self.ritz = result.vectors
-        return result, n_velocity, dof_p
-
-    def beta(self, config: PairConfig) -> BetaResult:
-        result, n_velocity, dof_p = self.eigs(config)
-        sigmas = result.values
-        if config.deflate_constants:
-            lead, eigenfunction = sigmas[0], result.vectors[:, 0]
-        elif len(sigmas) < 2:
-            raise DimensionZeroError("pressure space has no mode beyond the constants")
-        else:
-            lead, eigenfunction = sigmas[1], result.vectors[:, 1]
-        diam_v, _ = element_sizes(config.velocity_mesh)
-        _, inr_p = element_sizes(config.pressure_mesh or config.velocity_mesh)
-        return BetaResult(
-            beta=float(np.sqrt(max(lead, 0.0))),
-            sigmas=sigmas,
-            eigenfunction=eigenfunction,
-            n_velocity=n_velocity,
-            n_pressure=dof_p.n_global,
-            max_diameter_velocity=diam_v,
-            min_inradius_pressure=inr_p,
-            residual_max=float(result.residuals.max()),
-            method=result.method,
-            config_hash=config.hash(),
-            dof_p=dof_p,
-        )
+def _beta(config: PairConfig, k: int, start=None) -> tuple[BetaResult, np.ndarray]:
+    """The point's BetaResult and eigenvectors; `start` as in `_eigs`."""
+    result, n_velocity, dof_p = _eigs(config, k, start)
+    sigmas = result.values
+    if config.deflate_constants:
+        lead, eigenfunction = sigmas[0], result.vectors[:, 0]
+    elif len(sigmas) < 2:
+        raise DimensionZeroError("pressure space has no mode beyond the constants")
+    else:
+        lead, eigenfunction = sigmas[1], result.vectors[:, 1]
+    diam_v, _ = element_sizes(config.velocity_mesh)
+    _, inr_p = element_sizes(config.pressure_mesh or config.velocity_mesh)
+    return BetaResult(
+        beta=float(np.sqrt(max(lead, 0.0))),
+        sigmas=sigmas,
+        eigenfunction=eigenfunction,
+        n_velocity=n_velocity,
+        n_pressure=dof_p.n_global,
+        max_diameter_velocity=diam_v,
+        min_inradius_pressure=inr_p,
+        residual_max=float(result.residuals.max()),
+        method=result.method,
+        config_hash=config.hash(),
+        dof_p=dof_p,
+    ), result.vectors
 
 
 def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     """beta_n and the k smallest eigenvalues for each config, in order.
 
-    Successive configs that share spaces, options and connectivity (a sweep
-    over one mesh family) form a chain (`_Chain`): the dof maps are built
-    once, every point is assembled in full, and each eigensolve starts from
-    the previous point's.  A point that raises one of `failures` gets the
-    exception in place of its result, and the points after it form a new
-    chain, which starts cold; any other exception propagates.  Without
-    deflation each point is solved as in `compute_beta`.
+    Every point is built and assembled afresh.  A point of the same family
+    as the previous one (the same spaces, options and connectivity, as in a
+    sweep over one mesh family) starts its eigensolve from that point's
+    eigenvectors.  A point that raises one of `failures` gets the exception
+    in place of its result, and the point after it starts cold; any other
+    exception propagates.  Without deflation each point is solved as in
+    `compute_beta`.
     """
-    out = []
-    for group in _chain_groups(configs):
-        chain = None
-        for config in group:
-            if chain is None:
-                chain = _Chain(config, k if config.deflate_constants else max(k, 2))
-            try:
-                out.append(chain.beta(config))
-            except failures as exc:
-                chain = None
-                out.append(exc)
+    out, previous, start = [], None, None
+    for config in configs:
+        if previous is None or not _same_family(previous, config):
+            start = None
+        previous = config
+        try:
+            result, start = _beta(config, k if config.deflate_constants else max(k, 2), start)
+        except failures as exc:
+            result, start = exc, None
+        out.append(result)
     return out
 
 
@@ -252,15 +215,14 @@ def compute_beta(config: PairConfig, k: int = 6) -> BetaResult:
     """Assemble the pairing and return beta_n plus the k smallest eigenvalues.
 
     With deflation (default), beta_n^2 is the smallest returned eigenvalue;
-    without it, sigma_0 = 0 is reported first and beta_n^2 is sigma_1.  The
-    chain of one config of `compute_betas`.
+    without it, sigma_0 = 0 is reported first and beta_n^2 is sigma_1.
     """
     return compute_betas([config], k)[0]
 
 
 def schur_spectrum(config: PairConfig, k: int = 6) -> np.ndarray:
     """The k smallest Schur eigenvalues for the pairing, ascending."""
-    result, _, _ = _Chain(config, k).eigs(config)
+    result, _, _ = _eigs(config, k)
     return result.values
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lbblab.cli import (
+    _doubling_ratios,
     _pair,
     _safe_beta,
     _solver_options,
@@ -176,6 +177,17 @@ def test_polygon_runner_reports_sv_degeneration():
     assert not named["two-sided-bounds"].passed
     assert named["eps-contraction"].passed
     assert plot_polygon_limit(rows) == out.svgs[""]
+
+
+@pytest.mark.parametrize("first", ["nan", "-0.01"])
+def test_doubling_ratio_without_a_lower_value_fails(first):
+    # a failed polygon point (NaN) or a beta above the disk value (negative
+    # gap) leaves its pair without a ratio, which must fail the check
+    gaps = (first, "0.1", "0.05", "0.025")
+    rows = [{"n": str(n), "gap": g} for n, g in zip((8, 16, 32, 64), gaps)]
+    check = _doubling_ratios("gap-contraction", rows, "gap", [0.3, 0.7])
+    assert not check.passed
+    assert check.detail == "ratios nan, 0.500, 0.500"
 
 
 def test_main_end_to_end(tmp_path):

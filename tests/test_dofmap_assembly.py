@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 from scipy import sparse
 
+from lbblab.cli import sv_mesh
 from lbblab.fem import (
     BoundaryCondition,
     Continuity,
@@ -26,6 +27,8 @@ from lbblab.geometry import (
     regular_polygon_mesh,
     sv_split,
 )
+
+from conftest import loop_dof_map
 
 SINGLE_TRI = make_mesh(
     np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), triangles=np.array([[0, 1, 2]])
@@ -110,6 +113,46 @@ def test_element_order_permutation_invariance():
     ).tocsr()
     diff = abs(Pm @ A2 @ Pm.T - A1).max()
     assert diff <= 1e-13 * abs(A1).max()
+
+
+def _permuted_sv_mesh():
+    # relabelled vertices, shuffled elements and rotated local vertex order,
+    # so edges are met from both ends and edge slots are reversed
+    mesh = sv_mesh(4, 1, 8, 2, 0.4, 0.04)
+    rng = np.random.default_rng(5)
+    label = rng.permutation(len(mesh.points))
+    points = np.empty_like(mesh.points)
+    points[label] = mesh.points
+    tris = label[mesh.triangles][rng.permutation(mesh.n_elements)]
+    shift = rng.integers(0, 3, len(tris))
+    tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shift[:, None]) % 3]
+    return make_mesh(points, triangles=tris)
+
+
+NUMBERING_CASES = (
+    [(f"SV24x6-P{n}", lambda: sv_mesh(4, 1, 24, 6, 0.4, 0.04), Family.TRIANGLE, n)
+     for n in range(1, 7)]
+    + [("fan64-P4", lambda: regular_polygon_mesh(64, 1), Family.TRIANGLE, 4)]
+    + [(f"permuted-SV-P{n}", _permuted_sv_mesh, Family.TRIANGLE, n) for n in (2, 3, 5)]
+    + [(f"2x2-Q{n}", lambda: rect_grid(2, 1, 2, 2), Family.QUAD, n) for n in range(1, 17)]
+    + [(f"8x4-refined-Q{n}", lambda: refine_chain(rect_grid(2, 1, 8, 4), 3)[0], Family.QUAD, n)
+       for n in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize(
+    "make, family, degree",
+    [case[1:] for case in NUMBERING_CASES],
+    ids=[case[0] for case in NUMBERING_CASES],
+)
+def test_numbering_is_the_loop_numbering(make, family, degree, bc):
+    mesh = make()
+    space = ElementSpace(family, degree, Continuity.C0, bc)
+    got, want = build_dof_map(mesh, space), loop_dof_map(mesh, space)
+    assert got.n_global == want.n_global
+    for name in ("element_dofs", "dof_points", "is_boundary_dof"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # ---------------------------------------------------------------- stiffness

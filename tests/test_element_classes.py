@@ -19,7 +19,6 @@ from lbblab.fem import (
     assemble_system,
     assembly,
     build_dof_map,
-    moved_dof_map,
 )
 from lbblab.geometry import make_mesh, rect_grid, refine_chain, regular_polygon_mesh
 
@@ -111,25 +110,3 @@ def test_nested_classes_split_by_pressure_map():
     _, map_class, _ = assembly._pressure_maps(dp, fine, pm)
     assert len(assembly._element_classes(fine)[0]) == 1
     assert len(assembly._element_classes(fine, map_class)[0]) == 16
-
-
-# --------------------------------------------- moved dof maps
-
-
-@pytest.mark.parametrize(
-    "space",
-    [
-        ElementSpace(Family.TRIANGLE, 4, Continuity.C0, BoundaryCondition.ZERO_TRACE),
-        ElementSpace(Family.TRIANGLE, 3, Continuity.DISCONTINUOUS, BoundaryCondition.NONE),
-        ElementSpace(Family.TRIANGLE, 2, Continuity.C0, BoundaryCondition.NONE),
-    ],
-    ids=["P4-zero-trace", "P3dc", "P2"],
-)
-def test_moved_dof_map_is_the_fresh_dof_map(space):
-    first, mesh = sv_mesh(4, 1, 4, 1, 0.4, -0.3), sv_mesh(4, 1, 4, 1, 0.4, 0.2)
-    got = moved_dof_map(build_dof_map(first, space), mesh)
-    want = build_dof_map(mesh, space)
-    assert got.mesh is mesh and got.n_global == want.n_global
-    for name in ("element_dofs", "is_boundary_dof", "dof_points"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert moved_dof_map(want, mesh) is want

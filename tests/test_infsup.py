@@ -415,10 +415,10 @@ def test_chain_matches_fresh_points(grid, method, monkeypatch):
     mapped = _spy(monkeypatch, "build_dof_map")
     factored = _spy(monkeypatch, "factorize_spd", (infsup, spectral))
     chained = compute_betas(configs, k=6)
-    # the dof maps are built once per chain; every point is assembled, and
-    # Ahat, and on the ARPACK route the augmented-Lagrangian matrix, are
-    # factored once per point
-    assert (len(assembled), len(mapped)) == (len(configs), 2)
+    # every point builds its two dof maps and is assembled, and Ahat, and on
+    # the ARPACK route the augmented-Lagrangian matrix, are factored once
+    # per point
+    assert (len(assembled), len(mapped)) == (len(configs), 2 * len(configs))
     assert len(factored) == {"dense": 1, "arpack": 2}[method] * len(configs)
     for got, want in zip(chained, fresh):
         assert want.method == method
@@ -435,7 +435,7 @@ def test_dense_chain_points_are_the_fresh_points():
         assert np.array_equal(got.sigmas, want.sigmas)
 
 
-def test_new_connectivity_or_spaces_start_a_new_chain():
+def test_new_connectivity_or_spaces_start_a_new_chain(monkeypatch):
     p3 = ElementSpace(Family.TRIANGLE, 3, Continuity.C0, BoundaryCondition.ZERO_TRACE)
     p2dc = ElementSpace(Family.TRIANGLE, 2, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
     configs = (
@@ -444,16 +444,19 @@ def test_new_connectivity_or_spaces_start_a_new_chain():
         + _sv_chain(4, 1, (0.3,))
         + _sv_chain(4, 1, (0.3,), velocity=p3, pressure=p2dc)
     )
-    groups = infsup._chain_groups(configs)
-    assert [len(g) for g in groups] == [2, 1, 1, 1]
-    for got, config in zip(compute_betas(configs, k=4), configs):
-        _assert_same_point(got, compute_beta(config, k=4))
+    starts = []
+    _failing_at(monkeypatch, None, None, starts)
+    got = compute_betas(configs, k=4)
+    monkeypatch.undo()
+    assert starts == [False, True, False, False, False]
+    for result, config in zip(got, configs):
+        _assert_same_point(result, compute_beta(config, k=4))
 
 
 def _failing_at(monkeypatch, target, exc_type, starts, grid=None):
     """Make the solve of the point at a = target (on `grid` only, if given)
-    raise exc_type; record for every solved point whether it started from
-    Ritz vectors."""
+    raise exc_type, or fail nothing if exc_type is None; record for every
+    solved point whether it started from Ritz vectors."""
     from lbblab import cli
 
     if exc_type is MeshError:
@@ -469,7 +472,7 @@ def _failing_at(monkeypatch, target, exc_type, starts, grid=None):
 
     def eigs(op, Mp, k, deflate=None, options=None, start=None):
         starts.append(start is not None)
-        if exc_type is not MeshError and len(starts) == 3:
+        if exc_type not in (None, MeshError) and len(starts) == 3:
             raise exc_type("injected")
         return real_eigs(op, Mp, k, deflate=deflate, options=options, start=start)
 
