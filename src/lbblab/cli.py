@@ -154,9 +154,7 @@ def _domain_mesh(cfg: dict) -> Mesh:
             )
         else:
             mesh = rect_grid(dom["width"], dom["height"], disc["nx"], disc["ny"])
-        for _ in range(int(disc.get("refine", 0))):
-            mesh, _pm = refine_chain(mesh, 1)
-        return mesh
+        return refine_chain(mesh, int(disc.get("refine", 0)))[0]
     if kind == "polygon":
         return regular_polygon_mesh(int(dom["n"]), int(cfg.get("mesh", {}).get("refine", 0)))
     if kind == "mesh-file":
@@ -266,13 +264,18 @@ def _usc_all_rows(rows: list[dict], cfg: dict) -> CheckResult:
     """Upper semicontinuity on every unflagged row: beta <= beta_ref + slack."""
     beta_ref = cfg["beta_ref"]
     slack = float(cfg.get("slack", 0.005))
-    betas = [float(r["beta"]) for r in rows if r["flagged"] == "0"]
-    worst = max(betas) if betas else float("nan")
+    worst = _nan_max([float(r["beta"]) for r in rows if r["flagged"] == "0"])
     return CheckResult(
         "usc-all-rows",
-        bool(betas) and worst <= float(beta_ref) + slack,
+        worst <= float(beta_ref) + slack,
         f"max beta={worst:.6g} <= {beta_ref} + {slack}",
     )
+
+
+def _nan_max(values: list[float]) -> float:
+    """Largest value; NaN if any value is NaN or there are none, so a check
+    of it against a bound fails."""
+    return float(np.max(values)) if values else float("nan")
 
 
 def _doubling_ratios(name: str, rows: list[dict], column: str, window) -> CheckResult:
@@ -465,20 +468,18 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
 
     checks = [_usc_all_rows(parsed, cfg)] if beta_ref is not None else []
     if any(abs(a) < 1e-12 for a in a_values):
-        z = [
+        z = _nan_max([
             float(r["beta"])
             for r in parsed
             if abs(float(r["a"])) < 1e-12 and r["flagged"] == "0"
-        ]
+        ])
         checks.append(
             CheckResult(
-                "singular-point",
-                bool(z) and max(z) <= zero_max,
-                f"beta(a=0) max={max(z) if z else float('nan'):.3g} <= {zero_max:g}",
+                "singular-point", z <= zero_max, f"beta(a=0) max={z:.3g} <= {zero_max:g}"
             )
         )
     if slope_rows:
-        rel_max = float(np.max([float(r[4]) for r in slope_rows]))  # NaN if any is NaN
+        rel_max = _nan_max([float(r[4]) for r in slope_rows])
         checks.append(
             CheckResult(
                 "linear-near-zero",
@@ -669,6 +670,8 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     pcont = cfg.get("pressure_continuity", "dc")
     grids = [tuple(g) for g in cfg["pressure_grids"]]
     rule = cfg.get("refine_velocity", {"mode": "fixed", "r": 1})
+    if rule["mode"] not in ("fixed", "growing"):
+        raise ValueError(f"unknown refine_velocity mode {rule['mode']!r}")
     k = int(cfg.get("k", 6))
     beta_ref = cfg.get("beta_ref")
 

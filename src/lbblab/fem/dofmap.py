@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import Mesh, reference_map
+from ..geometry import Mesh, first_appearance, reference_map
 from .elements import BoundaryCondition, Continuity, ElementSpace, Family, reference_element
 
 
@@ -59,37 +59,29 @@ def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
         )
 
     # one int64 key per (element, local node): the vertex id; npts +
-    # edge * (k - 1) + slot for edge nodes, the edge keyed min * npts + max
-    # and the slot counted from its lower-index vertex; a unique key for
-    # interior nodes
+    # edge * (k - 1) + slot for edge nodes, the slot counted from the edge's
+    # lower-index vertex; a unique key for interior nodes
     kind = np.array([c[0] for c in ref.node_kind])
     v, ed, inner = (np.flatnonzero(kind == c) for c in "vei")
     entity = np.array([c[1] for c in ref.node_kind])
     slot = np.array([c[2] if c[0] == "e" else 0 for c in ref.node_kind])
     npts, nv = len(mesh.points), elems.shape[1]
-    elems = elems.astype(np.int64)
     on_vertex = np.zeros(npts, dtype=bool)
     on_vertex[mesh.boundary_edges[:, :2]] = True
-    bnd = np.sort(mesh.boundary_edges[:, :2].astype(np.int64), axis=1)
 
     keys = np.empty((ne, nloc), dtype=np.int64)
     on_boundary = np.zeros((ne, nloc), dtype=bool)
     keys[:, v] = elems[:, entity[v]]
     on_boundary[:, v] = on_vertex[keys[:, v]]
     a, b = elems[:, entity[ed]], elems[:, (entity[ed] + 1) % nv]
-    edge = np.minimum(a, b) * npts + np.maximum(a, b)
+    edge = mesh.element_edges[:, entity[ed]]
     keys[:, ed] = npts + edge * (k - 1) + np.where(a > b, (k - 2) - slot[ed], slot[ed])
-    on_boundary[:, ed] = np.isin(edge, bnd[:, 0] * npts + bnd[:, 1])
-    keys[:, inner] = npts + npts * npts * (k - 1) + np.arange(ne)[:, None] * nloc + inner
+    on_boundary[:, ed] = mesh.on_boundary[edge]
+    keys[:, inner] = npts + len(mesh.on_boundary) * (k - 1) + np.arange(ne)[:, None] * nloc + inner
 
-    # number the keys in order of first appearance
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty(len(order), dtype=np.int64)
-    number[order] = np.arange(len(order))
-    element_dofs = number[inverse].reshape(ne, nloc)
-    points_arr = phys.reshape(ne * nloc, 2)[first[order]]
-    boundary_arr = on_boundary.ravel()[first[order]]
+    element_dofs, first = first_appearance(keys)
+    points_arr = phys.reshape(ne * nloc, 2)[first]
+    boundary_arr = on_boundary.ravel()[first]
     if space.bc is BoundaryCondition.ZERO_TRACE:
         keep = ~boundary_arr
         renumber = -np.ones(len(points_arr), dtype=np.int64)

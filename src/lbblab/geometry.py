@@ -13,6 +13,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 log = logging.getLogger(__name__)
 
@@ -22,6 +24,7 @@ __all__ = [
     "ParentMap",
     "SvSplitParams",
     "element_sizes",
+    "first_appearance",
     "load_mesh",
     "make_mesh",
     "rect_grid",
@@ -47,15 +50,22 @@ class Mesh:
     triangles : (nt, 3) int array, counterclockwise (empty for quad meshes)
     quads : (nq, 4) int array, counterclockwise (empty for triangle meshes)
     boundary_edges : (nb, 3) int array of (vertex_a, vertex_b, element)
+    element_edges : (ne, k) int array, the edge of each element side (side j
+        joins local vertices j and j + 1), edges numbered in the order of
+        the key min * n + max of their vertex pair
+    on_boundary : (n_edges,) bool array, whether an edge has only one side
     """
 
     points: np.ndarray
     triangles: np.ndarray
     quads: np.ndarray
     boundary_edges: np.ndarray
+    element_edges: np.ndarray = field(repr=False)
+    on_boundary: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.points, self.triangles, self.quads, self.boundary_edges):
+        for a in (self.points, self.triangles, self.quads, self.boundary_edges,
+                  self.element_edges, self.on_boundary):
             a.setflags(write=False)
 
     @property
@@ -133,15 +143,18 @@ def _map_dets(p: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
     return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
 
-def _element_edges(elems: np.ndarray):
-    """Directed edges (a, b, element) walked counterclockwise."""
-    k = elems.shape[1]
-    out = []
-    for loc in range(k):
-        a = elems[:, loc]
-        b = elems[:, (loc + 1) % k]
-        out.append(np.stack([a, b, np.arange(len(elems))], axis=1))
-    return np.concatenate(out, axis=0)
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number equal keys alike, in the order in which they first appear.
+
+    Returns (number, first): number has the shape of keys and holds the
+    number of each key; first[m] is the flat index of the first key
+    numbered m.
+    """
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = np.arange(len(order))
+    return number[inverse].reshape(keys.shape), first[order]
 
 
 def _check_positive(points: np.ndarray, elems: np.ndarray, repair: bool):
@@ -187,41 +200,32 @@ def make_mesh(points, triangles=None, quads=None, repair_orientation=True) -> Me
     if flipped:
         log.warning("re-oriented %d element(s) to counterclockwise", flipped)
 
-    edges = _element_edges(elems)
-    key = np.minimum(edges[:, 0], edges[:, 1]) * len(points) + np.maximum(
-        edges[:, 0], edges[:, 1]
+    # side j of an element runs from its vertex j to vertex j + 1; an edge
+    # is keyed by its sorted vertex pair
+    a, b = elems, np.roll(elems, -1, axis=1)
+    key = np.minimum(a, b) * len(points) + np.maximum(a, b)
+    _, first, edge, count = np.unique(
+        key.ravel(), return_index=True, return_inverse=True, return_counts=True
     )
-    order = np.argsort(key, kind="stable")
-    key_s = key[order]
-    _, first_idx, cnt = np.unique(key_s, return_index=True, return_counts=True)
-    if cnt.max(initial=0) > 2:
+    if count.max(initial=0) > 2:
         raise MeshError("non-manifold edge shared by more than two elements")
     # interior edges must appear once in each direction (orientation consistency)
-    boundary_rows = []
-    for i0, c in zip(first_idx, cnt):
-        rows = edges[order[i0 : i0 + c]]
-        if c == 2:
-            if rows[0, 0] != rows[1, 1] or rows[0, 1] != rows[1, 0]:
-                raise MeshError("inconsistent orientation across a shared edge")
-        else:
-            boundary_rows.append(rows[0])
-    boundary = (
-        np.array(boundary_rows, dtype=np.int64)
-        if boundary_rows
-        else np.empty((0, 3), dtype=np.int64)
-    )
+    direction = np.where(a < b, 1, -1).ravel()
+    if np.bincount(edge, weights=direction)[count == 2].any():
+        raise MeshError("inconsistent orientation across a shared edge")
+    side = first[count == 1]
+    boundary = np.stack([a.ravel()[side], b.ravel()[side], side // elems.shape[1]], axis=1)
     # closed loops: every boundary vertex appears once as source, once as target
-    if len(boundary):
-        src = np.sort(boundary[:, 0])
-        dst = np.sort(boundary[:, 1])
-        if not np.array_equal(src, dst):
-            raise MeshError("boundary edges do not form closed loops")
+    if not np.array_equal(np.sort(boundary[:, 0]), np.sort(boundary[:, 1])):
+        raise MeshError("boundary edges do not form closed loops")
 
     return Mesh(
         points=points,
         triangles=elems if have_t else np.empty((0, 3), dtype=np.int64),
         quads=elems if have_q else np.empty((0, 4), dtype=np.int64),
         boundary_edges=boundary,
+        element_edges=edge.reshape(elems.shape),
+        on_boundary=count == 1,
     )
 
 
@@ -305,81 +309,36 @@ def sv_split(quad_mesh: Mesh, params: SvSplitParams) -> Mesh:
     return make_mesh(points, triangles=tris, repair_orientation=False)
 
 
-def _incident_fan(mesh: Mesh, node: int):
-    """Ordered fan of triangles around a node.
+def regularity_index(mesh: Mesh, node: int) -> float:
+    """Max over incident-triangle pairs sharing an edge of |theta_i + theta_j - pi|.
 
-    Returns (angles, closed): apex angles of the incident triangles ordered
-    so consecutive ones share an edge, and whether the fan closes around the
-    node (interior) or is an open chain (boundary).
+    Zero iff the node is singular (incident edges lie on two straight
+    lines).  theta is a triangle's angle at the node; the pairs are those
+    of the fan around the node, cyclic for an interior node and an open
+    chain for a boundary node.
     """
     if mesh.is_quad:
         raise MeshError("regularity index is defined on triangle meshes")
-    tris = mesh.triangles
-    inc = np.nonzero((tris == node).any(axis=1))[0]
+    inc = np.nonzero((mesh.triangles == node).any(axis=1))[0]
     if len(inc) < 2:
         raise MeshError("node has fewer than 2 incident triangles")
-    # neighbour vertices per incident triangle
-    pairs = {}
-    for e in inc:
-        vs = [v for v in tris[e] if v != node]
-        pairs[e] = tuple(vs)
-    # adjacency between incident triangles via shared (node, v) edges
-    by_vertex: dict[int, list[int]] = {}
-    for e, (a, b) in pairs.items():
-        by_vertex.setdefault(a, []).append(e)
-        by_vertex.setdefault(b, []).append(e)
-    if any(len(v) > 2 for v in by_vertex.values()):
-        raise MeshError("non-manifold fan around node")
-    # start from an open end if one exists
-    start = None
-    for v, es in by_vertex.items():
-        if len(es) == 1:
-            start = es[0]
-            break
-    closed = start is None
-    if start is None:
-        start = inc[0]
-    order = [start]
-    seen = {start}
-    cur = start
-    while len(order) < len(inc):
-        nxt = None
-        for v in pairs[cur]:
-            for e in by_vertex[v]:
-                if e not in seen:
-                    nxt = e
-                    break
-            if nxt is not None:
-                break
-        if nxt is None:
-            raise MeshError("incident triangles are not orderable into a fan")
-        order.append(nxt)
-        seen.add(nxt)
-        cur = nxt
-    angles = []
-    p0 = mesh.points[node]
-    for e in order:
-        a, b = pairs[e]
-        va = mesh.points[a] - p0
-        vb = mesh.points[b] - p0
-        cosang = np.dot(va, vb) / (np.linalg.norm(va) * np.linalg.norm(vb))
-        angles.append(float(np.arccos(np.clip(cosang, -1.0, 1.0))))
-    return np.array(angles), closed
-
-
-def regularity_index(mesh: Mesh, node: int) -> float:
-    """Max over consecutive incident-triangle pairs of |theta_j + theta_{j+1} - pi|.
-
-    Zero iff the node is singular (incident edges lie on two straight
-    lines).  For interior nodes the fan is cyclic and the wrap-around pair
-    is included; for boundary nodes the chain is open.
-    """
-    angles, closed = _incident_fan(mesh, node)
-    n = len(angles)
-    pairs = [(j, j + 1) for j in range(n - 1)]
-    if closed:
-        pairs.append((n - 1, 0))
-    return max(abs(angles[i] + angles[j] - np.pi) for i, j in pairs)
+    tris, rows = mesh.triangles[inc], np.arange(len(inc))
+    at = np.argmax(tris == node, axis=1)
+    # the two sides through the node: the one leaving it and the one entering it
+    sides = mesh.element_edges[inc[:, None], np.stack([at, (at + 2) % 3], axis=1)].ravel()
+    order = np.argsort(sides, kind="stable")
+    shared = np.flatnonzero(sides[order][1:] == sides[order][:-1])
+    i, j = order[shared] // 2, order[shared + 1] // 2
+    fan = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(len(inc), len(inc)))
+    if connected_components(fan, directed=False)[0] > 1:
+        raise MeshError("incident triangles are not orderable into a fan")
+    va = mesh.points[tris[rows, (at + 1) % 3]] - mesh.points[node]
+    vb = mesh.points[tris[rows, (at + 2) % 3]] - mesh.points[node]
+    cos = np.einsum("ij,ij->i", va, vb) / (
+        np.linalg.norm(va, axis=1) * np.linalg.norm(vb, axis=1)
+    )
+    theta = np.arccos(np.clip(cos, -1.0, 1.0))
+    return float(np.abs(theta[i] + theta[j] - np.pi).max())
 
 
 def regular_polygon_mesh(n: int, refinement_levels: int = 0) -> Mesh:
@@ -394,24 +353,26 @@ def regular_polygon_mesh(n: int, refinement_levels: int = 0) -> Mesh:
     tris = np.array(
         [[0, 1 + k, 1 + (k + 1) % n] for k in range(n)], dtype=np.int64
     )
-    mesh = make_mesh(points, triangles=tris, repair_orientation=False)
-    for _ in range(refinement_levels):
-        mesh, _pm = refine_uniform(mesh)
-    return mesh
+    return refine_chain(make_mesh(points, triangles=tris, repair_orientation=False),
+                        refinement_levels)[0]
 
 
-# affine maps child-reference -> parent-reference for the four sub-cells
-_TRI_SUBCELL_MAT = np.array(
-    [
-        [[0.5, 0.0], [0.0, 0.5]],
-        [[0.5, 0.0], [0.0, 0.5]],
-        [[0.5, 0.0], [0.0, 0.5]],
-        [[0.0, -0.5], [0.5, 0.5]],
-    ]
-)
-_TRI_SUBCELL_OFF = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.0]])
-_QUAD_SUBCELL_MAT = np.array([[[0.5, 0.0], [0.0, 0.5]]] * 4)
-_QUAD_SUBCELL_OFF = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+# per vertex count, the four sub-cells of uniform refinement: their
+# vertices as local indices (the element's vertices 0..k-1, then the
+# midpoints of its sides k..2k-1, then a quad's centre 2k), and the affine
+# maps child-reference -> parent-reference
+_SUBCELLS = {
+    3: (
+        np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]),
+        np.array([[[0.5, 0.0], [0.0, 0.5]]] * 3 + [[[0.0, -0.5], [0.5, 0.5]]]),
+        np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.0]]),
+    ),
+    4: (
+        np.array([[0, 4, 8, 7], [4, 1, 5, 8], [8, 5, 2, 6], [7, 8, 6, 3]]),
+        np.array([[[0.5, 0.0], [0.0, 0.5]]] * 4),
+        np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -442,48 +403,34 @@ class ParentMap:
 
 def refine_uniform(mesh: Mesh) -> tuple[Mesh, ParentMap]:
     """Split each triangle into 4 by edge midpoints, each quad into 4 by
-    edge midpoints and center.  Returns the refined mesh and the parent map."""
-    pts = list(mesh.points)
-    midpoint: dict[tuple[int, int], int] = {}
+    edge midpoints and center.  Returns the refined mesh and the parent map.
 
-    def mid(a: int, b: int) -> int:
-        k = (min(a, b), max(a, b))
-        if k not in midpoint:
-            midpoint[k] = len(pts)
-            pts.append(0.5 * (mesh.points[a] + mesh.points[b]))
-        return midpoint[k]
-
-    children = []
+    New points are numbered in order of first appearance, element by
+    element: the midpoints of its sides, then a quad's centre.
+    """
+    pts, elems = mesh.points, mesh.elements
+    ne, k = elems.shape
+    p = pts[elems]
+    keys, new = mesh.element_edges, 0.5 * (p + np.roll(p, -1, axis=1))
     if mesh.is_quad:
-        for a, b, c, d in mesh.quads:
-            mab, mbc, mcd, mda = mid(a, b), mid(b, c), mid(c, d), mid(d, a)
-            ctr = len(pts)
-            pts.append(0.25 * (mesh.points[a] + mesh.points[b] + mesh.points[c] + mesh.points[d]))
-            children += [
-                [a, mab, ctr, mda],
-                [mab, b, mbc, ctr],
-                [ctr, mbc, c, mcd],
-                [mda, ctr, mcd, d],
-            ]
-        mat, off = _QUAD_SUBCELL_MAT, _QUAD_SUBCELL_OFF
-        refined = make_mesh(np.array(pts), quads=np.array(children, dtype=np.int64),
-                            repair_orientation=False)
-    else:
-        for a, b, c in mesh.triangles:
-            mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-            children += [
-                [a, mab, mca],
-                [mab, b, mbc],
-                [mca, mbc, c],
-                [mab, mbc, mca],
-            ]
-        mat, off = _TRI_SUBCELL_MAT, _TRI_SUBCELL_OFF
-        refined = make_mesh(np.array(pts), triangles=np.array(children, dtype=np.int64),
-                            repair_orientation=False)
+        # one key per centre, past the edge keys; summed in vertex order
+        centre = 0.25 * (p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3])
+        keys = np.column_stack([keys, len(mesh.on_boundary) + np.arange(ne)])
+        new = np.concatenate([new, centre[:, None]], axis=1)
+    number, first = first_appearance(keys)
+    local = np.concatenate([elems, len(pts) + number], axis=1)
+    table, mat, off = _SUBCELLS[k]
+    children = local[:, table].reshape(-1, k)
+    refined = make_mesh(
+        np.concatenate([pts, new.reshape(-1, 2)[first]]),
+        triangles=None if mesh.is_quad else children,
+        quads=children if mesh.is_quad else None,
+        repair_orientation=False,
+    )
     # children come four per parent, in sub-cell order
-    sub = np.tile(np.arange(4), mesh.n_elements)
+    sub = np.tile(np.arange(4), ne)
     pm = ParentMap(
-        parent=np.repeat(np.arange(mesh.n_elements, dtype=np.int64), 4),
+        parent=np.repeat(np.arange(ne, dtype=np.int64), 4),
         matrix=mat[sub],
         offset=off[sub],
     )
@@ -492,6 +439,8 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, ParentMap]:
 
 def refine_chain(mesh: Mesh, levels: int) -> tuple[Mesh, ParentMap | None]:
     """Refine `levels` times, composing parent maps back to the input mesh."""
+    if levels < 0:
+        raise MeshError("refinement depth must be nonnegative")
     if levels == 0:
         return mesh, None
     out, pm = refine_uniform(mesh)

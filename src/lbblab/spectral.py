@@ -311,7 +311,7 @@ def _finish(op, Mp, vectors, method: str, tol: float) -> GenEigResult:
     for j, (sig, q) in enumerate(zip(vals, vecs.T)):
         r = applied[order[j]] - sig * (Mp @ q)
         res[j] = np.linalg.norm(r) / max(float(np.sqrt(q @ (Mp @ q))), 1e-300)
-    if (res > tol).any():
+    if not (res <= tol).all():  # a NaN residual fails too
         raise EigenSolverError(
             f"{method} eigen residuals {res.max():.3e} exceed tolerance {tol:.1e}"
         )

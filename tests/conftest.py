@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from lbblab.cli import sv_mesh
 from lbblab.fem import (
     BoundaryCondition,
     Continuity,
@@ -9,6 +10,13 @@ from lbblab.fem import (
     Family,
     assemble_system,
     build_dof_map,
+)
+from lbblab.geometry import (
+    MeshError,
+    ParentMap,
+    make_mesh,
+    rect_grid,
+    regular_polygon_mesh,
 )
 
 
@@ -131,3 +139,147 @@ def sv_unit_square():
     from lbblab.geometry import SvSplitParams, rect_grid, sv_split
 
     return sv_split(rect_grid(1, 1, 1, 1), SvSplitParams(b=0.25))
+
+
+def loop_refine_uniform(mesh):
+    """`refine_uniform` as a loop over elements that numbers each new
+    midpoint through a dict keyed by the sorted vertex pair: the reference
+    that the vectorized refinement must reproduce bit for bit."""
+    pts = list(mesh.points)
+    midpoint: dict[tuple[int, int], int] = {}
+
+    def mid(a: int, b: int) -> int:
+        k = (min(a, b), max(a, b))
+        if k not in midpoint:
+            midpoint[k] = len(pts)
+            pts.append(0.5 * (mesh.points[a] + mesh.points[b]))
+        return midpoint[k]
+
+    children = []
+    if mesh.is_quad:
+        for a, b, c, d in mesh.quads:
+            mab, mbc, mcd, mda = mid(a, b), mid(b, c), mid(c, d), mid(d, a)
+            ctr = len(pts)
+            pts.append(0.25 * (mesh.points[a] + mesh.points[b] + mesh.points[c] + mesh.points[d]))
+            children += [
+                [a, mab, ctr, mda],
+                [mab, b, mbc, ctr],
+                [ctr, mbc, c, mcd],
+                [mda, ctr, mcd, d],
+            ]
+        mat = np.array([[[0.5, 0.0], [0.0, 0.5]]] * 4)
+        off = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+        refined = make_mesh(np.array(pts), quads=np.array(children, dtype=np.int64),
+                            repair_orientation=False)
+    else:
+        for a, b, c in mesh.triangles:
+            mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+            children += [
+                [a, mab, mca],
+                [mab, b, mbc],
+                [mca, mbc, c],
+                [mab, mbc, mca],
+            ]
+        mat = np.array(
+            [
+                [[0.5, 0.0], [0.0, 0.5]],
+                [[0.5, 0.0], [0.0, 0.5]],
+                [[0.5, 0.0], [0.0, 0.5]],
+                [[0.0, -0.5], [0.5, 0.5]],
+            ]
+        )
+        off = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.0]])
+        refined = make_mesh(np.array(pts), triangles=np.array(children, dtype=np.int64),
+                            repair_orientation=False)
+    sub = np.tile(np.arange(4), mesh.n_elements)
+    pm = ParentMap(
+        parent=np.repeat(np.arange(mesh.n_elements, dtype=np.int64), 4),
+        matrix=mat[sub],
+        offset=off[sub],
+    )
+    return refined, pm
+
+
+def fan_angles(mesh, node):
+    """Ordered fan of triangles around a node, walked from neighbour to
+    neighbour.
+
+    Returns (angles, closed): the angles at the node of the incident
+    triangles, ordered so consecutive ones share an edge, and whether the
+    fan closes around the node (interior) or is an open chain (boundary).
+    """
+    if mesh.is_quad:
+        raise MeshError("regularity index is defined on triangle meshes")
+    tris = mesh.triangles
+    inc = np.nonzero((tris == node).any(axis=1))[0]
+    if len(inc) < 2:
+        raise MeshError("node has fewer than 2 incident triangles")
+    pairs = {e: tuple(v for v in tris[e] if v != node) for e in inc}
+    by_vertex: dict[int, list[int]] = {}
+    for e, (a, b) in pairs.items():
+        by_vertex.setdefault(a, []).append(e)
+        by_vertex.setdefault(b, []).append(e)
+    if any(len(v) > 2 for v in by_vertex.values()):
+        raise MeshError("non-manifold fan around node")
+    # start from an open end if one exists
+    start = next((es[0] for es in by_vertex.values() if len(es) == 1), None)
+    closed = start is None
+    if start is None:
+        start = inc[0]
+    order, seen, cur = [start], {start}, start
+    while len(order) < len(inc):
+        nxt = next((e for v in pairs[cur] for e in by_vertex[v] if e not in seen), None)
+        if nxt is None:
+            raise MeshError("incident triangles are not orderable into a fan")
+        order.append(nxt)
+        seen.add(nxt)
+        cur = nxt
+    angles = []
+    p0 = mesh.points[node]
+    for e in order:
+        a, b = pairs[e]
+        va = mesh.points[a] - p0
+        vb = mesh.points[b] - p0
+        cosang = np.dot(va, vb) / (np.linalg.norm(va) * np.linalg.norm(vb))
+        angles.append(float(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    return np.array(angles), closed
+
+
+def fan_regularity_index(mesh, node):
+    """The regularity index over consecutive triangles of the ordered fan
+    (`fan_angles`), the wrap-around pair included for a closed fan: the
+    reference for `regularity_index`."""
+    angles, closed = fan_angles(mesh, node)
+    n = len(angles)
+    pairs = [(j, j + 1) for j in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+    return max(abs(angles[i] + angles[j] - np.pi) for i, j in pairs)
+
+
+def permuted_sv_mesh():
+    """An SV mesh with relabelled vertices, shuffled elements and rotated
+    local vertex order, so edges are met from both ends and edge slots are
+    reversed."""
+    mesh = sv_mesh(4, 1, 8, 2, 0.4, 0.04)
+    rng = np.random.default_rng(5)
+    label = rng.permutation(len(mesh.points))
+    points = np.empty_like(mesh.points)
+    points[label] = mesh.points
+    tris = label[mesh.triangles][rng.permutation(mesh.n_elements)]
+    shift = rng.integers(0, 3, len(tris))
+    tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shift[:, None]) % 3]
+    return make_mesh(points, triangles=tris)
+
+
+# meshes whose edges are met in many orders, as (id, coarse mesh factory,
+# refinement depth): a grid, SV splits with a special quad, polygon fans and
+# a relabelled, shuffled and rotated SV mesh
+_TURN = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+EDGE_MESHES = [
+    ("8x4", lambda: rect_grid(2, 1, 8, 4), 3),
+    ("SV24x6", lambda: sv_mesh(4, 1, 24, 6, 0.4, 0.04), 1),
+    ("SV6x2", lambda: sv_mesh(4, 1, 6, 2, 0.4, 0.1), 2),
+    ("fan5", lambda: regular_polygon_mesh(5), 1),
+    ("fan64", lambda: regular_polygon_mesh(64), 1),
+    ("fan16", lambda: regular_polygon_mesh(16), 3),
+    ("permuted-SV", lambda: permuted_sv_mesh().transformed(_TURN, (0.3, -0.2)), 1),
+]

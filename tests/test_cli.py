@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from lbblab.cli import (
     _pair,
     _safe_beta,
     _solver_options,
+    _usc_all_rows,
     main,
     plot_perturb_rate,
     plot_polygon_limit,
@@ -106,6 +108,37 @@ def test_svg_regenerates_from_csv_alone():
     out = run_sv_sweep(SV_CFG)
     again = plot_sv_sweep(_rows(out.csv))
     assert again == out.svgs[""]
+
+
+@pytest.mark.parametrize("betas", [["0.1", "nan"], ["nan", "0.1"]], ids=["nan-last", "nan-first"])
+def test_usc_check_fails_on_a_nan_beta(betas):
+    rows = [{"beta": beta, "flagged": "0"} for beta in betas]
+    check = _usc_all_rows(rows, {"beta_ref": 0.2})
+    assert not check.passed
+    assert check.detail == "max beta=nan <= 0.2 + 0.005"
+
+
+@pytest.mark.parametrize("nan_grid", [(4, 1), (8, 2)], ids=["nan-first", "nan-last"])
+def test_singular_point_check_fails_on_a_nan_beta(nan_grid, monkeypatch):
+    # an unflagged NaN beta at a = 0 fails the check wherever its grid sits
+    from lbblab import cli
+
+    real = cli._safe_betas
+
+    def safe_betas(configs, k):
+        results = real(configs, k)
+        mesh = configs[0].velocity_mesh
+        if len(mesh.triangles) == 4 * nan_grid[0] * nan_grid[1]:
+            results = [dataclasses.replace(res, beta=math.nan) for res in results]
+        return results
+
+    monkeypatch.setattr(cli, "_safe_betas", safe_betas)
+    cfg = dict(SV_CFG, grids=[[4, 1], [8, 2]], a_start=0.0, a_stop=0.0, beta_ref=None)
+    out = run_sv_sweep(cfg)
+    assert [r["beta"] for r in _rows(out.csv)].count("nan") == 1
+    (check,) = [c for c in out.checks if c.name == "singular-point"]
+    assert not check.passed
+    assert check.detail == "beta(a=0) max=nan <= 1e-06"
 
 
 def test_p_sweep_runner():
@@ -304,6 +337,42 @@ def test_spectrum_runner(tmp_path):
     assert (tmp_path / "spec_intervals.csv").exists()
     sig = [float(r["sigma"]) for r in rows]
     assert sig == sorted(sig)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [{"mode": "fixed", "r": -1}, {"mode": "growing", "start": -1}, {"mode": "growing", "step": -2},
+     {"mode": "grow", "r": 1}],
+    ids=["negative-r", "negative-start", "negative-step", "unknown-mode"],
+)
+def test_h_refinement_rejects_a_bad_refinement_rule(rule, tmp_path, capsys):
+    cfg = {
+        "kind": "h-refinement", "width": 2, "height": 1, "velocity_degree": 2,
+        "pressure_degree": 1, "pressure_grids": [[2, 1], [4, 2]], "refine_velocity": rule,
+        "k": 2,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "h")]) == 1
+    assert not (tmp_path / "h.csv").exists()
+    err = capsys.readouterr().err
+    assert ("unknown refine_velocity mode 'grow'" if rule["mode"] == "grow"
+            else "refinement depth must be nonnegative") in err
+
+
+@pytest.mark.parametrize(
+    "domain, mesh",
+    [({"type": "rectangle", "width": 1, "height": 1}, {"nx": 1, "ny": 1, "refine": -1}),
+     ({"type": "polygon", "n": 5}, {"refine": -1})],
+    ids=["rectangle", "polygon"],
+)
+def test_negative_mesh_refinement_is_rejected(domain, mesh, tmp_path, capsys):
+    cfg = {"kind": "single-beta", "domain": domain, "mesh": mesh,
+           "elements": {"velocity_degree": 2, "pressure_degree": 1}, "k": 2}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["beta", "--config", str(p), "--out", str(tmp_path / "b")]) == 1
+    assert "refinement depth must be nonnegative" in capsys.readouterr().err
 
 
 def test_h_refinement_runner(tmp_path):

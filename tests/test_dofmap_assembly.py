@@ -28,7 +28,7 @@ from lbblab.geometry import (
     sv_split,
 )
 
-from conftest import loop_dof_map
+from conftest import EDGE_MESHES, loop_dof_map, permuted_sv_mesh
 
 SINGLE_TRI = make_mesh(
     np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), triangles=np.array([[0, 1, 2]])
@@ -115,28 +115,23 @@ def test_element_order_permutation_invariance():
     assert diff <= 1e-13 * abs(A1).max()
 
 
-def _permuted_sv_mesh():
-    # relabelled vertices, shuffled elements and rotated local vertex order,
-    # so edges are met from both ends and edge slots are reversed
-    mesh = sv_mesh(4, 1, 8, 2, 0.4, 0.04)
-    rng = np.random.default_rng(5)
-    label = rng.permutation(len(mesh.points))
-    points = np.empty_like(mesh.points)
-    points[label] = mesh.points
-    tris = label[mesh.triangles][rng.permutation(mesh.n_elements)]
-    shift = rng.integers(0, 3, len(tris))
-    tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shift[:, None]) % 3]
-    return make_mesh(points, triangles=tris)
-
-
 NUMBERING_CASES = (
     [(f"SV24x6-P{n}", lambda: sv_mesh(4, 1, 24, 6, 0.4, 0.04), Family.TRIANGLE, n)
      for n in range(1, 7)]
     + [("fan64-P4", lambda: regular_polygon_mesh(64, 1), Family.TRIANGLE, 4)]
-    + [(f"permuted-SV-P{n}", _permuted_sv_mesh, Family.TRIANGLE, n) for n in (2, 3, 5)]
+    + [(f"permuted-SV-P{n}", permuted_sv_mesh, Family.TRIANGLE, n) for n in (2, 3, 5)]
     + [(f"2x2-Q{n}", lambda: rect_grid(2, 1, 2, 2), Family.QUAD, n) for n in range(1, 17)]
     + [(f"8x4-refined-Q{n}", lambda: refine_chain(rect_grid(2, 1, 8, 4), 3)[0], Family.QUAD, n)
        for n in (2, 3)]
+    + [
+        (f"edges-{name}-r{r}-{'Q' if quad else 'P'}{n}",
+         lambda make=make, r=r: refine_chain(make(), r)[0],
+         Family.QUAD if quad else Family.TRIANGLE, n)
+        for name, make, depth in EDGE_MESHES
+        for quad in [make().is_quad]
+        for r in (0, depth)
+        for n in (1, 2, 4)
+    ]
 )
 
 

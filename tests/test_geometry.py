@@ -7,6 +7,7 @@ from lbblab.geometry import (
     MeshError,
     SvSplitParams,
     element_sizes,
+    first_appearance,
     load_mesh,
     make_mesh,
     rect_grid,
@@ -18,7 +19,8 @@ from lbblab.geometry import (
     save_mesh,
     sv_split,
 )
-from lbblab.geometry import _incident_fan
+
+from conftest import EDGE_MESHES, fan_angles, fan_regularity_index, loop_refine_uniform
 
 
 def test_rect_grid_counts():
@@ -56,7 +58,7 @@ def test_sv_split_decentered_angles(sv_unit_square):
     # apex (0.5, 0.75); angles computed from the vertex coordinates
     m = sv_unit_square
     assert np.allclose(m.points[4], [0.5, 0.75])
-    angles, closed = _incident_fan(m, 4)
+    angles, closed = fan_angles(m, 4)
     assert closed
     assert angles.sum() == pytest.approx(2 * math.pi, abs=1e-12)
     expected = sorted(
@@ -124,6 +126,29 @@ def test_regularity_index_errors():
     assert ring is not None
 
 
+def _bow_tie():
+    # two triangles that meet only at node 0
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]])
+    return make_mesh(pts, triangles=np.array([[0, 1, 2], [0, 3, 4]]))
+
+
+def _pinched_fan():
+    # a closed fan of four triangles around node 0 and a fifth triangle that
+    # touches it only at node 0: as many shared edges as a single open chain
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                    [3.0, 3.0], [2.0, 3.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [0, 5, 6]])
+    return make_mesh(pts, triangles=tris)
+
+
+@pytest.mark.parametrize("make", [_bow_tie, _pinched_fan], ids=["bow-tie", "pinched-fan"])
+def test_regularity_index_rejects_a_node_with_two_fans(make):
+    m = make()
+    for index in (regularity_index, fan_regularity_index):
+        with pytest.raises(MeshError, match="not orderable into a fan"):
+            index(m, 0)
+
+
 def test_regularity_rigid_motion_invariance():
     rng = np.random.default_rng(7)
     m = sv_split(rect_grid(2, 1, 2, 2), SvSplitParams(b=0.35, special=(1, 0.12)))
@@ -134,6 +159,80 @@ def test_regularity_rigid_motion_invariance():
         assert regularity_index(m, node) == pytest.approx(
             regularity_index(m2, node), abs=1e-10
         )
+
+
+def test_negative_refinement_depth_is_rejected():
+    with pytest.raises(MeshError, match="nonnegative"):
+        refine_chain(rect_grid(1, 1, 1, 1), -1)
+    with pytest.raises(MeshError, match="nonnegative"):
+        regular_polygon_mesh(5, -1)
+
+
+def test_first_appearance_numbers_keys_in_order_of_appearance():
+    number, first = first_appearance(np.array([[7, 3], [7, 9], [3, 1]]))
+    assert number.tolist() == [[0, 1], [0, 2], [1, 3]]
+    assert first.tolist() == [0, 1, 3, 5]
+
+
+def _edge_mesh_levels():
+    for name, make, depth in EDGE_MESHES:
+        yield pytest.param(make, 0, id=name)
+        yield pytest.param(make, depth, id=f"{name}-refined{depth}")
+
+
+@pytest.mark.parametrize(
+    "make, depth", [case[1:] for case in EDGE_MESHES], ids=[case[0] for case in EDGE_MESHES]
+)
+def test_refinement_is_the_loop_refinement(make, depth):
+    got, got_pm = refine_chain(make(), depth)
+    want, want_pm = loop_refine_uniform(make())
+    for _ in range(depth - 1):
+        want, finer = loop_refine_uniform(want)
+        want_pm = want_pm.compose(finer)
+    for name in ("points", "triangles", "quads", "boundary_edges", "element_edges",
+                 "on_boundary"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("parent", "matrix", "offset"):
+        assert np.array_equal(getattr(got_pm, name), getattr(want_pm, name)), name
+
+
+@pytest.mark.parametrize("make, depth", _edge_mesh_levels())
+def test_element_edges_join_the_sides_vertex_pairs(make, depth):
+    mesh = refine_chain(make(), depth)[0]
+    elems = mesh.elements
+    ends = np.sort(np.stack([elems, np.roll(elems, -1, axis=1)], axis=-1), axis=-1)
+    # every side of an edge joins the same sorted vertex pair, and the edges
+    # are numbered in increasing order of that pair's key, so no two share it
+    pairs = np.empty((len(mesh.on_boundary), 2), dtype=np.int64)
+    pairs[mesh.element_edges] = ends
+    assert np.array_equal(pairs[mesh.element_edges], ends)
+    key = pairs[:, 0] * len(mesh.points) + pairs[:, 1]
+    assert (np.diff(key) > 0).all()
+    sides = np.bincount(mesh.element_edges.ravel(), minlength=len(pairs))
+    assert sides.min() >= 1 and sides.max() <= 2
+    assert np.array_equal(mesh.on_boundary, sides == 1)
+    # boundary_edges: the sides of the boundary edges, in edge order
+    a, b, e = mesh.boundary_edges.T
+    side = np.argmax(elems[e] == a[:, None], axis=1)
+    assert np.array_equal(elems[e, (side + 1) % elems.shape[1]], b)
+    assert np.array_equal(mesh.element_edges[e, side], np.flatnonzero(mesh.on_boundary))
+
+
+@pytest.mark.parametrize("make, depth", _edge_mesh_levels())
+def test_regularity_index_is_the_fan_index(make, depth):
+    mesh = refine_chain(make(), depth)[0]
+    if mesh.is_quad:
+        with pytest.raises(MeshError):
+            regularity_index(mesh, 0)
+        return
+    for node in range(len(mesh.points)):
+        try:
+            want = fan_regularity_index(mesh, node)
+        except MeshError as exc:
+            with pytest.raises(MeshError, match=str(exc)):
+                regularity_index(mesh, node)
+            continue
+        assert abs(regularity_index(mesh, node) - want) <= 1e-14
 
 
 @pytest.mark.parametrize("n,levels,ntri", [(3, 0, 3), (8, 0, 8), (16, 2, 256)])

@@ -380,6 +380,16 @@ def test_residual_breach_raises(route):
             smallest_generalized_eigs(op, sys_.Mp, 3, deflate=sys_.m, options=options)
 
 
+def test_nan_residual_breaches_the_contract():
+    # a NaN in one eigenvector makes its residual NaN, which no tolerance admits
+    sys_ = _pair_system(sv_mesh(4, 1, 4, 1, 0.4, 0.0), 2, 1)
+    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    vecs = spectral._dense_eig_path(op, sys_.Mp, 3, sys_.m, SolverOptions())
+    vecs[0, 2] = np.nan
+    with pytest.raises(EigenSolverError, match="dense eigen residuals nan exceed"):
+        spectral._finish(op, sys_.Mp, vecs, "dense", SolverOptions().residual_tol)
+
+
 def test_mixed_cap_guard():
     sys_ = quad_pair_system(3, 2)
     with pytest.raises(EigenSolverError):
