@@ -260,15 +260,13 @@ def _ref_cell(beta_ref) -> str:
     return _g(beta_ref) if beta_ref is not None else "nan"
 
 
-def _usc_all_rows(rows: list[dict], cfg: dict) -> CheckResult:
+def _usc(rows: list[dict], cfg: dict, name="usc-all-rows", label="max beta") -> CheckResult:
     """Upper semicontinuity on every unflagged row: beta <= beta_ref + slack."""
     beta_ref = cfg["beta_ref"]
     slack = float(cfg.get("slack", 0.005))
     worst = _nan_max([float(r["beta"]) for r in rows if r["flagged"] == "0"])
     return CheckResult(
-        "usc-all-rows",
-        worst <= float(beta_ref) + slack,
-        f"max beta={worst:.6g} <= {beta_ref} + {slack}",
+        name, worst <= float(beta_ref) + slack, f"{label}={worst:.6g} <= {beta_ref} + {slack}"
     )
 
 
@@ -320,7 +318,7 @@ def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     result = compute_beta(pc, k=k)
     if cfg.get("eigenfunction_out"):
         eigenfunction_export(result, cfg["eigenfunction_out"])
-    text, _ = _beta_table([], [([], result)], k)
+    text, parsed = _beta_table([], [([], result)], k)
     checks = []
     if "beta_range" in cfg:
         lo, hi = cfg["beta_range"]
@@ -332,14 +330,7 @@ def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
             )
         )
     if "beta_ref" in cfg:
-        slack = float(cfg.get("slack", 0.005))
-        checks.append(
-            CheckResult(
-                "usc",
-                result.beta <= float(cfg["beta_ref"]) + slack,
-                f"beta={result.beta:.6g} <= {cfg['beta_ref']} + {slack}",
-            )
-        )
+        checks.append(_usc(parsed, cfg, "usc", "beta"))
     return RunOutput(csv=text, checks=checks)
 
 
@@ -466,7 +457,7 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         "slopes": _csv_text(["mesh", "a_min", "a_max", "slope", "relative_residual"], slope_rows)
     }
 
-    checks = [_usc_all_rows(parsed, cfg)] if beta_ref is not None else []
+    checks = [_usc(parsed, cfg)] if beta_ref is not None else []
     if any(abs(a) < 1e-12 for a in a_values):
         z = _nan_max([
             float(r["beta"])
@@ -616,7 +607,7 @@ def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     # opt-in: full p-sweeps include tiny pressure spaces whose beta may
     # legitimately exceed the continuous reference
     if beta_ref is not None and cfg.get("check_usc", False):
-        checks.append(_usc_all_rows(parsed, cfg))
+        checks.append(_usc(parsed, cfg))
     if "converge_tol" in cfg and beta_ref is not None:
         tol = float(cfg["converge_tol"])
         ok = True
@@ -709,7 +700,7 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     # opt-in for the same reason as the p-sweep: coarse-pressure rows of a
     # nested study may sit above the continuous reference
     if beta_ref is not None and cfg.get("check_usc", False):
-        checks.append(_usc_all_rows(parsed, cfg))
+        checks.append(_usc(parsed, cfg))
     return RunOutput(csv=text, svgs={"": plot_h_refinement(parsed)}, checks=checks)
 
 

@@ -9,9 +9,7 @@ from .quadrature import QuadratureRule, quad_rule
 from .dofmap import DofMap, build_dof_map
 from .assembly import (
     AssembledSystem,
-    assemble_divergence,
     assemble_pressure_mass,
-    assemble_stiffness,
     assemble_system,
     export_matrix_coo,
 )
@@ -24,9 +22,7 @@ __all__ = [
     "ElementSpace",
     "Family",
     "QuadratureRule",
-    "assemble_divergence",
     "assemble_pressure_mass",
-    "assemble_stiffness",
     "assemble_system",
     "build_dof_map",
     "export_matrix_coo",

@@ -100,12 +100,12 @@ def _scatter(row_dofs, col_dofs, local, shape):
     ).tocsr()
 
 
-def _stiffness_blocks(dof_v: DofMap, rep, exactness: int | None = None) -> np.ndarray:
+def _stiffness_blocks(dof_v: DofMap, rep) -> np.ndarray:
     """Scalar grad-grad element matrices (nc, nb, nb) of the elements rep,
     exactly symmetric."""
     space = dof_v.space
     ref = reference_element(space.family, space.degree)
-    rule = quad_rule(space.family, exactness if exactness is not None else 2 * space.degree + 2)
+    rule = quad_rule(space.family, 2 * space.degree + 2)
     G, det = _physical_gradients(dof_v.mesh, rule.points, ref.grad(rule.points), rep)
     nc, nq, _, nb = G.shape
     wdet = rule.weights[None, :] * det
@@ -117,17 +117,6 @@ def _vector_stiffness(element_dofs, K: np.ndarray, n: int) -> sparse.csr_matrix:
     """diag(K, K) from the scalar element matrices K over n scalar dofs."""
     scalar = _scatter(element_dofs, element_dofs, K, (n, n))
     return sparse.block_diag([scalar, scalar], format="csr")
-
-
-def assemble_stiffness(dof_v: DofMap, exactness: int | None = None) -> sparse.csr_matrix:
-    """Vector Laplacian: block diag of two scalar grad-grad blocks.
-
-    dof_v is the scalar velocity dof map (typically C0 with zero trace);
-    rows and columns of eliminated dofs are dropped.
-    """
-    rep, inverse = _element_classes(dof_v.mesh)
-    K = _stiffness_blocks(dof_v, rep, exactness)
-    return _vector_stiffness(dof_v.element_dofs, K[inverse], dof_v.n_global)
 
 
 def _pressure_maps(dof_p: DofMap, v_mesh: Mesh, parent_map: ParentMap | None):
@@ -165,21 +154,11 @@ def _pressure_tables(dof_p: DofMap, maps, ref_pts: np.ndarray) -> np.ndarray:
     return np.stack([ref_p.eval(ref_pts @ row[:4].reshape(2, 2).T + row[4:]) for row in maps])
 
 
-def _divergence_blocks(
-    dof_v: DofMap,
-    dof_p: DofMap,
-    rep,
-    maps,
-    map_class: np.ndarray,
-    exactness: int | None = None,
-):
+def _divergence_blocks(dof_v: DofMap, dof_p: DofMap, rep, maps, map_class: np.ndarray):
     """Element matrices (Bx, By), each (nc, nbP, nb), of the velocity
     elements rep, with the pressure maps of `_pressure_maps`."""
     sv, sp = dof_v.space, dof_p.space
-    rule = quad_rule(
-        sv.family,
-        exactness if exactness is not None else 2 * max(sv.degree, sp.degree) + 2,
-    )
+    rule = quad_rule(sv.family, 2 * max(sv.degree, sp.degree) + 2)
     ref_v = reference_element(sv.family, sv.degree)
     G, det = _physical_gradients(dof_v.mesh, rule.points, ref_v.grad(rule.points), rep)
     nc, nq, _, nb = G.shape
@@ -199,33 +178,11 @@ def _coupling(row_dofs, col_dofs, Bx, By, shape) -> sparse.csr_matrix:
     )
 
 
-def assemble_divergence(
-    dof_v: DofMap,
-    dof_p: DofMap,
-    parent_map: ParentMap | None = None,
-    exactness: int | None = None,
-) -> sparse.csr_matrix:
-    """Coupling matrix B with B[p, v] = integral of div(phi_v) * psi_p.
-
-    Columns are ordered (x-component block, y-component block) of the scalar
-    velocity dofs.  Integration runs over the (finer) velocity mesh.
-    """
-    maps, map_class, p_elem = _pressure_maps(dof_p, dof_v.mesh, parent_map)
-    rep, inverse = _element_classes(dof_v.mesh, map_class)
-    Bx, By = _divergence_blocks(dof_v, dof_p, rep, maps, map_class, exactness)
-    shape = (dof_p.n_global, dof_v.n_global)
-    return _coupling(
-        dof_p.element_dofs[p_elem], dof_v.element_dofs, Bx[inverse], By[inverse], shape
-    )
-
-
-def assemble_pressure_mass(
-    dof_p: DofMap, exactness: int | None = None
-) -> tuple[sparse.csr_matrix, np.ndarray]:
+def assemble_pressure_mass(dof_p: DofMap) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Pressure mass matrix and the mean vector m with m_i = integral of psi_i."""
     sp_ = dof_p.space
     ref = reference_element(sp_.family, sp_.degree)
-    rule = quad_rule(sp_.family, exactness if exactness is not None else 2 * sp_.degree + 2)
+    rule = quad_rule(sp_.family, 2 * sp_.degree + 2)
     rep, inverse = _element_classes(dof_p.mesh)
     det, _ = _element_geometry(dof_p.mesh, rule.points, rep)
     wdet = rule.weights[None, :] * det
@@ -289,8 +246,8 @@ class AssembledSystem:
 
     The solve path reads only the condensed forms.  The uncondensed A and B
     serve the oracles and the export: each is scattered from the retained
-    class matrices on first access.  n_velocity and nnz_A, the size and
-    nonzero count of A, are known without building it.
+    class matrices on first access.  n_velocity, the size of A, is known
+    without building it.
     """
 
     Mp: sparse.csr_matrix
@@ -300,7 +257,6 @@ class AssembledSystem:
     D: sparse.csr_matrix
     E: sparse.csr_matrix
     n_velocity: int
-    nnz_A: int
     blocks: _ClassBlocks = field(repr=False)
 
     @cached_property
@@ -317,8 +273,8 @@ class AssembledSystem:
 
 
 def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp, n_p: int):
-    """(Ahat, C, D, E) of `AssembledSystem` and nnz(A) from the class
-    matrices K, Bx, By and the class `inverse` of every element.
+    """(Ahat, C, D, E) of `AssembledSystem` from the class matrices K, Bx,
+    By and the class `inverse` of every element.
 
     Interior dofs belong to one element each, so the condensation is
     element-local and per scalar component, and runs once per class.  With
@@ -327,10 +283,7 @@ def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp, n_p: int):
     By_S - Y_y^T Y_S to the two component blocks of C, Y_x^T Y_x + Y_y^T Y_y
     to D, and its own rows Y_x and Y_y to E.  By Sylvester's law A is SPD
     iff every K_II and Ahat are: a failed Cholesky raises
-    NotPositiveDefinite, and factorizing Ahat checks the rest.  A has the
-    entries of Ahat plus, per element and component, n_I^2 + 2 n_I n_S(e)
-    in the rows and columns of its n_I interior dofs, n_S(e) being the
-    element's skeleton dofs that are not eliminated.
+    NotPositiveDefinite, and factorizing Ahat checks the rest.
     """
     ref = reference_element(dof_v.space.family, dof_v.space.degree)
     inner = np.array([kind[0] == "i" for kind in ref.node_kind])
@@ -365,8 +318,7 @@ def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp, n_p: int):
         ],
         format="csr",
     )
-    nnz_A = Ahat.nnz + 2 * (rows.size * n_I + 2 * n_I * int((eds >= 0).sum()))
-    return Ahat, C, D, E, nnz_A
+    return Ahat, C, D, E
 
 
 def assemble_system(
@@ -380,10 +332,10 @@ def assemble_system(
     Bx, By = _divergence_blocks(dof_v, dof_p, rep, maps, map_class)
     Mp, m = assemble_pressure_mass(dof_p)
     edp, n_v, n_p = dof_p.element_dofs[p_elem], dof_v.n_global, dof_p.n_global
-    Ahat, C, D, E, nnz_A = _condense(dof_v, K, Bx, By, inverse, edp, n_p)
+    Ahat, C, D, E = _condense(dof_v, K, Bx, By, inverse, edp, n_p)
     blocks = _ClassBlocks(K, Bx, By, inverse, dof_v.element_dofs, edp, n_v, n_p)
     return AssembledSystem(
-        Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E, n_velocity=2 * n_v, nnz_A=nnz_A, blocks=blocks
+        Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E, n_velocity=2 * n_v, blocks=blocks
     )
 
 

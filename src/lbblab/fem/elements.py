@@ -53,11 +53,6 @@ class ElementSpace:
         if self.bc is BoundaryCondition.ZERO_TRACE and self.continuity is not Continuity.C0:
             raise ValueError("zero-trace requires a C0 space")
 
-    def label(self) -> str:
-        fam = "P" if self.family is Family.TRIANGLE else "Q"
-        tail = "dc" if self.continuity is Continuity.DISCONTINUOUS else ""
-        return f"{fam}{self.degree}{tail}"
-
 
 def gauss_lobatto(degree: int) -> np.ndarray:
     """degree+1 Gauss-Lobatto points on [0, 1] (midpoint for degree 0)."""

@@ -147,7 +147,7 @@ def _eigs(config: PairConfig, k: int, start=None) -> tuple[GenEigResult, int, Do
     system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
     factor = factorize_spd(system.Ahat)
     n_velocity, Mp, m = system.n_velocity, system.Mp, system.m
-    op = SchurOperator(system.C, factor, system.D, system.E, row_nnz=system.nnz_A / n_velocity)
+    op = SchurOperator(system.C, factor, system.D, system.E)
     del system  # A and B were never built; this frees the class blocks before the eigensolve
     result = smallest_generalized_eigs(
         op,
@@ -170,8 +170,9 @@ def _beta(config: PairConfig, k: int, start=None) -> tuple[BetaResult, np.ndarra
         raise DimensionZeroError("pressure space has no mode beyond the constants")
     else:
         lead, eigenfunction = sigmas[1], result.vectors[:, 1]
-    diam_v, _ = element_sizes(config.velocity_mesh)
-    _, inr_p = element_sizes(config.pressure_mesh or config.velocity_mesh)
+    diam_v, inr_p = element_sizes(config.velocity_mesh)
+    if config.pressure_mesh is not None:
+        _, inr_p = element_sizes(config.pressure_mesh)
     return BetaResult(
         beta=float(np.sqrt(max(lead, 0.0))),
         sigmas=sigmas,

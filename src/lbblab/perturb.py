@@ -39,7 +39,6 @@ class GraphBoundaryPatch:
     interval: tuple[float, float]
     phi: Callable[[np.ndarray], np.ndarray]
     dphi: Callable[[np.ndarray], np.ndarray]
-    ddphi: Callable[[np.ndarray], np.ndarray]
     eta0: float
     nodes: np.ndarray
 
@@ -242,10 +241,6 @@ def circle_patches(n: int) -> list[tuple[GraphBoundaryPatch, PiecewiseAffine]]:
         x = np.asarray(x)
         return -x / np.sqrt(1.0 - x**2)
 
-    def ddphi(x):
-        x = np.asarray(x)
-        return -((1.0 - x**2) ** -1.5)
-
     for j in range(4):
         k0, k1 = splits[j], splits[j + 1]
         th0, th1 = 2.0 * math.pi * k0 / n, 2.0 * math.pi * k1 / n
@@ -258,7 +253,6 @@ def circle_patches(n: int) -> list[tuple[GraphBoundaryPatch, PiecewiseAffine]]:
             interval=(float(nodes[0]), float(nodes[-1])),
             phi=phi,
             dphi=dphi,
-            ddphi=ddphi,
             eta0=math.cos(0.5 * width) * (1.0 - 1e-12),
             nodes=nodes,
         )

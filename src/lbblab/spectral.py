@@ -66,11 +66,11 @@ _LANCZOS_TOL = 1e-12  # ARPACK convergence tolerance
 # costs the augmented-Lagrangian factor plus about two solves per Lanczos
 # vector when it converges well.
 _DOFS_PER_LANCZOS_VECTOR = 10  # ARPACK first only above this many pressure dofs per vector
-_ROW_NNZ_MAX = 100  # ... and only while A.nnz / n_v stays below this (low order)
 _SOLVES_PER_LANCZOS_VECTOR = 3  # shift-invert solve budget before the dense fallback
-# dense_schur takes the skeleton side (n_s solves and dense products) when
-# this many skeleton dofs still number at most the pressure dofs; below that
-# ratio the n_p sparse column solves are cheaper (SV P4-P3dc, polygon fans)
+# a skeleton is small when this many skeleton dofs still number at most the
+# pressure dofs (high-order quads): dense_schur then takes the skeleton side
+# (n_s solves and dense products) and the dense route stays first; on larger
+# skeletons the n_p sparse column solves are cheaper (SV P4-P3dc, polygon fans)
 _SKELETON_SIDE = 4
 _SCHUR_BATCH = 256  # pressure columns per solve on dense_schur's pressure side
 
@@ -160,13 +160,10 @@ class SchurOperator:
     `lbblab.fem.AssembledSystem`; D = E^T E comes with its factor E, and D q
     is applied as E^T (E q) so that q.Sq stays at the roundoff floor squared
     on near-null modes.  Without D and E this is B A^{-1} B^T for the full
-    (A, B).  `row_nnz`, the nonzeros per row of the uncondensed stiffness
-    (default: of Ahat), measures element order for the route rule.
+    (A, B).
     """
 
-    def __init__(
-        self, C, factor: SymFactorization, D=None, E=None, row_nnz: float | None = None
-    ):
+    def __init__(self, C, factor: SymFactorization, D=None, E=None):
         self.C = sparse.csr_matrix(C)
         self.factor = factor
         if self.C.shape[1] != factor.n:
@@ -179,7 +176,6 @@ class SchurOperator:
         self.E = sparse.csr_matrix((0, n)) if E is None else sparse.csr_matrix(E)
         if self.D.shape != self.shape or self.E.shape[1] != n:
             raise ValueError("D or E dimension mismatch")
-        self.row_nnz = factor.matrix.nnz / max(factor.n, 1) if row_nnz is None else row_nnz
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         return self.E.T @ (self.E @ q) + self.C @ self.factor.solve(self.C.T @ q)
@@ -202,8 +198,8 @@ def dense_schur(op: SchurOperator, cap: int | None = None) -> np.ndarray:
     """Explicit Schur matrix D + C Ahat^{-1} C^T (desk scale only).
 
     From the side with fewer solves: with a small skeleton
-    (_SKELETON_SIDE n_s <= n_p, as on high-order quads) F = Ahat^{-1} from
-    n_s solves and S = D + (C F) C^T by dense products; otherwise n_p solves
+    (`_small_skeleton`) F = Ahat^{-1} from n_s solves and
+    S = D + (C F) C^T by dense products; otherwise n_p solves
     Ahat z = C^T e_p in batches of _SCHUR_BATCH columns.
     """
     n = op.shape[0]
@@ -211,7 +207,7 @@ def dense_schur(op: SchurOperator, cap: int | None = None) -> np.ndarray:
     if n > cap:
         raise EigenSolverError(f"dense Schur matrix of size {n} exceeds cap {cap}")
     S = op.D.toarray()
-    if _SKELETON_SIDE * op.factor.n <= n:
+    if _small_skeleton(op):
         Cd = op.C.toarray()
         S += (Cd @ op.factor.solve(np.eye(op.factor.n))) @ Cd.T
     else:
@@ -220,6 +216,11 @@ def dense_schur(op: SchurOperator, cap: int | None = None) -> np.ndarray:
             j1 = min(j0 + _SCHUR_BATCH, n)
             S[:, j0:j1] += op.C @ op.factor.solve(CT[:, j0:j1].toarray())
     return _symmetric_part(S)
+
+
+def _small_skeleton(op: SchurOperator) -> bool:
+    """Whether _SKELETON_SIDE n_s <= n_p for the n_s velocity dofs of Ahat."""
+    return _SKELETON_SIDE * op.factor.n <= op.shape[0]
 
 
 def _symmetric_part(S: np.ndarray) -> np.ndarray:
@@ -402,13 +403,13 @@ def _arpack_budget(op, labels, ncv: int) -> int | None:
     """Shift-invert solve budget when ARPACK is predicted cheaper, else None.
 
     Only for block-diagonal Mp (the Woodbury solves), many pressure dofs per
-    Lanczos vector and a sparse uncondensed stiffness A (`op.row_nnz`): on
-    high-order elements the dense route wins.
+    Lanczos vector and a skeleton that is not small (`_small_skeleton`): on
+    high-order quads the dense route wins.
     """
     if (
         labels is not None
         and op.shape[0] > _DOFS_PER_LANCZOS_VECTOR * ncv
-        and op.row_nnz < _ROW_NNZ_MAX
+        and not _small_skeleton(op)
     ):
         return _SOLVES_PER_LANCZOS_VECTOR * ncv
     return None

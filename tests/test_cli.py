@@ -15,7 +15,7 @@ from lbblab.cli import (
     _pair,
     _safe_beta,
     _solver_options,
-    _usc_all_rows,
+    _usc,
     main,
     plot_perturb_rate,
     plot_polygon_limit,
@@ -113,7 +113,7 @@ def test_svg_regenerates_from_csv_alone():
 @pytest.mark.parametrize("betas", [["0.1", "nan"], ["nan", "0.1"]], ids=["nan-last", "nan-first"])
 def test_usc_check_fails_on_a_nan_beta(betas):
     rows = [{"beta": beta, "flagged": "0"} for beta in betas]
-    check = _usc_all_rows(rows, {"beta_ref": 0.2})
+    check = _usc(rows, {"beta_ref": 0.2})
     assert not check.passed
     assert check.detail == "max beta=nan <= 0.2 + 0.005"
 

@@ -161,24 +161,32 @@ def test_spurious_mode_stays_at_the_roundoff_floor():
 
 
 def test_compute_beta_routes_unchanged():
-    # the route rule measures element order on the uncondensed stiffness:
-    # Ahat has fewer than 100 nonzeros per row on these Q_n systems, A has more
+    # the route rule compares the condensed skeleton with the pressure
+    # space: 4 n_s = 488 <= n_p = 1024 on Q16-Q15dc 2x2 and 896 <= 900 on
+    # Q10-Q9dc 3x3 keep them dense; on Q9-Q8dc 3x3, 800 > 729 sends it to
+    # ARPACK.  Every route must find the dense route's sigmas.
     cases = [
         (sv_mesh(4, 1, 8, 2, 0.4, 0.04), Family.TRIANGLE, 4, 3, "arpack"),
         (rect_grid(2, 1, 2, 2), Family.QUAD, 16, 15, "dense"),
         (rect_grid(2, 1, 3, 3), Family.QUAD, 10, 9, "dense"),
+        (rect_grid(2, 1, 3, 3), Family.QUAD, 9, 8, "arpack"),
     ]
+    options = SolverOptions()
     for mesh, family, vdeg, pdeg, method in cases:
         vs, ps = _spaces(family, vdeg, pdeg)
         config = PairConfig(velocity_space=vs, pressure_space=ps, velocity_mesh=mesh)
-        assert compute_beta(config, k=3).method == method
+        result = compute_beta(config, k=3)
+        assert result.method == method
+        system = _system(mesh, vdeg, pdeg)
+        op = _condensed(system)
+        vectors = spectral._dense_eig_path(op, system.Mp, 3, system.m, options)
+        dense = spectral._finish(op, system.Mp, vectors, "dense", options.residual_tol)
+        assert np.abs(result.sigmas - dense.values).max() <= 1e-10
 
 
 @pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
 def test_nnz_of_A_without_building_A(build):
-    # the route rule reads A.nnz / n_v; the condensed path counts both
     system = build()
-    assert system.nnz_A == system.A.nnz
     assert system.n_velocity == system.A.shape[0]
 
 

@@ -9,9 +9,7 @@ from lbblab.fem import (
     Continuity,
     ElementSpace,
     Family,
-    assemble_divergence,
     assemble_pressure_mass,
-    assemble_stiffness,
     assemble_system,
     build_dof_map,
     export_matrix_coo,
@@ -29,6 +27,14 @@ from lbblab.geometry import (
 )
 
 from conftest import EDGE_MESHES, loop_dof_map, permuted_sv_mesh
+
+
+def _stiffness(dv):
+    """The uncondensed stiffness A of dv, assembled with a piecewise constant
+    pressure space on the same mesh."""
+    p0 = ElementSpace(dv.space.family, 0, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
+    return assemble_system(dv, build_dof_map(dv.mesh, p0)).A
+
 
 SINGLE_TRI = make_mesh(
     np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), triangles=np.array([[0, 1, 2]])
@@ -101,8 +107,8 @@ def test_element_order_permutation_invariance():
     space = ElementSpace(Family.TRIANGLE, 3, Continuity.C0, BoundaryCondition.NONE)
     d1 = build_dof_map(mesh, space)
     d2 = build_dof_map(mesh2, space)
-    A1 = assemble_stiffness(d1)
-    A2 = assemble_stiffness(d2)
+    A1 = _stiffness(d1)
+    A2 = _stiffness(d2)
     # match global dofs through their physical node positions
     key1 = {tuple(np.round(p, 12)): i for i, p in enumerate(d1.dof_points)}
     to1 = np.array([key1[tuple(np.round(p, 12))] for p in d2.dof_points])
@@ -159,7 +165,7 @@ def test_q1_interior_stiffness_stencil():
         rect_grid(1, 1, 2, 2),
         ElementSpace(Family.QUAD, 1, Continuity.C0, BoundaryCondition.ZERO_TRACE),
     )
-    A = assemble_stiffness(d).toarray()
+    A = _stiffness(d).toarray()
     assert A.shape == (2, 2)
     assert A[0, 0] == pytest.approx(8.0 / 3.0, rel=1e-13)
     assert A[1, 1] == pytest.approx(8.0 / 3.0, rel=1e-13)
@@ -171,7 +177,7 @@ def test_stiffness_annihilates_linears():
     d = build_dof_map(
         mesh, ElementSpace(Family.TRIANGLE, 3, Continuity.C0, BoundaryCondition.NONE)
     )
-    A = assemble_stiffness(d)
+    A = _stiffness(d)
     n = d.n_global
     u = 0.7 * d.dof_points[:, 0] - 1.3 * d.dof_points[:, 1] + 0.25
     w = (A @ np.concatenate([u, u]))[:n]
@@ -188,7 +194,7 @@ def test_stiffness_symmetry():
         d = build_dof_map(
             mesh, ElementSpace(family, 4, Continuity.C0, BoundaryCondition.ZERO_TRACE)
         )
-        A = assemble_stiffness(d)
+        A = _stiffness(d)
         assert (A != A.T).nnz == 0
         for degree, cont in [(3, Continuity.DISCONTINUOUS), (2, Continuity.C0)]:
             dp = build_dof_map(mesh, ElementSpace(family, degree, cont, BoundaryCondition.NONE))
@@ -207,7 +213,7 @@ def test_single_triangle_divergence_row():
         SINGLE_TRI,
         ElementSpace(Family.TRIANGLE, 0, Continuity.DISCONTINUOUS, BoundaryCondition.NONE),
     )
-    B = assemble_divergence(dv, dp).toarray()
+    B = assemble_system(dv, dp).B.toarray()
     # gradients of the P1 basis are (-1,-1), (1,0), (0,1) on area 1/2
     assert np.allclose(B, [[-0.5, 0.5, 0.0, -0.5, 0.0, 0.5]], atol=1e-14)
 
@@ -246,7 +252,7 @@ def test_q2_q1_divergence_vs_symbolic_oracle():
     dp = build_dof_map(
         mesh, ElementSpace(Family.QUAD, 1, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
     )
-    B = assemble_divergence(dv, dp).toarray()
+    B = assemble_system(dv, dp).B.toarray()
 
     v_nodes = gauss_lobatto(2)
     p_nodes = gauss_lobatto(1)
@@ -286,7 +292,7 @@ def test_patch_test_linear_divergence(family):
     dp = build_dof_map(
         mesh, ElementSpace(family, 0, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
     )
-    B = assemble_divergence(dv, dp).toarray()
+    B = assemble_system(dv, dp).B.toarray()
     alpha, beta, gamma, delta = 0.7, -0.4, 1.1, 0.9
     ux = alpha * dv.dof_points[:, 0] + beta * dv.dof_points[:, 1]
     uy = gamma * dv.dof_points[:, 0] + delta * dv.dof_points[:, 1]
@@ -306,8 +312,8 @@ def test_divergence_requires_parent_map():
         ElementSpace(Family.TRIANGLE, 1, Continuity.DISCONTINUOUS, BoundaryCondition.NONE),
     )
     with pytest.raises(ValueError):
-        assemble_divergence(dv, dp)
-    B = assemble_divergence(dv, dp, parent_map=pm)
+        assemble_system(dv, dp)
+    B = assemble_system(dv, dp, parent_map=pm).B
     assert B.shape == (dp.n_global, 2 * dv.n_global)
     # constant pressure row still vanishes across the nested pair
     Mp, m = assemble_pressure_mass(dp)
@@ -326,12 +332,12 @@ def test_nested_divergence_matches_direct_for_linear_pressure():
     dp_c = build_dof_map(
         coarse, ElementSpace(Family.TRIANGLE, 0, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
     )
-    B = assemble_divergence(dv, dp_c, parent_map=pm).toarray()
+    B = assemble_system(dv, dp_c, parent_map=pm).B.toarray()
     # oracle: P0 coarse pressure = sum of fine P0 dofs over the children
     dp_f = build_dof_map(
         fine, ElementSpace(Family.TRIANGLE, 0, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
     )
-    Bf = assemble_divergence(dv, dp_f).toarray()
+    Bf = assemble_system(dv, dp_f).B.toarray()
     agg = np.zeros((dp_c.n_global, dp_f.n_global))
     for child, parent in enumerate(pm.parent):
         agg[parent, child] = 1.0
@@ -374,7 +380,7 @@ def test_p3dc_mass_block_structure():
     assert vals.min() > 0
 
 
-def test_assembly_reproducible_and_quadrature_stable():
+def test_assembly_reproducible_and_quadrature_stable(monkeypatch):
     mesh = sv_split(rect_grid(2, 1, 2, 1), SvSplitParams(b=0.4, special=(0, 0.2)))
     dv = build_dof_map(
         mesh, ElementSpace(Family.TRIANGLE, 4, Continuity.C0, BoundaryCondition.ZERO_TRACE)
@@ -382,17 +388,16 @@ def test_assembly_reproducible_and_quadrature_stable():
     dp = build_dof_map(
         mesh, ElementSpace(Family.TRIANGLE, 3, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
     )
-    A1 = assemble_stiffness(dv)
-    A2 = assemble_stiffness(dv)
-    assert (A1 != A2).nnz == 0  # bitwise reproducible
-    A_hi = assemble_stiffness(dv, exactness=2 * 4 + 2 + 9)
-    assert abs(A1 - A_hi).max() <= 1e-12 * abs(A1).max()
-    B1 = assemble_divergence(dv, dp)
-    B_hi = assemble_divergence(dv, dp, exactness=2 * 4 + 2 + 9)
-    assert abs(B1 - B_hi).max() <= 1e-12 * abs(B1).max()
-    Mp1, _ = assemble_pressure_mass(dp)
-    Mp_hi, _ = assemble_pressure_mass(dp, exactness=2 * 3 + 2 + 9)
-    assert abs(Mp1 - Mp_hi).max() <= 1e-12 * abs(Mp1).max()
+    first, again = assemble_system(dv, dp), assemble_system(dv, dp)
+    # every rule 9 degrees above the one assembly picks
+    monkeypatch.setattr(
+        assembly, "quad_rule", lambda family, exactness: quad_rule(family, exactness + 9)
+    )
+    high = assemble_system(dv, dp)
+    for name in ("A", "B", "Mp"):
+        mat = getattr(first, name)
+        assert (mat != getattr(again, name)).nnz == 0  # bitwise reproducible
+        assert abs(mat - getattr(high, name)).max() <= 1e-12 * abs(mat).max()
 
 
 # ------------------------------------------------- element kernels vs einsum
@@ -429,7 +434,7 @@ def _check_kernels_against_einsum(monkeypatch, dv, dp, parent_map=None):
     sv, sp = dv.space, dp.space
     rule = quad_rule(sv.family, 2 * sv.degree + 2)
     gphys, wdet = _einsum_gradients(dv.mesh, sv, rule)
-    _, (K,) = _scattered_blocks(monkeypatch, assemble_stiffness, dv)
+    K = assembly._stiffness_blocks(dv, slice(None))
     _assert_blocks_close(K, np.einsum("eqid,eq,eqjd->eij", gphys, wdet, gphys))
 
     rule = quad_rule(sv.family, 2 * max(sv.degree, sp.degree) + 2)
@@ -443,9 +448,8 @@ def _check_kernels_against_einsum(monkeypatch, dv, dp, parent_map=None):
             ref_p.eval(rule.points @ M.T + off)
             for M, off in zip(parent_map.matrix, parent_map.offset)
         ])
-    _, (Bx, By) = _scattered_blocks(
-        monkeypatch, assemble_divergence, dv, dp, parent_map=parent_map
-    )
+    maps, map_class, _ = assembly._pressure_maps(dp, dv.mesh, parent_map)
+    Bx, By = assembly._divergence_blocks(dv, dp, slice(None), maps, map_class)
     _assert_blocks_close(Bx, np.einsum("eqa,eq,eqi->eai", psi, wdet, gphys[:, :, :, 0]))
     _assert_blocks_close(By, np.einsum("eqa,eq,eqi->eai", psi, wdet, gphys[:, :, :, 1]))
 
@@ -504,7 +508,7 @@ def test_matrix_export_format(tmp_path):
     dv = build_dof_map(
         mesh, ElementSpace(Family.QUAD, 2, Continuity.C0, BoundaryCondition.ZERO_TRACE)
     )
-    A = assemble_stiffness(dv)
+    A = _stiffness(dv)
     path = tmp_path / "a.coo"
     export_matrix_coo(A, path)
     lines = path.read_text().splitlines()

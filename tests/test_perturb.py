@@ -21,7 +21,6 @@ def parabola_patch(nodes=(0.0, 0.5, 1.0)):
         interval=(0.0, 1.0),
         phi=lambda x: 1.0 + np.asarray(x) * (1.0 - np.asarray(x)),
         dphi=lambda x: 1.0 - 2.0 * np.asarray(x),
-        ddphi=lambda x: -2.0 * np.ones_like(np.asarray(x, dtype=float)),
         eta0=1.0,
         nodes=np.asarray(nodes),
     )
@@ -32,7 +31,6 @@ def test_interpolate_constant_exact():
         interval=(0.0, 2.0),
         phi=lambda x: 3.0 * np.ones_like(np.asarray(x, dtype=float)),
         dphi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        ddphi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         eta0=3.0,
         nodes=np.array([0.0, 0.7, 2.0]),
     )
@@ -82,7 +80,6 @@ def test_identity_map_eps_zero():
         interval=(0.0, 1.0),
         phi=lambda x: 1.0 + 0.5 * np.asarray(x),
         dphi=lambda x: 0.5 * np.ones_like(np.asarray(x, dtype=float)),
-        ddphi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         eta0=1.0,
         nodes=np.array([0.0, 0.3, 1.0]),
     )
@@ -162,7 +159,6 @@ def test_wild_graph_reports_unbounded_neumann():
         interval=(0.0, 1.0),
         phi=lambda x: 1.0 + 0.9 * np.sin(40.0 * np.asarray(x)),
         dphi=lambda x: 36.0 * np.cos(40.0 * np.asarray(x)),
-        ddphi=lambda x: -1440.0 * np.sin(40.0 * np.asarray(x)),
         eta0=0.05,
         nodes=np.array([0.0, 0.4, 1.0]),
     )

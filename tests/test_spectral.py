@@ -276,7 +276,7 @@ def test_route_rule_sends_low_order_mid_size_to_arpack(nx, ny):
     "build",
     [
         lambda: quad_pair_system(12, 11, width=2.0, grid=(2, 2)),
-        # 1024 pressure dofs, but a row of A holds about 270 nonzeros
+        # 1024 pressure dofs, but only 122 skeleton velocity dofs
         lambda: quad_pair_system(16, 15, width=2.0, grid=(2, 2)),
         # 613 continuous pressures: Mp is one block, so no Woodbury solves
         lambda: _pair_system(
@@ -287,7 +287,7 @@ def test_route_rule_sends_low_order_mid_size_to_arpack(nx, ny):
 )
 def test_route_rule_keeps_high_order_and_continuous_dense(build):
     sys_ = build()
-    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    op = _condensed_op(sys_)
     assert smallest_generalized_eigs(op, sys_.Mp, 3, deflate=sys_.m).method == "dense"
 
 
