@@ -19,7 +19,7 @@ from .fem import (
     assemble_system,
     build_dof_map,
 )
-from .infsup import BetaResult, PairConfig, compute_beta, schur_spectrum, usc_check
+from .infsup import BetaResult, PairConfig, compute_beta, schur_spectrum
 from .spectral import (
     SchurOperator,
     SolverOptions,

@@ -12,6 +12,7 @@ import csv
 import ctypes
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -164,7 +165,7 @@ def _domain_mesh(cfg: dict) -> Mesh:
 
 def _beta_cells(result: BetaResult | None, k: int) -> list[str]:
     # a returned result is never flagged: the eigensolver raises on any
-    # residual above residual_tol, and _safe_beta turns that into None
+    # residual above residual_tol, and _betas turns that into None
     if result is None:
         return (
             ["failed", "0", "0", "nan", "nan", "nan"]
@@ -189,38 +190,33 @@ def _beta_header(k: int) -> list[str]:
     return _BETA_COLS + [f"sigma_{j + 1}" for j in range(k)] + ["residual_max", "flagged"]
 
 
-def _point_failed(exc: Exception) -> None:
-    """A failed sweep point: its reason goes to stderr, its row is flagged."""
-    # one write per line, so that lines from --jobs threads do not interleave
-    sys.stderr.write(f"warning: sweep point failed: {type(exc).__name__}: {exc}\n")
-
-
 # the failures that a sweep point may have: a flagged row, not an aborted run
 _POINT_FAILURES = (EigenSolverError, NotPositiveDefinite, DimensionZeroError)
 
 
-def _safe_beta(config: PairConfig, k: int) -> BetaResult | None:
-    """compute_beta, with a point failure mapped to None.
+def _betas(runs: list[list], k: int, jobs: int) -> list[list[BetaResult | None]]:
+    """The results of each run of sweep points, in order, with runs mapped
+    over `jobs` threads.
 
-    A lone point goes through `compute_beta` rather than `_safe_betas`:
-    that call is the per-point boundary perfbench/tracing.py spans.
+    A point is a PairConfig, or the MeshError raised while building one.
+    The configs between two failed points are solved by one `compute_betas`
+    call, so each starts from the previous one's eigenvectors where it may.
+    A failed point gets None, and its reason goes to stderr.
     """
-    try:
-        return compute_beta(config, k=k)
-    except _POINT_FAILURES as exc:
-        _point_failed(exc)
-        return None
 
+    def solve(run):
+        out = []
+        for failed, group in itertools.groupby(run, key=lambda p: isinstance(p, Exception)):
+            points = list(group)
+            for res in points if failed else compute_betas(points, k, failures=_POINT_FAILURES):
+                if isinstance(res, Exception):
+                    # one write per line, so that lines from --jobs threads do not interleave
+                    sys.stderr.write(f"warning: sweep point failed: {type(res).__name__}: {res}\n")
+                    res = None
+                out.append(res)
+        return out
 
-def _safe_betas(configs: list[PairConfig], k: int) -> list[BetaResult | None]:
-    """compute_betas (chained points), with each point failure mapped to None."""
-    out = []
-    for res in compute_betas(configs, k, failures=_POINT_FAILURES):
-        if isinstance(res, Exception):
-            _point_failed(res)
-            res = None
-        out.append(res)
-    return out
+    return _parallel(solve, runs, jobs)
 
 
 def _parallel(fn, items, jobs: int):
@@ -402,29 +398,19 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     vdeg, pdeg = int(cfg.get("velocity_degree", 4)), int(cfg.get("pressure_degree", 3))
     beta_ref = cfg.get("beta_ref")
 
-    points = [(g, a) for g in grids for a in a_values]
+    def point(nx, ny, a):
+        try:
+            return _pair(sv_mesh(width, height, nx, ny, b, a, special), vdeg, pdeg, solver)
+        except MeshError as exc:
+            return exc
 
-    def work(grid):
-        # one chain per grid: its points share everything but the special quad
-        nx, ny = grid
-        results, chain = [], []
-        for a in a_values:
-            try:
-                mesh = sv_mesh(width, height, nx, ny, b, a, special)
-            except MeshError as exc:
-                results += _safe_betas(chain, k)
-                chain = []
-                _point_failed(exc)
-                results.append(None)
-                continue
-            chain.append(_pair(mesh, vdeg, pdeg, solver))
-        return results + _safe_betas(chain, k)
-
-    results = [res for rows in _parallel(work, grids, jobs) for res in rows]
+    # one run per grid: its points share everything but the special quad
+    runs = [[point(nx, ny, a) for a in a_values] for nx, ny in grids]
     text, parsed = _beta_table(
         ["mesh", "a", "beta_ref"],
         [([f"{nx}x{ny}", _g(a), _ref_cell(beta_ref)], res)
-         for ((nx, ny), a), res in zip(points, results)],
+         for (nx, ny), results in zip(grids, _betas(runs, k, jobs))
+         for a, res in zip(a_values, results)],
         k,
     )
     zero_max = float(cfg.get("zero_beta_max", 1e-6))
@@ -546,30 +532,25 @@ def plot_sv_sweep_diff_ref(rows: list[dict]) -> str:
 # p-version sweep
 # ----------------------------------------------------------------------
 
-def _pressure_degree(rule: dict, n: int) -> int | None:
+# p-sweep degree rules: kind -> (label template over the rule's fields,
+# pressure degree at velocity degree n)
+_DEGREE_RULES = {
+    "offset": ("k=n-{d}", lambda rule, n: n - int(rule["d"])),
+    "half": ("k=ceil(n/2)", lambda rule, n: (n + 1) // 2),
+    "sqrt": ("k=ceil({coefficient}*sqrt(n))",
+             lambda rule, n: math.ceil(float(rule["coefficient"]) * math.sqrt(n))),
+    "fixed": ("k={k}", lambda rule, n: int(rule["k"])),
+}
+
+
+def _degree_rule(rule: dict):
+    """A degree rule's label and its pressure degree as a function of n."""
     kind = rule["type"]
-    if kind == "offset":
-        k = n - int(rule["d"])
-    elif kind == "half":
-        k = (n + 1) // 2
-    elif kind == "sqrt":
-        k = math.ceil(float(rule.get("coefficient", 1.0)) * math.sqrt(n))
-    elif kind == "fixed":
-        k = int(rule["k"])
-    else:
+    if kind not in _DEGREE_RULES:
         raise ValueError(f"unknown degree rule {kind!r}")
-    return k if k >= 0 else None
-
-
-def _rule_label(rule: dict) -> str:
-    kind = rule["type"]
-    if kind == "offset":
-        return f"k=n-{rule['d']}"
-    if kind == "half":
-        return "k=ceil(n/2)"
-    if kind == "sqrt":
-        return f"k=ceil({rule.get('coefficient', 1.0)}*sqrt(n))"
-    return f"k={rule['k']}"
+    label, degree = _DEGREE_RULES[kind]
+    fields = {"coefficient": 1.0, **rule}
+    return label.format(**fields), functools.partial(degree, fields)
 
 
 def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
@@ -577,28 +558,23 @@ def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     width, height = float(cfg["width"]), float(cfg["height"])
     grids = [tuple(g) for g in cfg["grids"]]
     n_values = [int(n) for n in cfg["n_values"]]
-    rules = cfg.get("k_rules") or [cfg["k_rule"]]
+    rules = [_degree_rule(rule) for rule in cfg["k_rules"]]
     k = int(cfg.get("k", 6))
     beta_ref = cfg.get("beta_ref")
 
+    # a point with a negative pressure degree has no row
     points = [
-        (g, rule, n) for g in grids for rule in rules for n in n_values
+        ((nx, ny), label, n, degree(n))
+        for nx, ny in grids for label, degree in rules for n in n_values
+        if n >= 1 and degree(n) >= 0
     ]
-
-    def work(item):
-        (nx, ny), rule, n = item
-        kdeg = _pressure_degree(rule, n)
-        if kdeg is None or n < 1:
-            return None, None
-        return kdeg, _safe_beta(_pair(rect_grid(width, height, nx, ny), n, kdeg, solver), k)
-
-    results = _parallel(work, points, jobs)
+    runs = [[_pair(rect_grid(width, height, nx, ny), n, kdeg, solver)]
+            for (nx, ny), _, n, kdeg in points]
     text, parsed = _beta_table(
         ["mesh", "rule", "n", "pressure_degree", "beta_ref"],
         [
-            ([f"{nx}x{ny}", _rule_label(rule), str(n), str(kdeg), _ref_cell(beta_ref)], res)
-            for ((nx, ny), rule, n), (kdeg, res) in zip(points, results)
-            if kdeg is not None
+            ([f"{nx}x{ny}", label, str(n), str(kdeg), _ref_cell(beta_ref)], res)
+            for ((nx, ny), label, n, kdeg), (res,) in zip(points, _betas(runs, k, jobs))
         ],
         k,
     )
@@ -613,8 +589,8 @@ def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         ok = True
         detail = []
         for (nx, ny) in grids:
-            for rule in rules:
-                lbl = (f"{nx}x{ny}", _rule_label(rule))
+            for label, _ in rules:
+                lbl = (f"{nx}x{ny}", label)
                 sub = [r for r in parsed if (r["mesh"], r["rule"]) == lbl and r["flagged"] == "0"]
                 sub.sort(key=lambda r: int(r["n"]))
                 if not sub:
@@ -671,30 +647,27 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
             return int(rule["r"])
         return int(rule.get("start", 1)) + i * int(rule.get("step", 1))
 
-    def work(item):
-        i, (nx, ny) = item
+    def point(i, nx, ny):
         if family == "quad":
             pmesh = rect_grid(width, height, nx, ny)
         else:
             pmesh = sv_mesh(width, height, nx, ny, float(cfg.get("b", 0.25)))
-        r = depth(i)
-        vmesh, pm = refine_chain(pmesh, r)
-        pc = _pair(vmesh, vdeg, pdeg, solver, pcont,
-                   pressure_mesh=pmesh if pm is not None else None, parent_map=pm)
-        res = _safe_beta(pc, k)
-        if res is not None:
-            return r, res.max_diameter_velocity, res.min_inradius_pressure, res
-        return r, element_sizes(vmesh)[0], element_sizes(pmesh)[1], res
+        vmesh, pm = refine_chain(pmesh, depth(i))
+        return _pair(vmesh, vdeg, pdeg, solver, pcont,
+                     pressure_mesh=pmesh if pm is not None else None, parent_map=pm)
 
-    items = list(enumerate(grids))
-    results = _parallel(work, items, jobs)
+    runs = [[point(i, nx, ny)] for i, (nx, ny) in enumerate(grids)]
+    rows = []
+    for i, ((nx, ny), [pc], [res]) in enumerate(zip(grids, runs, _betas(runs, k, jobs))):
+        if res is not None:
+            hx, hm = res.max_diameter_velocity, res.min_inradius_pressure
+        else:  # a failed point's sizes, from its meshes
+            hx = element_sizes(pc.velocity_mesh)[0]
+            hm = element_sizes(pc.pressure_mesh or pc.velocity_mesh)[1]
+        lead = [f"{nx}x{ny}", str(depth(i)), _g(hx), _g(hm), _g(hx / hm), _ref_cell(beta_ref)]
+        rows.append((lead, res))
     text, parsed = _beta_table(
-        ["mesh", "refine_depth", "h_velocity", "h_pressure", "ratio", "beta_ref"],
-        [
-            ([f"{nx}x{ny}", str(r), _g(hx), _g(hm), _g(hx / hm), _ref_cell(beta_ref)], res)
-            for (_, (nx, ny)), (r, hx, hm, res) in zip(items, results)
-        ],
-        k,
+        ["mesh", "refine_depth", "h_velocity", "h_pressure", "ratio", "beta_ref"], rows, k
     )
     checks = []
     # opt-in for the same reason as the p-sweep: coarse-pressure rows of a
@@ -728,14 +701,12 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     k = int(cfg.get("k", 6))
     eps_grid = int(cfg.get("eps_grid", 512))
 
-    def work(n):
-        res = _safe_beta(_pair(regular_polygon_mesh(n, refine), vdeg, pdeg, solver), k)
-        return res, perturb.polygon_disk_eps(n, grid_density=eps_grid)
-
-    results = _parallel(work, n_values, jobs)
+    runs = [[_pair(regular_polygon_mesh(n, refine), vdeg, pdeg, solver)] for n in n_values]
+    results = _betas(runs, k, jobs)
+    ests = _parallel(lambda n: perturb.polygon_disk_eps(n, grid_density=eps_grid), n_values, jobs)
     disk = analytic.beta_disk().value
     rows = []
-    for n, (res, est) in zip(n_values, results):
+    for n, [res], est in zip(n_values, results, ests):
         low, up = analytic.polygon_bounds(n)
         gap = disk - res.beta if res is not None else float("nan")
         lead = [

@@ -39,12 +39,10 @@ __all__ = [
     "BetaResult",
     "DimensionZeroError",
     "PairConfig",
-    "UscReport",
     "compute_beta",
     "compute_betas",
     "eigenfunction_export",
     "schur_spectrum",
-    "usc_check",
 ]
 
 
@@ -225,33 +223,6 @@ def schur_spectrum(config: PairConfig, k: int = 6) -> np.ndarray:
     """The k smallest Schur eigenvalues for the pairing, ascending."""
     result, _, _ = _eigs(config, k)
     return result.values
-
-
-@dataclass(frozen=True)
-class UscReport:
-    passed: bool
-    beta: float
-    reference: float
-    slack: float
-
-    def __str__(self) -> str:
-        verdict = "pass" if self.passed else "FAIL"
-        return (
-            f"usc-check {verdict}: beta={self.beta:.6g} "
-            f"<= {self.reference:.6g} + {self.slack:.3g}"
-        )
-
-
-def usc_check(config: PairConfig, beta_ref: float, slack: float) -> UscReport:
-    """Upper semi-continuity check: computed beta_n must not exceed the
-    continuous reference by more than `slack`."""
-    result = compute_beta(config, k=2 if config.deflate_constants else 3)
-    return UscReport(
-        passed=bool(result.beta <= beta_ref + slack),
-        beta=result.beta,
-        reference=float(beta_ref),
-        slack=float(slack),
-    )
 
 
 def eigenfunction_export(result: BetaResult, path) -> None:

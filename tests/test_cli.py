@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from lbblab.cli import (
+    _betas,
+    _degree_rule,
     _doubling_ratios,
     _pair,
-    _safe_beta,
     _solver_options,
     _usc,
     main,
@@ -21,6 +22,7 @@ from lbblab.cli import (
     plot_polygon_limit,
     plot_sv_sweep,
     plot_sv_sweep_diff_fine,
+    run_h_refinement,
     run_p_sweep,
     run_perturb_rate,
     run_polygon_limit,
@@ -28,7 +30,7 @@ from lbblab.cli import (
     sv_mesh,
 )
 from lbblab.fem import assemble_system, build_dof_map
-from lbblab.geometry import regular_polygon_mesh, save_mesh
+from lbblab.geometry import MeshError, regular_polygon_mesh, save_mesh
 from lbblab.spectral import (
     EigenSolverError,
     SchurOperator,
@@ -123,16 +125,16 @@ def test_singular_point_check_fails_on_a_nan_beta(nan_grid, monkeypatch):
     # an unflagged NaN beta at a = 0 fails the check wherever its grid sits
     from lbblab import cli
 
-    real = cli._safe_betas
+    real = cli.compute_betas
 
-    def safe_betas(configs, k):
-        results = real(configs, k)
+    def compute_betas(configs, k, failures):
+        results = real(configs, k, failures)
         mesh = configs[0].velocity_mesh
         if len(mesh.triangles) == 4 * nan_grid[0] * nan_grid[1]:
             results = [dataclasses.replace(res, beta=math.nan) for res in results]
         return results
 
-    monkeypatch.setattr(cli, "_safe_betas", safe_betas)
+    monkeypatch.setattr(cli, "compute_betas", compute_betas)
     cfg = dict(SV_CFG, grids=[[4, 1], [8, 2]], a_start=0.0, a_stop=0.0, beta_ref=None)
     out = run_sv_sweep(cfg)
     assert [r["beta"] for r in _rows(out.csv)].count("nan") == 1
@@ -148,7 +150,7 @@ def test_p_sweep_runner():
         "height": 1,
         "grids": [[1, 1]],
         "n_values": [2, 4, 6],
-        "k_rule": {"type": "half"},
+        "k_rules": [{"type": "half"}],
         "k": 2,
         "beta_ref": 0.387262,
         "converge_tol": 0.02,
@@ -192,17 +194,24 @@ def test_perturb_runner_and_plot():
     assert plot_perturb_rate(rows) == out.svgs[""]
 
 
-def test_polygon_runner_reports_sv_degeneration():
-    cfg = {
-        "kind": "polygon-limit",
-        "n_values": [8, 16],
-        "refine": 0,
-        "velocity_degree": 4,
-        "pressure_degree": 3,
-        "k": 2,
-        "eps_grid": 128,
-    }
-    out = run_polygon_limit(cfg)
+POLYGON_CFG = {
+    "kind": "polygon-limit",
+    "n_values": [8, 16],
+    "refine": 0,
+    "velocity_degree": 4,
+    "pressure_degree": 3,
+    "k": 2,
+    "eps_grid": 128,
+}
+
+
+@pytest.fixture(scope="module")
+def polygon_serial():
+    return run_polygon_limit(POLYGON_CFG, jobs=1)
+
+
+def test_polygon_runner_reports_sv_degeneration(polygon_serial):
+    out = polygon_serial
     rows = _rows(out.csv)
     named = {c.name: c for c in out.checks}
     # the upper bound holds but corner near-singularity breaks the lower one
@@ -210,6 +219,11 @@ def test_polygon_runner_reports_sv_degeneration():
     assert not named["two-sided-bounds"].passed
     assert named["eps-contraction"].passed
     assert plot_polygon_limit(rows) == out.svgs[""]
+
+
+def test_polygon_limit_parallel_matches_serial(polygon_serial):
+    # the betas and the eps estimates are each mapped over the threads
+    assert run_polygon_limit(POLYGON_CFG, jobs=2) == polygon_serial
 
 
 @pytest.mark.parametrize("first", ["nan", "-0.01"])
@@ -375,21 +389,23 @@ def test_negative_mesh_refinement_is_rejected(domain, mesh, tmp_path, capsys):
     assert "refinement depth must be nonnegative" in capsys.readouterr().err
 
 
+H_CFG = {
+    "kind": "h-refinement",
+    "width": 2,
+    "height": 1,
+    "family": "quad",
+    "velocity_degree": 2,
+    "pressure_degree": 1,
+    "pressure_grids": [[2, 1], [4, 2]],
+    "refine_velocity": {"mode": "fixed", "r": 1},
+    "k": 2,
+    "beta_ref": 0.387262,
+}
+
+
 def test_h_refinement_runner(tmp_path):
-    cfg = {
-        "kind": "h-refinement",
-        "width": 2,
-        "height": 1,
-        "family": "quad",
-        "velocity_degree": 2,
-        "pressure_degree": 1,
-        "pressure_grids": [[2, 1], [4, 2]],
-        "refine_velocity": {"mode": "fixed", "r": 1},
-        "k": 2,
-        "beta_ref": 0.387262,
-    }
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg))
+    p.write_text(json.dumps(H_CFG))
     rc = main(["sweep", "--config", str(p), "--out", str(tmp_path / "h")])
     assert rc == 0
     rows = _rows((tmp_path / "h.csv").read_text())
@@ -401,19 +417,58 @@ def test_h_refinement_runner(tmp_path):
         assert float(r["beta"]) > 0
 
 
-def test_p_sweep_sqrt_rule():
-    from lbblab.cli import _pressure_degree, _rule_label
+def test_h_refinement_parallel_matches_serial():
+    cfg = dict(H_CFG, refine_velocity={"mode": "growing", "start": 0, "step": 1})
+    serial = run_h_refinement(cfg, jobs=1)
+    assert [r["refine_depth"] for r in _rows(serial.csv)] == ["0", "1"]
+    assert run_h_refinement(cfg, jobs=2) == serial
+    # a failed point keeps its mesh sizes, read from its meshes
+    failed = _rows(run_h_refinement(dict(cfg, solver={"residual_tol": 1e-30})).csv)
+    columns = ("mesh", "refine_depth", "h_velocity", "h_pressure", "ratio")
+    assert [r["flagged"] for r in failed] == ["1", "1"]
+    assert [[r[c] for c in columns] for r in failed] == [
+        [r[c] for c in columns] for r in _rows(serial.csv)
+    ]
 
-    assert _pressure_degree({"type": "sqrt", "coefficient": 1.0}, 9) == 3
-    assert _pressure_degree({"type": "sqrt", "coefficient": 0.5}, 16) == 2
-    assert _pressure_degree({"type": "offset", "d": 3}, 2) is None
-    assert _rule_label({"type": "half"}) == "k=ceil(n/2)"
+
+def test_failed_points_split_a_run(monkeypatch, capsys):
+    # the configs between two failed points go to one compute_betas call, so
+    # the point after a failure starts cold; each failure is a None result
+    from lbblab import cli
+
+    calls = []
+
+    def compute_betas(configs, k, failures):
+        calls.append(configs)
+        return [EigenSolverError("no") if c == "bad" else c.upper() for c in configs]
+
+    monkeypatch.setattr(cli, "compute_betas", compute_betas)
+    runs = [["a", "b", MeshError("flat"), "c", "bad", "d"], [MeshError("thin")], ["e"]]
+    assert _betas(runs, 3, 1) == [["A", "B", None, "C", None, "D"], [None], ["E"]]
+    assert calls == [["a", "b"], ["c", "bad", "d"], ["e"]]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: sweep point failed: MeshError: flat",
+        "warning: sweep point failed: EigenSolverError: no",
+        "warning: sweep point failed: MeshError: thin",
+    ]
+
+
+def test_p_sweep_sqrt_rule():
+    label, degree = _degree_rule({"type": "sqrt", "coefficient": 1.0})
+    assert (label, degree(9)) == ("k=ceil(1.0*sqrt(n))", 3)
+    label, degree = _degree_rule({"type": "sqrt"})
+    assert (label, degree(9)) == ("k=ceil(1.0*sqrt(n))", 3)
+    assert _degree_rule({"type": "sqrt", "coefficient": 0.5})[1](16) == 2
+    assert _degree_rule({"type": "offset", "d": 3})[1](2) == -1
+    assert _degree_rule({"type": "half"})[0] == "k=ceil(n/2)"
+    with pytest.raises(ValueError, match="unknown degree rule 'cube'"):
+        _degree_rule({"type": "cube"})
     cfg = {
         "kind": "p-sweep",
         "width": 2, "height": 1,
         "grids": [[1, 1]],
         "n_values": [4, 9],
-        "k_rule": {"type": "sqrt", "coefficient": 1.0},
+        "k_rules": [{"type": "sqrt", "coefficient": 1.0}],
         "k": 2,
     }
     out = run_p_sweep(cfg)
@@ -440,7 +495,7 @@ def test_p_sweep_empty_deflated_pressure_is_flagged(tmp_path, capsys):
         "width": 1, "height": 1,
         "grids": [[1, 1]],
         "n_values": [2],
-        "k_rule": {"type": "fixed", "k": 0},
+        "k_rules": [{"type": "fixed", "k": 0}],
         "k": 2,
     }
     p = tmp_path / "cfg.json"
@@ -462,10 +517,10 @@ def test_arpack_non_convergence_is_a_failed_point(capsys):
         build_dof_map(pc.velocity_mesh, pc.velocity_space),
         build_dof_map(pc.velocity_mesh, pc.pressure_space),
     )
-    op = SchurOperator(system.B, factorize_spd(system.A))
+    op = SchurOperator(system.C, factorize_spd(system.Ahat), system.D, system.E)
     with pytest.raises(EigenSolverError, match="arpack route"):
         smallest_generalized_eigs(op, system.Mp, 6, deflate=system.m, options=pc.solver)
-    assert _safe_beta(pc, 6) is None
+    assert _betas([[pc]], 6, 1) == [[None]]
     assert "warning: sweep point failed: EigenSolverError: arpack route" in capsys.readouterr().err
 
 

@@ -25,7 +25,6 @@ from lbblab.infsup import (
     compute_betas,
     eigenfunction_export,
     schur_spectrum,
-    usc_check,
 )
 from lbblab.spectral import (
     EigenSolverError,
@@ -131,34 +130,17 @@ def test_cosserat_interval_clustering():
 
 
 def test_usc_check_examples():
-    ok = usc_check(
-        PairConfig(velocity_space=P4, pressure_space=P3DC,
-                   velocity_mesh=sv_mesh(4, 1, 8, 2, b=0.4, a=0.4)),
-        beta_ref=0.218444, slack=0.005,
-    )
-    assert ok.passed
-
-    ok2 = usc_check(
-        PairConfig(velocity_space=P4, pressure_space=P3DC,
-                   velocity_mesh=sv_mesh(2, 1, 4, 2, b=0.4, a=0.4)),
-        beta_ref=0.387262, slack=0.005,
-    )
-    assert ok2.passed
-
-    ok3 = usc_check(
-        PairConfig(velocity_space=P4, pressure_space=P3DC,
-                   velocity_mesh=regular_polygon_mesh(16, 1)),
-        beta_ref=1 / math.sqrt(2), slack=0.005,
-    )
-    assert ok3.passed
-
-    bad = usc_check(
-        PairConfig(velocity_space=P4, pressure_space=P3DC,
-                   velocity_mesh=sv_mesh(4, 1, 4, 1, b=0.4, a=0.4)),
-        beta_ref=0.05, slack=0.001,
-    )
-    assert not bad.passed
-    assert "FAIL" in str(bad)
+    # upper semi-continuity: beta_n <= beta_ref + slack, and a reference far
+    # below the discrete value fails
+    cases = [
+        (sv_mesh(4, 1, 8, 2, b=0.4, a=0.4), 0.218444, 0.005, True),
+        (sv_mesh(2, 1, 4, 2, b=0.4, a=0.4), 0.387262, 0.005, True),
+        (regular_polygon_mesh(16, 1), 1 / math.sqrt(2), 0.005, True),
+        (sv_mesh(4, 1, 4, 1, b=0.4, a=0.4), 0.05, 0.001, False),
+    ]
+    for mesh, beta_ref, slack, passed in cases:
+        cfg = PairConfig(velocity_space=P4, pressure_space=P3DC, velocity_mesh=mesh)
+        assert (compute_beta(cfg, k=2).beta <= beta_ref + slack) is passed
 
 
 def test_eigenfunction_export(tmp_path):

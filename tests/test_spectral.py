@@ -264,9 +264,10 @@ def _fig3_system(nx, ny):
 
 @pytest.mark.parametrize("nx, ny", [(8, 2), (12, 3)])
 def test_route_rule_sends_low_order_mid_size_to_arpack(nx, ny):
-    # 640 and 1440 pressure dofs, below dense_cap: ARPACK is predicted cheaper
+    # 640 and 1440 pressure dofs against 562 and 1322 skeleton velocity dofs,
+    # below dense_cap: ARPACK is predicted cheaper
     sys_ = _fig3_system(nx, ny)
-    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    op = _condensed_op(sys_)
     res = smallest_generalized_eigs(op, sys_.Mp, 6, deflate=sys_.m)
     assert res.method == "arpack"
     assert np.allclose(res.values, brute_force_sigmas(sys_, deflate=True)[:6], atol=1e-10)
@@ -296,7 +297,7 @@ def test_route_budget_falls_back_to_dense(monkeypatch):
     # slowly on the pair, trips the solve budget, and the point is solved
     # on the dense route exactly as without the ARPACK attempt
     sys_ = _pair_system(regular_polygon_mesh(32, 1), 4, 3)
-    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    op = _condensed_op(sys_)
     applies = []
     real_eigsh = spectral.eigsh
 
@@ -326,7 +327,7 @@ def test_route_non_convergence_below_cap_falls_back_to_dense():
     # dofs) on the 12x3 split with a = 0; below dense_cap that is a dense
     # point, not a failed one (above it: test_cli's failed-point test)
     sys_ = _pair_system(sv_mesh(4, 1, 12, 3, 0.4, 0.0), 3, 2)
-    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    op = _condensed_op(sys_)
     ncv = spectral._lanczos_basis_size(6, op.shape[0] - 1)
     assert spectral._arpack_budget(op, _pressure_blocks(sys_.Mp), ncv) is not None
     res = smallest_generalized_eigs(
