@@ -19,13 +19,12 @@ from .fem import (
     assemble_system,
     build_dof_map,
 )
-from .infsup import BetaResult, PairConfig, compute_beta, schur_spectrum
+from .infsup import BetaResult, PairConfig, compute_beta
 from .spectral import (
     SchurOperator,
     SolverOptions,
     dense_schur,
     factorize_spd,
-    mixed_block_eigs,
     smallest_generalized_eigs,
 )
 

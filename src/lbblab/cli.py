@@ -302,7 +302,6 @@ def _config_pair(cfg: dict, seed) -> tuple[PairConfig, int]:
         el["pressure_degree"],
         _solver_options(cfg, seed),
         el.get("pressure_continuity", "dc"),
-        deflate_constants=bool(cfg.get("deflate_constants", True)),
     )
     return pc, int(cfg.get("k", 6))
 

@@ -11,7 +11,6 @@ from .assembly import (
     AssembledSystem,
     assemble_pressure_mass,
     assemble_system,
-    export_matrix_coo,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "assemble_pressure_mass",
     "assemble_system",
     "build_dof_map",
-    "export_matrix_coo",
     "quad_rule",
     "reference_element",
 ]

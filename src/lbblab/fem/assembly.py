@@ -245,9 +245,9 @@ class AssembledSystem:
     Without interior dofs Ahat = A, C = B, D = 0 and E has no rows.
 
     The solve path reads only the condensed forms.  The uncondensed A and B
-    serve the oracles and the export: each is scattered from the retained
-    class matrices on first access.  n_velocity, the size of A, is known
-    without building it.
+    are read by the test oracles (``tests/conftest.py``) and the benchmark
+    tracer: each is scattered from the retained class matrices on first
+    access.  n_velocity, the size of A, is known without building it.
     """
 
     Mp: sparse.csr_matrix
@@ -337,14 +337,3 @@ def assemble_system(
     return AssembledSystem(
         Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E, n_velocity=2 * n_v, blocks=blocks
     )
-
-
-def export_matrix_coo(mat, path) -> None:
-    """Write a matrix in the `matrixcoo` text format (0-based indices)."""
-    coo = sparse.coo_matrix(mat)
-    coo.sum_duplicates()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", newline="\n") as f:
-        f.write(f"matrixcoo {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            f.write(f"{i} {j} {v:.17g}\n")

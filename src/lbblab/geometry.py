@@ -462,7 +462,9 @@ def _quad_inradii(p: np.ndarray) -> np.ndarray:
     t = np.roll(p, -1, axis=1) - p
     nrm = np.stack([-t[..., 1], t[..., 0]], axis=-1)  # inward for counterclockwise order
     nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
-    off = np.einsum("qij,qij->qi", nrm, p)
+    # offsets from each quad's centroid: from absolute coordinates they would
+    # carry rounding on the scale of |p|, not of the quad
+    off = np.einsum("qij,qij->qi", nrm, p - p.mean(axis=1, keepdims=True))
     best = np.full(len(p), -np.inf)
     for skip in range(4):
         tri = [i for i in range(4) if i != skip]

@@ -1,8 +1,7 @@
 """End-to-end computation of the discrete inf-sup constant for one pairing.
 
 beta_n is the square root of the smallest Schur eigenvalue on the zero-mean
-pressure subspace; with deflation disabled the trivial constant mode shows
-up as sigma_0 = 0 and beta_n is taken from sigma_1 instead.
+pressure subspace: the pencil deflated by the mean vector m.
 
 `compute_betas` solves a sequence of pairings, each built and assembled
 afresh.  A pairing of the same family as the previous one (the same
@@ -42,7 +41,6 @@ __all__ = [
     "compute_beta",
     "compute_betas",
     "eigenfunction_export",
-    "schur_spectrum",
 ]
 
 
@@ -64,7 +62,6 @@ class PairConfig:
     velocity_mesh: Mesh
     pressure_mesh: Mesh | None = None
     parent_map: ParentMap | None = None
-    deflate_constants: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -82,7 +79,7 @@ class PairConfig:
             "pressure": _space_key(self.pressure_space),
             "vmesh": _mesh_digest(self.velocity_mesh),
             "pmesh": _mesh_digest(self.pressure_mesh) if self.pressure_mesh is not None else None,
-            "deflate": self.deflate_constants,
+            "deflate": True,  # a constant, so every config hash keeps its earlier value
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
@@ -120,8 +117,8 @@ def _same_family(a: PairConfig, b: PairConfig) -> bool:
     """Whether b may warm-start from a: the same spaces, options and
     connectivity.  On a shared velocity/pressure mesh vertices may move;
     nested pairs warm-start only on the very same meshes and parent map."""
-    if (a.velocity_space, a.pressure_space, a.deflate_constants, a.solver) != (
-        b.velocity_space, b.pressure_space, b.deflate_constants, b.solver
+    if (a.velocity_space, a.pressure_space, a.solver) != (
+        b.velocity_space, b.pressure_space, b.solver
     ):
         return False
     va, vb = a.velocity_mesh, b.velocity_mesh
@@ -139,7 +136,7 @@ def _eigs(config: PairConfig, k: int, start=None) -> tuple[GenEigResult, int, Do
     dof_p = build_dof_map(config.pressure_mesh or mesh, config.pressure_space)
     if dof_v.n_global == 0:
         raise DimensionZeroError("velocity space is empty (all dofs on the boundary)")
-    dim = dof_p.n_global - (1 if config.deflate_constants else 0)
+    dim = dof_p.n_global - 1
     if dim < 1:
         raise DimensionZeroError("pressure space is zero-dimensional after deflation")
     system = assemble_system(dof_v, dof_p, parent_map=config.parent_map)
@@ -151,7 +148,7 @@ def _eigs(config: PairConfig, k: int, start=None) -> tuple[GenEigResult, int, Do
         op,
         Mp,
         min(k, dim),
-        deflate=m if config.deflate_constants else None,
+        deflate=m,
         options=config.solver,
         start=start,
     )
@@ -161,20 +158,13 @@ def _eigs(config: PairConfig, k: int, start=None) -> tuple[GenEigResult, int, Do
 def _beta(config: PairConfig, k: int, start=None) -> tuple[BetaResult, np.ndarray]:
     """The point's BetaResult and eigenvectors; `start` as in `_eigs`."""
     result, n_velocity, dof_p = _eigs(config, k, start)
-    sigmas = result.values
-    if config.deflate_constants:
-        lead, eigenfunction = sigmas[0], result.vectors[:, 0]
-    elif len(sigmas) < 2:
-        raise DimensionZeroError("pressure space has no mode beyond the constants")
-    else:
-        lead, eigenfunction = sigmas[1], result.vectors[:, 1]
     diam_v, inr_p = element_sizes(config.velocity_mesh)
     if config.pressure_mesh is not None:
         _, inr_p = element_sizes(config.pressure_mesh)
     return BetaResult(
-        beta=float(np.sqrt(max(lead, 0.0))),
-        sigmas=sigmas,
-        eigenfunction=eigenfunction,
+        beta=float(np.sqrt(max(result.values[0], 0.0))),
+        sigmas=result.values,
+        eigenfunction=result.vectors[:, 0],
         n_velocity=n_velocity,
         n_pressure=dof_p.n_global,
         max_diameter_velocity=diam_v,
@@ -194,8 +184,7 @@ def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     sweep over one mesh family) starts its eigensolve from that point's
     eigenvectors.  A point that raises one of `failures` gets the exception
     in place of its result, and the point after it starts cold; any other
-    exception propagates.  Without deflation each point is solved as in
-    `compute_beta`.
+    exception propagates.
     """
     out, previous, start = [], None, None
     for config in configs:
@@ -203,7 +192,7 @@ def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
             start = None
         previous = config
         try:
-            result, start = _beta(config, k if config.deflate_constants else max(k, 2), start)
+            result, start = _beta(config, k, start)
         except failures as exc:
             result, start = exc, None
         out.append(result)
@@ -211,24 +200,13 @@ def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
 
 
 def compute_beta(config: PairConfig, k: int = 6) -> BetaResult:
-    """Assemble the pairing and return beta_n plus the k smallest eigenvalues.
-
-    With deflation (default), beta_n^2 is the smallest returned eigenvalue;
-    without it, sigma_0 = 0 is reported first and beta_n^2 is sigma_1.
-    """
+    """Assemble the pairing and return beta_n plus the k smallest eigenvalues
+    on the zero-mean pressures; beta_n^2 is the smallest of them."""
     return compute_betas([config], k)[0]
-
-
-def schur_spectrum(config: PairConfig, k: int = 6) -> np.ndarray:
-    """The k smallest Schur eigenvalues for the pairing, ascending."""
-    result, _, _ = _eigs(config, k)
-    return result.values
 
 
 def eigenfunction_export(result: BetaResult, path) -> None:
     """CSV of the leading pressure eigenfunction with dof geometry."""
-    if result.eigenfunction is None:
-        raise ValueError("result carries no eigenfunction")
     q = result.eigenfunction
     dof = result.dof_p
     with open(path, "w", newline="\n") as f:

@@ -1,31 +1,32 @@
 """Symmetric linear algebra for the pressure Schur eigenproblem.
 
-Three routes to the same spectrum:
+``smallest_generalized_eigs`` takes one of two routes to the same spectrum:
 
-* ``smallest_generalized_eigs`` -- production path: shift-invert Lanczos
-  (ARPACK) above the dense cap; below it, a dense generalized eigensolve
-  unless a cost rule predicts ARPACK to be cheaper (see ``_arpack_budget``),
-  in which case ARPACK runs on a budget of shift-invert solves and falls
-  back to the dense route if it has not converged within it.  Its solves
-  with S + tau Mp use the Woodbury identity when Mp is block diagonal
-  (discontinuous pressures): W = (tau Mp + D)^{-1} is element-local and the
-  augmented-Lagrangian matrix Ahat + C^T W C is SPD.  Continuous pressures
-  solve with the factorized saddle-point matrix instead.
-* ``mixed_block_eigs`` -- cross-check path solving the structured block
-  pencil directly with QZ.
-* ``dense_schur`` -- explicit Schur matrix, the oracle building block.
+* shift-invert Lanczos (ARPACK) above the dense cap; below it, a dense
+  generalized eigensolve unless a cost rule predicts ARPACK to be cheaper
+  (see ``_arpack_budget``), in which case ARPACK runs on a budget of
+  shift-invert solves and falls back to the dense route if it has not
+  converged within it.  Its solves with S + tau Mp use the Woodbury
+  identity when Mp is block diagonal (discontinuous pressures):
+  W = (tau Mp + D)^{-1} is element-local and the augmented-Lagrangian
+  matrix Ahat + C^T W C is SPD.  Continuous pressures solve with the
+  factorized saddle-point matrix instead.
+* the dense route on ``dense_schur``, the explicit Schur matrix.
+
+The independent cross-checks (a QZ solve of the uncondensed block pencil
+and a brute-force dense oracle) live with the tests, in
+``tests/conftest.py``.
 
 The Schur operator is S = D + C Ahat^{-1} C^T, the pressure Schur
 complement of the statically condensed system (`lbblab.fem.AssembledSystem`):
 Ahat acts on the skeleton velocity dofs only, and D = 0, C = B, Ahat = A
 give the uncondensed B A^{-1} B^T.
 
-With a mean vector m to deflate, every route solves on the zero-mean
-pressures {q : m.q = 0}.  The dense and QZ routes need a basis of that
-subspace and take it from a Householder reflector; the Lanczos route
-projects its start vector and every shift-invert solve Mp-orthogonally
-onto it.  All three end in ``_finish``: Rayleigh quotients, sorting and
-the residual contract.
+Both routes solve on the zero-mean pressures {q : m.q = 0} for the mean
+vector m.  The dense route takes a basis of that subspace from a
+Householder reflector; the Lanczos route projects its start vector and
+every shift-invert solve Mp-orthogonally onto it.  Both end in
+``_finish``: Rayleigh quotients, sorting and the residual contract.
 
 Every SPD matrix (Ahat, and the augmented-Lagrangian matrix) goes through one
 ``SymFactorization``: a SuperLU factor with a minimum-degree ordering and
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eig, eigh
+from scipy.linalg import eigh
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
@@ -54,7 +55,6 @@ __all__ = [
     "SymFactorization",
     "dense_schur",
     "factorize_spd",
-    "mixed_block_eigs",
     "smallest_generalized_eigs",
 ]
 
@@ -97,7 +97,6 @@ class SolverOptions:
 
     residual_tol: float = 1e-10
     dense_cap: int = 4000
-    mixed_cap: int = 3000
     seed: int = 0
     max_iterations: int = 20000
 
@@ -242,14 +241,11 @@ def _symmetric_part(S: np.ndarray) -> np.ndarray:
     return ST
 
 
-def _householder_to_e1(m: np.ndarray | None) -> np.ndarray | None:
+def _householder_to_e1(m: np.ndarray) -> np.ndarray:
     """Unit vector w with H m proportional to e_1, H = I - 2 w w^T.
 
-    H's last n-1 columns span {q : m.q = 0}.  With nothing to deflate, w is
-    None and the two helpers below are the identity.
+    H's last n-1 columns span {q : m.q = 0}.
     """
-    if m is None:
-        return None
     w = np.array(m, dtype=float)
     nrm = np.linalg.norm(w)
     if nrm == 0:
@@ -258,14 +254,12 @@ def _householder_to_e1(m: np.ndarray | None) -> np.ndarray | None:
     return w / np.linalg.norm(w)
 
 
-def _reflect_matrix(M: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _reflect_matrix(M: np.ndarray, w: np.ndarray) -> np.ndarray:
     """H M H without its first row and column, without forming H.
 
     For symmetric M, H M H = M - w v^T - v w^T with v = 2 M w - 2 (w.Mw) w:
     one rank-2 update, on the trailing block only.
     """
-    if w is None:
-        return M
     Mw = M @ w
     v = 2.0 * Mw - (2.0 * (w @ Mw)) * w
     out = M[1:, 1:] - np.outer(w[1:], v[1:])
@@ -273,10 +267,8 @@ def _reflect_matrix(M: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _expand_deflated(y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _expand_deflated(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Map reduced coordinates back: q = H [0; y]."""
-    if w is None:
-        return y
     full = np.concatenate([np.zeros((1, *y.shape[1:])), y])
     return full - 2.0 * np.outer(w, w @ full)
 
@@ -425,23 +417,21 @@ def _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget, start=Non
     and with a component along every eigenvector.
     """
     n = op.shape[0]
-    dim = n - (1 if deflate is not None else 0)
-    if k >= dim:
+    if k >= n - 1:
         raise EigenSolverError("problem too small for the iterative path")
     # dimensionless shift left of the spectrum of the (S, Mp) pencil
     tau = 0.05
     solve_shifted = _shifted_solver(op, Mp, tau, labels)
-    if deflate is not None:
-        # Lanczos on the zero-mean subspace {m.q = 0}: c = (S + tau Mp)^{-1} m
-        # is the constant mode (S c = 0, so one solve), and P x = x - c (m.x)/(m.c)
-        # is the Mp-orthogonal projector onto that subspace, which the pencil
-        # leaves invariant
-        m = np.asarray(deflate, dtype=float)
-        c = solve_shifted(m)
-        mc = m @ c
+    # Lanczos on the zero-mean subspace {m.q = 0}: c = (S + tau Mp)^{-1} m
+    # is the constant mode (S c = 0, so one solve), and P x = x - c (m.x)/(m.c)
+    # is the Mp-orthogonal projector onto that subspace, which the pencil
+    # leaves invariant
+    m = np.asarray(deflate, dtype=float)
+    c = solve_shifted(m)
+    mc = m @ c
 
     def project(x):
-        return x if deflate is None else x - c * ((m @ x) / mc)
+        return x - c * ((m @ x) / mc)
 
     solves = 0
 
@@ -486,14 +476,14 @@ def smallest_generalized_eigs(
     op: SchurOperator,
     Mp,
     k: int,
-    deflate: np.ndarray | None = None,
+    deflate: np.ndarray,
     options: SolverOptions | None = None,
     start: np.ndarray | None = None,
 ) -> GenEigResult:
     """k smallest eigenvalues of S q = sigma Mp q, ascending.
 
-    With `deflate` (the mean vector m), the problem is restricted to the
-    zero-mean subspace {q : m.q = 0}, removing the trivial constant mode.
+    The problem is restricted to the zero-mean subspace {q : m.q = 0} of
+    the mean vector m (`deflate`), removing the trivial constant mode.
     Deterministic for a fixed options.seed and start.  `method` names the route whose vectors were
     returned: a budgeted ARPACK run that fell back reports "dense".  The
     ARPACK route starts from `start`, the eigenvectors of a nearby system
@@ -504,7 +494,7 @@ def smallest_generalized_eigs(
     n = op.shape[0]
     if Mp.shape != (n, n):
         raise ValueError("Mp dimension mismatch")
-    dim = n - (1 if deflate is not None else 0)
+    dim = n - 1
     if k < 1 or k > dim:
         raise EigenSolverError(f"k={k} outside the available dimension {dim}")
     labels = _pressure_blocks(Mp)
@@ -519,54 +509,3 @@ def smallest_generalized_eigs(
     if method == "dense":
         vecs = _dense_eig_path(op, Mp, k, deflate, options)
     return _finish(op, Mp, vecs, method, options.residual_tol)
-
-
-def mixed_block_eigs(
-    A,
-    B,
-    Mp,
-    k: int,
-    deflate: np.ndarray | None = None,
-    options: SolverOptions | None = None,
-) -> GenEigResult:
-    """Same spectrum via the block saddle pencil, solved densely with QZ.
-
-    This is the cross-check route: it never forms the Schur complement.
-    Desk-scale only (guarded by options.mixed_cap on the total dimension).
-    """
-    options = options or SolverOptions()
-    A = sparse.csr_matrix(A)
-    B = sparse.csr_matrix(B)
-    Mp = sparse.csr_matrix(Mp)
-    nv, n = A.shape[0], Mp.shape[0]
-    if nv + n > options.mixed_cap:
-        raise EigenSolverError(
-            f"mixed pencil of size {nv + n} exceeds the desk-scale cap {options.mixed_cap}"
-        )
-    w = _householder_to_e1(deflate)
-    Bd = B.toarray()
-    if w is not None:
-        Bd = (Bd - 2.0 * np.outer(w, w @ Bd))[1:, :]
-    Mpd = _reflect_matrix(Mp.toarray(), w)
-    m_red = Bd.shape[0]
-    if k > m_red:
-        raise EigenSolverError(f"k={k} outside the available dimension {m_red}")
-    # equilibrate the two diagonal blocks before QZ
-    sa = 1.0 / np.sqrt(abs(A).max())
-    sp_ = 1.0 / np.sqrt(np.abs(Mpd).max())
-    K = np.zeros((nv + m_red, nv + m_red))
-    K[:nv, :nv] = sa * sa * A.toarray()
-    K[:nv, nv:] = -(sa * sp_) * Bd.T
-    K[nv:, :nv] = (sa * sp_) * Bd
-    M = np.zeros_like(K)
-    M[nv:, nv:] = sp_ * sp_ * Mpd
-    wvals, vr = eig(K, M, right=True)
-    finite = np.isfinite(wvals)
-    real = np.abs(wvals.imag) <= 1e-8 * (1.0 + np.abs(wvals.real))
-    idx = np.nonzero(finite & real)[0]
-    order = idx[np.argsort(wvals.real[idx])]
-    vecs = _expand_deflated(vr[:, order[:k]].real[nv:, :], w)
-    norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs, Mp @ vecs)))
-    vecs = vecs / np.where(norms > 0, norms, 1.0)
-    op = SchurOperator(B, factorize_spd(A))
-    return _finish(op, Mp, vecs, "qz", options.residual_tol)

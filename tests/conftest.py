@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import null_space
+from scipy import sparse
+from scipy.linalg import eig, null_space
 
+from lbblab import spectral
 from lbblab.cli import sv_mesh
 from lbblab.fem import (
     BoundaryCondition,
@@ -41,6 +43,54 @@ def brute_force_sigmas(system, deflate=True):
     else:
         vals = np.linalg.eigvalsh(T)
     return np.sort(vals)
+
+
+def mixed_block_eigs(A, B, Mp, k, deflate=None, *, cap=3000, residual_tol=1e-10):
+    """Independent QZ oracle: the k smallest eigenpairs of the uncondensed
+    block saddle pencil [[A, -B^T], [B, 0]] x = sigma [[0, 0], [0, Mp]] x,
+    solved densely, on the zero-mean pressures when `deflate` (the mean
+    vector m) is given.
+
+    It never forms the Schur complement.  Desk-scale only: a pencil of more
+    than `cap` rows raises EigenSolverError.  The vectors go through the
+    production finisher (Rayleigh quotients and the residual contract at
+    `residual_tol`) and the result reports method "qz".
+    """
+    A, B, Mp = sparse.csr_matrix(A), sparse.csr_matrix(B), sparse.csr_matrix(Mp)
+    nv, n = A.shape[0], Mp.shape[0]
+    if nv + n > cap:
+        raise spectral.EigenSolverError(
+            f"mixed pencil of size {nv + n} exceeds the desk-scale cap {cap}"
+        )
+    Bd, Mpd = B.toarray(), Mp.toarray()
+    if deflate is not None:
+        w = spectral._householder_to_e1(deflate)
+        Bd = (Bd - 2.0 * np.outer(w, w @ Bd))[1:, :]
+        Mpd = spectral._reflect_matrix(Mpd, w)
+    m_red = Bd.shape[0]
+    if k > m_red:
+        raise spectral.EigenSolverError(f"k={k} outside the available dimension {m_red}")
+    # equilibrate the two diagonal blocks before QZ
+    sa = 1.0 / np.sqrt(abs(A).max())
+    sp_ = 1.0 / np.sqrt(np.abs(Mpd).max())
+    K = np.zeros((nv + m_red, nv + m_red))
+    K[:nv, :nv] = sa * sa * A.toarray()
+    K[:nv, nv:] = -(sa * sp_) * Bd.T
+    K[nv:, :nv] = (sa * sp_) * Bd
+    M = np.zeros_like(K)
+    M[nv:, nv:] = sp_ * sp_ * Mpd
+    wvals, vr = eig(K, M, right=True)
+    finite = np.isfinite(wvals)
+    real = np.abs(wvals.imag) <= 1e-8 * (1.0 + np.abs(wvals.real))
+    idx = np.nonzero(finite & real)[0]
+    order = idx[np.argsort(wvals.real[idx])]
+    vecs = vr[:, order[:k]].real[nv:, :]
+    if deflate is not None:
+        vecs = spectral._expand_deflated(vecs, w)
+    norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs, Mp @ vecs)))
+    vecs = vecs / np.where(norms > 0, norms, 1.0)
+    op = spectral.SchurOperator(B, spectral.factorize_spd(A))
+    return spectral._finish(op, Mp, vecs, "qz", residual_tol)
 
 
 def loop_dof_map(mesh, space):

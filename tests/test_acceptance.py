@@ -35,11 +35,10 @@ from lbblab.perturb import polygon_disk_eps
 from lbblab.spectral import (
     SchurOperator,
     factorize_spd,
-    mixed_block_eigs,
     smallest_generalized_eigs,
 )
 
-from conftest import brute_force_sigmas
+from conftest import brute_force_sigmas, mixed_block_eigs
 
 P4 = ElementSpace(Family.TRIANGLE, 4, Continuity.C0, BoundaryCondition.ZERO_TRACE)
 P3DC = ElementSpace(Family.TRIANGLE, 3, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)

@@ -35,11 +35,10 @@ from lbblab.spectral import (
     SolverOptions,
     dense_schur,
     factorize_spd,
-    mixed_block_eigs,
     smallest_generalized_eigs,
 )
 
-from conftest import brute_force_sigmas
+from conftest import brute_force_sigmas, mixed_block_eigs
 
 DC, C0 = Continuity.DISCONTINUOUS, Continuity.C0
 

@@ -12,7 +12,6 @@ from lbblab.fem import (
     assemble_pressure_mass,
     assemble_system,
     build_dof_map,
-    export_matrix_coo,
     quad_rule,
 )
 from lbblab.fem import assembly
@@ -501,20 +500,3 @@ def test_nested_kernels_match_einsum(monkeypatch, coarse, family):
     fine, pm = refine_chain(coarse, 2)
     dv, dp = _pair_maps(fine, coarse, family, 3, 2)
     _check_kernels_against_einsum(monkeypatch, dv, dp, parent_map=pm)
-
-
-def test_matrix_export_format(tmp_path):
-    mesh = rect_grid(1, 1, 1, 1)
-    dv = build_dof_map(
-        mesh, ElementSpace(Family.QUAD, 2, Continuity.C0, BoundaryCondition.ZERO_TRACE)
-    )
-    A = _stiffness(dv)
-    path = tmp_path / "a.coo"
-    export_matrix_coo(A, path)
-    lines = path.read_text().splitlines()
-    head = lines[0].split()
-    assert head[0] == "matrixcoo"
-    assert int(head[1]) == A.shape[0] and int(head[2]) == A.shape[1]
-    assert len(lines) - 1 == int(head[3])
-    i, j, v = lines[1].split()
-    assert A.toarray()[int(i), int(j)] == pytest.approx(float(v), rel=1e-15)

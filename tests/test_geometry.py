@@ -355,6 +355,21 @@ def test_quad_inradius_matches_chebyshev_lp():
         assert r == pytest.approx(lp.x[2], rel=1e-12)
 
 
+@pytest.mark.parametrize("degrees", [9, 74, 192, 197, 202, 292, 298])
+def test_quad_inradius_is_translation_invariant(degrees):
+    # a small square about 1 from the origin, and the same square moved
+    # back to the origin (x - 1 is exact here), have the same inradius
+    h, a = 1.2e-5, math.radians(degrees)
+    turn = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    far = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]]) @ turn.T + [1.0, 0.0]
+    near = far - [1.0, 0.0]
+    quad = np.array([[0, 1, 2, 3]])
+    _, r_far = element_sizes(make_mesh(far, quads=quad))
+    _, r_near = element_sizes(make_mesh(near, quads=quad))
+    assert r_far == pytest.approx(r_near, rel=1e-12)
+    assert r_near == pytest.approx(h / 2, rel=1e-9)
+
+
 def test_mesh_io_roundtrip(tmp_path):
     m = sv_split(rect_grid(2, 1, 3, 2), SvSplitParams(b=0.2, special=(2, -0.3)))
     path = tmp_path / "mesh.txt"

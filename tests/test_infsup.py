@@ -24,7 +24,6 @@ from lbblab.infsup import (
     compute_beta,
     compute_betas,
     eigenfunction_export,
-    schur_spectrum,
 )
 from lbblab.spectral import (
     EigenSolverError,
@@ -35,7 +34,7 @@ from lbblab.spectral import (
     smallest_generalized_eigs,
 )
 
-from conftest import brute_force_sigmas
+from conftest import brute_force_sigmas, mixed_block_eigs, quad_pair_system
 
 P4 = ElementSpace(Family.TRIANGLE, 4, Continuity.C0, BoundaryCondition.ZERO_TRACE)
 P3DC = ElementSpace(Family.TRIANGLE, 3, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
@@ -82,17 +81,18 @@ def test_qn_qn_minus_one_beta_zero():
     assert r.beta <= 1e-8
 
 
-def test_no_deflation_reports_sigma0():
-    cfg = PairConfig(
-        velocity_space=ElementSpace(Family.QUAD, 3, Continuity.C0, BoundaryCondition.ZERO_TRACE),
-        pressure_space=ElementSpace(Family.QUAD, 1, Continuity.DISCONTINUOUS, BoundaryCondition.NONE),
-        velocity_mesh=rect_grid(1, 1, 1, 1),
-        deflate_constants=False,
-    )
-    r = compute_beta(cfg, k=3)
-    assert abs(r.sigmas[0]) <= 1e-10
-    deflated = compute_beta(_quad_pair(3, 1, rect_grid(1, 1, 1, 1)), k=2)
-    assert r.beta == pytest.approx(deflated.beta, abs=1e-10)
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("options", [SolverOptions(), SolverOptions(dense_cap=1)],
+                         ids=["dense", "arpack"])
+def test_undeflated_spectrum_is_the_constant_mode_then_the_deflated_one(n, k, options):
+    # on all pressures the constants give sigma_0 = 0, and the rest of the
+    # spectrum is the zero-mean one that compute_beta solves for
+    full = brute_force_sigmas(quad_pair_system(n, k, grid=(2, 2)), deflate=False)
+    cfg = dataclasses.replace(_quad_pair(n, k, rect_grid(1, 1, 2, 2)), solver=options)
+    r = compute_beta(cfg, k=6)
+    assert r.method == ("dense" if options.dense_cap > 1 else "arpack")
+    assert abs(full[0]) <= 1e-12
+    assert np.allclose(r.sigmas, full[1:7], rtol=0.0, atol=1e-10)
 
 
 def test_dimension_zero_error():
@@ -100,9 +100,6 @@ def test_dimension_zero_error():
     cfg = _quad_pair(2, 0, mesh)  # one P0 dof, empty after deflation
     with pytest.raises(DimensionZeroError):
         compute_beta(cfg)
-    # without deflation the one dof is the constant mode, with no sigma_1
-    with pytest.raises(DimensionZeroError):
-        compute_beta(dataclasses.replace(cfg, deflate_constants=False))
 
 
 def test_schur_spectrum_bounds():
@@ -110,7 +107,7 @@ def test_schur_spectrum_bounds():
         velocity_space=P4, pressure_space=P3DC,
         velocity_mesh=sv_mesh(2, 1, 2, 1, b=0.4, a=0.4),
     )
-    sig = schur_spectrum(cfg, k=8)
+    sig = compute_beta(cfg, k=8).sigmas
     assert (sig >= -1e-12).all()
     assert (sig <= 1.0 + 1e-9).all()
     assert (np.diff(sig) >= -1e-12).all()
@@ -123,7 +120,7 @@ def test_cosserat_interval_clustering():
         velocity_space=P4, pressure_space=P3DC,
         velocity_mesh=sv_mesh(1, 1, 4, 4, b=0.4, a=0.4),
     )
-    sig = schur_spectrum(cfg, k=60)
+    sig = compute_beta(cfg, k=60).sigmas
     low, high = cosserat_interval(math.pi / 2)
     inside = ((sig >= low) & (sig <= high)).sum()
     assert inside >= 5
@@ -260,8 +257,6 @@ def test_pressure_velocity_monotonicity():
 
 
 def test_cross_formulation_agreement():
-    from lbblab.spectral import mixed_block_eigs
-
     mesh = sv_split(rect_grid(1, 1, 1, 1), SvSplitParams(b=0.25))
     dv = build_dof_map(mesh, P4)
     dp = build_dof_map(mesh, P3DC)

@@ -22,11 +22,10 @@ from lbblab.spectral import (
     _pressure_blocks,
     dense_schur,
     factorize_spd,
-    mixed_block_eigs,
     smallest_generalized_eigs,
 )
 
-from conftest import brute_force_sigmas, quad_pair_system
+from conftest import brute_force_sigmas, mixed_block_eigs, quad_pair_system
 
 # the same calls on the dense route and, forced by dense_cap, on ARPACK
 ROUTES = pytest.mark.parametrize(
@@ -127,14 +126,6 @@ def test_schur_operator_identity_trick():
     op = SchurOperator(sys_.Mp, factorize_spd(sys_.Mp))
     res = smallest_generalized_eigs(op, sys_.Mp, 4, deflate=sys_.m)
     assert np.allclose(res.values, 1.0, atol=1e-10)
-
-
-@ROUTES
-def test_sigma0_without_deflation(options):
-    sys_ = quad_pair_system(3, 1, grid=(2, 2))
-    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
-    res = smallest_generalized_eigs(op, sys_.Mp, 2, options=options)
-    assert abs(res.values[0]) <= 1e-10
 
 
 def test_dense_schur_small_and_caps():
@@ -375,7 +366,8 @@ def test_residual_breach_raises(route):
     options = SolverOptions(residual_tol=1e-30, dense_cap=1 if route == "arpack" else 4000)
     with pytest.raises(EigenSolverError, match=f"{route} eigen residuals"):
         if route == "qz":
-            mixed_block_eigs(sys_.A, sys_.B, sys_.Mp, 3, deflate=sys_.m, options=options)
+            mixed_block_eigs(sys_.A, sys_.B, sys_.Mp, 3, deflate=sys_.m,
+                             residual_tol=options.residual_tol)
         else:
             op = SchurOperator(sys_.B, factorize_spd(sys_.A))
             smallest_generalized_eigs(op, sys_.Mp, 3, deflate=sys_.m, options=options)
@@ -394,7 +386,7 @@ def test_nan_residual_breaches_the_contract():
 def test_mixed_cap_guard():
     sys_ = quad_pair_system(3, 2)
     with pytest.raises(EigenSolverError):
-        mixed_block_eigs(sys_.A, sys_.B, sys_.Mp, 2, options=SolverOptions(mixed_cap=3))
+        mixed_block_eigs(sys_.A, sys_.B, sys_.Mp, 2, cap=3)
 
 
 # ------------------------------------------------------------ invariants
