@@ -46,6 +46,13 @@ from .infsup import (
 from .spectral import EigenSolverError, NotPositiveDefinite, SolverOptions
 from .svgplot import line_plot
 
+# fixed check thresholds: beta at a = 0 counts as zero up to _ZERO_BETA_MAX,
+# beta(a) is linear near a = 0 below _SLOPE_REL_TOL relative residual, and
+# eps_forward halves with n doubled when the ratio lies in _EPS_RATIOS
+_ZERO_BETA_MAX = 1e-6
+_SLOPE_REL_TOL = 0.2
+_EPS_RATIOS = (0.35, 0.65)
+
 _BETA_COLS = [
     "config_hash",
     "n_velocity",
@@ -108,16 +115,14 @@ def sv_mesh(
     ny: int,
     b: float,
     a: float | None = None,
-    special_quad: int | None = None,
 ) -> Mesh:
-    """Rectangle quad grid split into four triangles per quad; the special
-    quad (default: nearest the domain center) gets decentering `a`."""
+    """Rectangle quad grid split into four triangles per quad; the quad
+    nearest the domain center gets decentering `a`."""
     grid = rect_grid(width, height, nx, ny)
     if a is None:
         params = SvSplitParams(b=b)
     else:
-        idx = special_quad if special_quad is not None else _center_quad(grid)
-        params = SvSplitParams(b=b, special=(idx, a))
+        params = SvSplitParams(b=b, special=(_center_quad(grid), a))
     return sv_split(grid, params)
 
 
@@ -126,14 +131,14 @@ def _pair(
     velocity_degree: int,
     pressure_degree: int,
     solver: SolverOptions,
-    pressure_continuity: str = "dc",
     **kwargs,
 ) -> PairConfig:
-    """C0 zero-trace velocities against pressures of the mesh's element family."""
+    """C0 zero-trace velocities against discontinuous pressures of the mesh's
+    element family."""
     family = Family.QUAD if mesh.is_quad else Family.TRIANGLE
     vel = ElementSpace(family, int(velocity_degree), Continuity.C0, BoundaryCondition.ZERO_TRACE)
-    pcont = Continuity(pressure_continuity)
-    pre = ElementSpace(family, int(pressure_degree), pcont, BoundaryCondition.NONE)
+    pre = ElementSpace(family, int(pressure_degree), Continuity.DISCONTINUOUS,
+                       BoundaryCondition.NONE)
     return PairConfig(velocity_space=vel, pressure_space=pre, velocity_mesh=mesh, solver=solver,
                       **kwargs)
 
@@ -151,7 +156,6 @@ def _domain_mesh(cfg: dict) -> Mesh:
                 disc["ny"],
                 disc.get("b", 0.0),
                 disc.get("a"),
-                disc.get("special_quad"),
             )
         else:
             mesh = rect_grid(dom["width"], dom["height"], disc["nx"], disc["ny"])
@@ -165,7 +169,7 @@ def _domain_mesh(cfg: dict) -> Mesh:
 
 def _beta_cells(result: BetaResult | None, k: int) -> list[str]:
     # a returned result is never flagged: the eigensolver raises on any
-    # residual above residual_tol, and _betas turns that into None
+    # residual above its contract, and _betas turns that into None
     if result is None:
         return (
             ["failed", "0", "0", "nan", "nan", "nan"]
@@ -301,7 +305,6 @@ def _config_pair(cfg: dict, seed) -> tuple[PairConfig, int]:
         el["velocity_degree"],
         el["pressure_degree"],
         _solver_options(cfg, seed),
-        el.get("pressure_continuity", "dc"),
     )
     return pc, int(cfg.get("k", 6))
 
@@ -393,13 +396,12 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     n_steps = int(round((a1 - a0) / da))
     a_values = [round(a0 + i * da, 12) for i in range(n_steps + 1)]
     k = int(cfg.get("k", 6))
-    special = cfg.get("special_quad")
     vdeg, pdeg = int(cfg.get("velocity_degree", 4)), int(cfg.get("pressure_degree", 3))
     beta_ref = cfg.get("beta_ref")
 
     def point(nx, ny, a):
         try:
-            return _pair(sv_mesh(width, height, nx, ny, b, a, special), vdeg, pdeg, solver)
+            return _pair(sv_mesh(width, height, nx, ny, b, a), vdeg, pdeg, solver)
         except MeshError as exc:
             return exc
 
@@ -412,10 +414,9 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
          for a, res in zip(a_values, results)],
         k,
     )
-    zero_max = float(cfg.get("zero_beta_max", 1e-6))
     svgs = {
         "": plot_sv_sweep(parsed),
-        "diff_fine": plot_sv_sweep_diff_fine(parsed, zero_max),
+        "diff_fine": plot_sv_sweep_diff_fine(parsed, _ZERO_BETA_MAX),
     }
     if beta_ref is not None:
         svgs["diff_ref"] = plot_sv_sweep_diff_ref(parsed)
@@ -451,7 +452,9 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         ])
         checks.append(
             CheckResult(
-                "singular-point", z <= zero_max, f"beta(a=0) max={z:.3g} <= {zero_max:g}"
+                "singular-point",
+                z <= _ZERO_BETA_MAX,
+                f"beta(a=0) max={z:.3g} <= {_ZERO_BETA_MAX:g}",
             )
         )
     if slope_rows:
@@ -459,8 +462,8 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         checks.append(
             CheckResult(
                 "linear-near-zero",
-                rel_max < float(cfg.get("slope_rel_tol", 0.2)),
-                f"max relative residual {rel_max:.3g} < {cfg.get('slope_rel_tol', 0.2)}",
+                rel_max < _SLOPE_REL_TOL,
+                f"max relative residual {rel_max:.3g} < {_SLOPE_REL_TOL}",
             )
         )
     return RunOutput(csv=text, extra_csv=extra, svgs=svgs, checks=checks)
@@ -590,7 +593,8 @@ def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         for (nx, ny) in grids:
             for label, _ in rules:
                 lbl = (f"{nx}x{ny}", label)
-                sub = [r for r in parsed if (r["mesh"], r["rule"]) == lbl and r["flagged"] == "0"]
+                # a failed point stays: its NaN beta fails both tests below
+                sub = [r for r in parsed if (r["mesh"], r["rule"]) == lbl]
                 sub.sort(key=lambda r: int(r["n"]))
                 if not sub:
                     ok = False
@@ -631,9 +635,7 @@ def plot_p_sweep(rows: list[dict]) -> str:
 def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     width, height = float(cfg["width"]), float(cfg["height"])
-    family = cfg.get("family", "quad")
     vdeg, pdeg = int(cfg.get("velocity_degree", 2)), int(cfg.get("pressure_degree", 0))
-    pcont = cfg.get("pressure_continuity", "dc")
     grids = [tuple(g) for g in cfg["pressure_grids"]]
     rule = cfg.get("refine_velocity", {"mode": "fixed", "r": 1})
     if rule["mode"] not in ("fixed", "growing"):
@@ -647,12 +649,9 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         return int(rule.get("start", 1)) + i * int(rule.get("step", 1))
 
     def point(i, nx, ny):
-        if family == "quad":
-            pmesh = rect_grid(width, height, nx, ny)
-        else:
-            pmesh = sv_mesh(width, height, nx, ny, float(cfg.get("b", 0.25)))
+        pmesh = rect_grid(width, height, nx, ny)
         vmesh, pm = refine_chain(pmesh, depth(i))
-        return _pair(vmesh, vdeg, pdeg, solver, pcont,
+        return _pair(vmesh, vdeg, pdeg, solver,
                      pressure_mesh=pmesh if pm is not None else None, parent_map=pm)
 
     runs = [[point(i, nx, ny)] for i, (nx, ny) in enumerate(grids)]
@@ -668,12 +667,7 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     text, parsed = _beta_table(
         ["mesh", "refine_depth", "h_velocity", "h_pressure", "ratio", "beta_ref"], rows, k
     )
-    checks = []
-    # opt-in for the same reason as the p-sweep: coarse-pressure rows of a
-    # nested study may sit above the continuous reference
-    if beta_ref is not None and cfg.get("check_usc", False):
-        checks.append(_usc(parsed, cfg))
-    return RunOutput(csv=text, svgs={"": plot_h_refinement(parsed)}, checks=checks)
+    return RunOutput(csv=text, svgs={"": plot_h_refinement(parsed)})
 
 
 def plot_h_refinement(rows: list[dict]) -> str:
@@ -725,18 +719,15 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         rows,
         k,
     )
-    lower_slack = float(cfg.get("lower_slack", 0.01))
-    upper_slack = float(cfg.get("upper_slack", 0.005))
     ok_bounds = all(
-        float(r["lower_bound"]) - lower_slack <= float(r["beta"]) <= disk + upper_slack
+        float(r["lower_bound"]) - 0.01 <= float(r["beta"]) <= disk + 0.005
         for r in parsed
         if r["flagged"] == "0"
     ) and all(r["flagged"] == "0" for r in parsed)
     checks = [
         CheckResult("two-sided-bounds", ok_bounds, f"{len(parsed)} polygon sizes"),
-        _doubling_ratios("gap-contraction", parsed, "gap", cfg.get("gap_ratio_window", [0.3, 0.7])),
-        _doubling_ratios("eps-contraction", parsed, "eps_forward",
-                         cfg.get("eps_ratio_window", [0.35, 0.65])),
+        _doubling_ratios("gap-contraction", parsed, "gap", (0.3, 0.7)),
+        _doubling_ratios("eps-contraction", parsed, "eps_forward", _EPS_RATIOS),
     ]
     return RunOutput(csv=text, svgs={"": plot_polygon_limit(parsed)}, checks=checks)
 
@@ -772,8 +763,7 @@ def run_perturb_rate(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     text = _csv_text(header, rows)
     parsed = _parse_csv(text)
     checks = [
-        _doubling_ratios("eps-halving", parsed, "eps_forward",
-                         cfg.get("eps_ratio_window", [0.35, 0.65])),
+        _doubling_ratios("eps-halving", parsed, "eps_forward", _EPS_RATIOS),
         CheckResult(
             "jacobian-bound",
             all(r["jacobian_bound_ok"] == "1" for r in parsed),

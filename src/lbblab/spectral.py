@@ -60,6 +60,8 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-10  # relative asymmetry accepted in A and in the dense Schur matrix
 _LANCZOS_TOL = 1e-12  # ARPACK convergence tolerance
+_LANCZOS_RESTARTS = 20000  # ARPACK restart cap
+_RESIDUAL_TOL = 1e-10  # largest accepted eigen-residual (the residual contract)
 # Cost rule below the dense cap, fitted on 2-core timings of SV P4-P3dc,
 # Q_n-Q_kdc and polygon-fan systems.  The dense route costs n_p solves with
 # Ahat (n_s on a small skeleton, see dense_schur) plus an n_p^3 eigh; ARPACK
@@ -89,16 +91,15 @@ class _OverBudget(Exception):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and caps; the CLI's `solver` config block sets the same fields.
+    """The route's cap and the start vector's seed; the CLI's `solver` config
+    block sets the same fields.
 
     Problems with more than dense_cap pressure dofs take the shift-invert
-    Lanczos route with no solve budget; max_iterations caps its restarts.
+    Lanczos route with no solve budget.
     """
 
-    residual_tol: float = 1e-10
     dense_cap: int = 4000
     seed: int = 0
-    max_iterations: int = 20000
 
 
 class SymFactorization:
@@ -283,7 +284,7 @@ def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finish(op, Mp, vectors, method: str, tol: float) -> GenEigResult:
+def _finish(op, Mp, vectors, method: str) -> GenEigResult:
     """Sign-fix, Rayleigh-refine, sort and residual-check computed eigenvectors.
 
     The Rayleigh quotient is quadratically accurate in the eigenvector error,
@@ -304,9 +305,9 @@ def _finish(op, Mp, vectors, method: str, tol: float) -> GenEigResult:
     for j, (sig, q) in enumerate(zip(vals, vecs.T)):
         r = applied[order[j]] - sig * (Mp @ q)
         res[j] = np.linalg.norm(r) / max(float(np.sqrt(q @ (Mp @ q))), 1e-300)
-    if not (res <= tol).all():  # a NaN residual fails too
+    if not (res <= _RESIDUAL_TOL).all():  # a NaN residual fails too
         raise EigenSolverError(
-            f"{method} eigen residuals {res.max():.3e} exceed tolerance {tol:.1e}"
+            f"{method} eigen residuals {res.max():.3e} exceed tolerance {_RESIDUAL_TOL:.1e}"
         )
     return GenEigResult(values=vals, vectors=vecs, residuals=res, method=method)
 
@@ -463,7 +464,7 @@ def _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget, start=Non
             v0=v0,
             ncv=ncv,
             tol=_LANCZOS_TOL,
-            maxiter=options.max_iterations,
+            maxiter=_LANCZOS_RESTARTS,
         )
     except ArpackNoConvergence as exc:
         if budget is not None:
@@ -508,4 +509,4 @@ def smallest_generalized_eigs(
             method = "dense"
     if method == "dense":
         vecs = _dense_eig_path(op, Mp, k, deflate, options)
-    return _finish(op, Mp, vecs, method, options.residual_tol)
+    return _finish(op, Mp, vecs, method)

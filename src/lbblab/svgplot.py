@@ -27,12 +27,9 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        lo, hi = 0.0, 1.0
-    if hi <= lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float):
+    """Six evenly spaced ticks from lo to hi (finite, lo < hi)."""
+    return [lo + (hi - lo) * i / 5 for i in range(6)]
 
 
 def line_plot(

@@ -45,7 +45,7 @@ def brute_force_sigmas(system, deflate=True):
     return np.sort(vals)
 
 
-def mixed_block_eigs(A, B, Mp, k, deflate=None, *, cap=3000, residual_tol=1e-10):
+def mixed_block_eigs(A, B, Mp, k, deflate=None, *, cap=3000):
     """Independent QZ oracle: the k smallest eigenpairs of the uncondensed
     block saddle pencil [[A, -B^T], [B, 0]] x = sigma [[0, 0], [0, Mp]] x,
     solved densely, on the zero-mean pressures when `deflate` (the mean
@@ -53,8 +53,8 @@ def mixed_block_eigs(A, B, Mp, k, deflate=None, *, cap=3000, residual_tol=1e-10)
 
     It never forms the Schur complement.  Desk-scale only: a pencil of more
     than `cap` rows raises EigenSolverError.  The vectors go through the
-    production finisher (Rayleigh quotients and the residual contract at
-    `residual_tol`) and the result reports method "qz".
+    production finisher (Rayleigh quotients and the residual contract) and
+    the result reports method "qz".
     """
     A, B, Mp = sparse.csr_matrix(A), sparse.csr_matrix(B), sparse.csr_matrix(Mp)
     nv, n = A.shape[0], Mp.shape[0]
@@ -90,7 +90,7 @@ def mixed_block_eigs(A, B, Mp, k, deflate=None, *, cap=3000, residual_tol=1e-10)
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs, Mp @ vecs)))
     vecs = vecs / np.where(norms > 0, norms, 1.0)
     op = spectral.SchurOperator(B, spectral.factorize_spd(A))
-    return spectral._finish(op, Mp, vecs, "qz", residual_tol)
+    return spectral._finish(op, Mp, vecs, "qz")
 
 
 def loop_dof_map(mesh, space):

@@ -4,12 +4,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from lbblab import spectral
 from lbblab.cli import (
     _betas,
     _degree_rule,
@@ -164,6 +166,34 @@ def test_p_sweep_runner():
     assert by_name["p-convergence"].passed
     # n=4 on the single element legitimately overshoots the reference
     assert not by_name["usc-all-rows"].passed
+
+
+def test_failed_point_fails_p_convergence(monkeypatch):
+    # the n = 6 point fails: its NaN beta is the final error, not n = 4's
+    from lbblab import cli
+
+    real = cli.compute_betas
+
+    def compute_betas(configs, k, failures):
+        return [EigenSolverError("injected") if c.velocity_space.degree == 6
+                else real([c], k, failures)[0] for c in configs]
+
+    monkeypatch.setattr(cli, "compute_betas", compute_betas)
+    cfg = {
+        "kind": "p-sweep",
+        "width": 2,
+        "height": 1,
+        "grids": [[1, 1]],
+        "n_values": [2, 4, 6],
+        "k_rules": [{"type": "half"}],
+        "k": 2,
+        "beta_ref": 0.387262,
+        "converge_tol": 0.02,
+    }
+    out = run_p_sweep(cfg)
+    assert [r["flagged"] for r in _rows(out.csv)] == ["0", "0", "1"]
+    (check,) = out.checks
+    assert check.line() == "[check] p-convergence: FAIL (('1x1', 'k=ceil(n/2)'): final err nan)"
 
 
 def test_p_sweep_parallel_matches_serial():
@@ -393,7 +423,6 @@ H_CFG = {
     "kind": "h-refinement",
     "width": 2,
     "height": 1,
-    "family": "quad",
     "velocity_degree": 2,
     "pressure_degree": 1,
     "pressure_grids": [[2, 1], [4, 2]],
@@ -417,13 +446,14 @@ def test_h_refinement_runner(tmp_path):
         assert float(r["beta"]) > 0
 
 
-def test_h_refinement_parallel_matches_serial():
+def test_h_refinement_parallel_matches_serial(monkeypatch):
     cfg = dict(H_CFG, refine_velocity={"mode": "growing", "start": 0, "step": 1})
     serial = run_h_refinement(cfg, jobs=1)
     assert [r["refine_depth"] for r in _rows(serial.csv)] == ["0", "1"]
     assert run_h_refinement(cfg, jobs=2) == serial
     # a failed point keeps its mesh sizes, read from its meshes
-    failed = _rows(run_h_refinement(dict(cfg, solver={"residual_tol": 1e-30})).csv)
+    monkeypatch.setattr(spectral, "_RESIDUAL_TOL", 1e-30)  # unattainable: every solve fails
+    failed = _rows(run_h_refinement(cfg).csv)
     columns = ("mesh", "refine_depth", "h_velocity", "h_pressure", "ratio")
     assert [r["flagged"] for r in failed] == ["1", "1"]
     assert [[r[c] for c in columns] for r in failed] == [
@@ -476,10 +506,10 @@ def test_p_sweep_sqrt_rule():
     assert [int(r["pressure_degree"]) for r in rows] == [2, 3]
 
 
-def test_residual_failures_are_flagged_not_silent():
+def test_residual_failures_are_flagged_not_silent(monkeypatch):
     cfg = dict(SV_CFG)
     cfg["a_start"], cfg["a_stop"] = 0.3, 0.4
-    cfg["solver"] = {"residual_tol": 1e-30}  # unattainable: every solve fails
+    monkeypatch.setattr(spectral, "_RESIDUAL_TOL", 1e-30)  # unattainable: every solve fails
     out = run_sv_sweep(cfg)
     rows = _rows(out.csv)
     assert rows, "rows must still be emitted deterministically"
@@ -510,9 +540,10 @@ def test_p_sweep_empty_deflated_pressure_is_flagged(tmp_path, capsys):
     assert "zero-dimensional" in err
 
 
-def test_arpack_non_convergence_is_a_failed_point(capsys):
+def test_arpack_non_convergence_is_a_failed_point(monkeypatch, capsys):
     # one Lanczos restart cannot converge six pairs on the ARPACK route
-    pc = _pair(sv_mesh(4, 1, 12, 3, 0.4, 0.0), 3, 2, SolverOptions(dense_cap=1, max_iterations=1))
+    monkeypatch.setattr(spectral, "_LANCZOS_RESTARTS", 1)
+    pc = _pair(sv_mesh(4, 1, 12, 3, 0.4, 0.0), 3, 2, SolverOptions(dense_cap=1))
     system = assemble_system(
         build_dof_map(pc.velocity_mesh, pc.velocity_space),
         build_dof_map(pc.velocity_mesh, pc.pressure_space),
@@ -527,8 +558,10 @@ def test_arpack_non_convergence_is_a_failed_point(capsys):
 def test_solver_defaults_match_library():
     assert _solver_options({}, None) == SolverOptions()
     assert _solver_options({"solver": {"seed": 3}}, 5) == SolverOptions(seed=5)
-    with pytest.raises(TypeError):
-        _solver_options({"solver": {"symmetry_tol": 1e-10}})
+    # the residual contract and the restart cap are constants, not solver keys
+    for key in ("symmetry_tol", "residual_tol", "max_iterations"):
+        with pytest.raises(TypeError, match=key):
+            _solver_options({"solver": {key: 1e-10}})
 
 
 @pytest.mark.parametrize(
@@ -539,3 +572,23 @@ def test_solver_defaults_match_library():
 def test_config_solver_blocks_build(path):
     cfg = json.loads(path.read_text())
     assert isinstance(_solver_options(cfg), SolverOptions)
+
+
+def test_every_config_key_read_is_set_somewhere():
+    # a key that cli.py reads must be set by a committed config or workload,
+    # or by this file: an option that nothing sets is a branch nothing runs
+    source = (ROOT / "src/lbblab/cli.py").read_text()
+    read = set(re.findall(r"\b(?:cfg|dom|disc|el|rule)(?:\.get\(|\[)\"(\w+)\"", source))
+    assert {"kind", "beta_ref", "converge_tol"} <= read
+
+    def keys(node):
+        if isinstance(node, dict):
+            return set(node) | {k for v in node.values() for k in keys(v)}
+        if isinstance(node, list):
+            return {k for v in node for k in keys(v)}
+        return set()
+
+    configs = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/workloads/*.json"))
+    set_keys = {k for path in configs for k in keys(json.loads(path.read_text()))}
+    tests = Path(__file__).read_text()
+    assert sorted(k for k in read - set_keys if f'"{k}"' not in tests) == []

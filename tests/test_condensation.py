@@ -179,7 +179,7 @@ def test_compute_beta_routes_unchanged():
         system = _system(mesh, vdeg, pdeg)
         op = _condensed(system)
         vectors = spectral._dense_eig_path(op, system.Mp, 3, system.m, options)
-        dense = spectral._finish(op, system.Mp, vectors, "dense", options.residual_tol)
+        dense = spectral._finish(op, system.Mp, vectors, "dense")
         assert np.abs(result.sigmas - dense.values).max() <= 1e-10
 
 

@@ -439,10 +439,10 @@ def _failing_at(monkeypatch, target, exc_type, starts, grid=None):
     if exc_type is MeshError:
         real_mesh = cli.sv_mesh
 
-        def sv_mesh_failing(width, height, nx, ny, b, a=None, special=None):
+        def sv_mesh_failing(width, height, nx, ny, b, a=None):
             if a == target and grid in (None, (nx, ny)):
                 raise MeshError("injected")
-            return real_mesh(width, height, nx, ny, b, a, special)
+            return real_mesh(width, height, nx, ny, b, a)
 
         monkeypatch.setattr(cli, "sv_mesh", sv_mesh_failing)
     real_eigs = infsup.smallest_generalized_eigs
@@ -454,6 +454,34 @@ def _failing_at(monkeypatch, target, exc_type, starts, grid=None):
         return real_eigs(op, Mp, k, deflate=deflate, options=options, start=start)
 
     monkeypatch.setattr(infsup, "smallest_generalized_eigs", eigs)
+
+
+@pytest.mark.parametrize(
+    "rebuild, warm", [(False, True), (True, False)], ids=["same-objects", "rebuilt-pressure-mesh"]
+)
+def test_nested_points_warm_start_only_on_the_same_mesh_objects(rebuild, warm, monkeypatch):
+    # the second nested point starts from the first one's eigenvectors only
+    # when both share the very mesh and parent-map objects, not equal copies
+    from lbblab.geometry import refine_chain
+
+    pmesh = rect_grid(2, 1, 2, 1)
+    vmesh, pm = refine_chain(pmesh, 1)
+    configs = [
+        dataclasses.replace(
+            _quad_pair(2, 1, vmesh),
+            pressure_mesh=rect_grid(2, 1, 2, 1) if rebuild and i else pmesh,
+            parent_map=pm,
+        )
+        for i in range(2)
+    ]
+    assert configs[0].hash() == configs[1].hash()
+    starts = []
+    _failing_at(monkeypatch, None, None, starts)
+    got = compute_betas(configs, k=2)
+    monkeypatch.undo()
+    assert starts == [False, warm]
+    for result, config in zip(got, configs):
+        _assert_same_point(result, compute_beta(config, k=2))
 
 
 @pytest.mark.parametrize("exc_type", [MeshError, EigenSolverError, NotPositiveDefinite])
@@ -549,7 +577,7 @@ def test_warm_start_keeps_every_eigenvalue():
         sys_ = assemble_system(build_dof_map(mesh, P4), build_dof_map(mesh, P3DC))
         op = SchurOperator(sys_.C, factorize_spd(sys_.Ahat), sys_.D, sys_.E)
         vectors = spectral._dense_eig_path(op, sys_.Mp, 6, sys_.m, SolverOptions())
-        dense = spectral._finish(op, sys_.Mp, vectors, "dense", 1e-10)
+        dense = spectral._finish(op, sys_.Mp, vectors, "dense")
         assert np.abs(got.sigmas - dense.values).max() <= 1e-10
 
 

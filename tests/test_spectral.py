@@ -306,14 +306,14 @@ def test_route_budget_falls_back_to_dense(monkeypatch):
     budget = spectral._arpack_budget(op, _pressure_blocks(sys_.Mp), ncv)
     assert budget is not None and len(applies) == budget + 1  # the refused solve
     vecs = spectral._dense_eig_path(op, sys_.Mp, 4, sys_.m, SolverOptions())
-    dense = spectral._finish(op, sys_.Mp, vecs, "dense", SolverOptions().residual_tol)
+    dense = spectral._finish(op, sys_.Mp, vecs, "dense")
     assert res.method == "dense"
     assert np.array_equal(res.values, dense.values)
     assert np.array_equal(res.vectors, dense.vectors)
     assert res.values[2] - res.values[1] <= 1e-12 * res.values[1]
 
 
-def test_route_non_convergence_below_cap_falls_back_to_dense():
+def test_route_non_convergence_below_cap_falls_back_to_dense(monkeypatch):
     # one Lanczos restart cannot converge six pairs of P3-P2dc (864 pressure
     # dofs) on the 12x3 split with a = 0; below dense_cap that is a dense
     # point, not a failed one (above it: test_cli's failed-point test)
@@ -321,9 +321,8 @@ def test_route_non_convergence_below_cap_falls_back_to_dense():
     op = _condensed_op(sys_)
     ncv = spectral._lanczos_basis_size(6, op.shape[0] - 1)
     assert spectral._arpack_budget(op, _pressure_blocks(sys_.Mp), ncv) is not None
-    res = smallest_generalized_eigs(
-        op, sys_.Mp, 6, deflate=sys_.m, options=SolverOptions(max_iterations=1)
-    )
+    monkeypatch.setattr(spectral, "_LANCZOS_RESTARTS", 1)
+    res = smallest_generalized_eigs(op, sys_.Mp, 6, deflate=sys_.m)
     assert res.method == "dense"
     assert np.allclose(res.values, brute_force_sigmas(sys_, deflate=True)[:6], atol=1e-10)
 
@@ -360,14 +359,14 @@ def test_k_dimension_guard():
 
 
 @pytest.mark.parametrize("route", ["dense", "arpack", "qz"])
-def test_residual_breach_raises(route):
+def test_residual_breach_raises(route, monkeypatch):
     # every route ends in the same finisher, whose residual contract holds
     sys_ = quad_pair_system(4, 2, grid=(2, 2))
-    options = SolverOptions(residual_tol=1e-30, dense_cap=1 if route == "arpack" else 4000)
+    options = SolverOptions(dense_cap=1 if route == "arpack" else 4000)
+    monkeypatch.setattr(spectral, "_RESIDUAL_TOL", 1e-30)
     with pytest.raises(EigenSolverError, match=f"{route} eigen residuals"):
         if route == "qz":
-            mixed_block_eigs(sys_.A, sys_.B, sys_.Mp, 3, deflate=sys_.m,
-                             residual_tol=options.residual_tol)
+            mixed_block_eigs(sys_.A, sys_.B, sys_.Mp, 3, deflate=sys_.m)
         else:
             op = SchurOperator(sys_.B, factorize_spd(sys_.A))
             smallest_generalized_eigs(op, sys_.Mp, 3, deflate=sys_.m, options=options)
@@ -380,7 +379,7 @@ def test_nan_residual_breaches_the_contract():
     vecs = spectral._dense_eig_path(op, sys_.Mp, 3, sys_.m, SolverOptions())
     vecs[0, 2] = np.nan
     with pytest.raises(EigenSolverError, match="dense eigen residuals nan exceed"):
-        spectral._finish(op, sys_.Mp, vecs, "dense", SolverOptions().residual_tol)
+        spectral._finish(op, sys_.Mp, vecs, "dense")
 
 
 def test_mixed_cap_guard():
