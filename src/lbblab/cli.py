@@ -807,6 +807,22 @@ _COMMAND_KINDS = {
 }
 
 
+class _ReadLog(dict):
+    """A config that records the keys read from it with `get` or `[]`."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def _write_outputs(prefix: str, out: RunOutput) -> None:
     with open(f"{prefix}.csv", "w", newline="\n") as f:
         f.write(out.csv)
@@ -864,18 +880,23 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as f:
-            cfg = json.load(f)
+            cfg = _ReadLog(json.load(f))
         kind = cfg.get("kind")
         if kind not in _COMMAND_KINDS[args.command]:
             raise ValueError(
                 f"config kind {kind!r} not valid for subcommand {args.command!r}"
             )
-        prefix = args.out or cfg.get("out") or kind
+        out_key = cfg.get("out")  # read even where --out overrides it
+        prefix = args.out or out_key or kind
         out = _RUNNERS[kind](cfg, jobs=max(1, args.jobs), seed=args.seed)
         _write_outputs(prefix, out)
     except Exception as exc:  # computation failure -> exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # a misspelled or misplaced key would otherwise be dropped without a word
+    for key in cfg:
+        if key not in cfg.read:
+            sys.stderr.write(f"warning: config key {key!r} is not read by {kind}\n")
     for check in out.checks:
         print(check.line())
     if args.check and any(not c.passed for c in out.checks):

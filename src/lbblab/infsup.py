@@ -7,13 +7,20 @@ pressure subspace: the pencil deflated by the mean vector m.
 afresh.  A pairing of the same family as the previous one (the same
 spaces, options and connectivity: Fig. 3 moves the apex of one quad)
 starts its eigensolve from the previous point's eigenvectors.
+
+While `compute_betas` runs, numpy's bundled OpenBLAS is held to one thread
+(`_ONE_NUMPY_THREAD`).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -176,6 +183,56 @@ def _beta(config: PairConfig, k: int, start=None) -> tuple[BetaResult, np.ndarra
     ), result.vectors
 
 
+@functools.cache
+def _numpy_blas():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles in `numpy.libs`, or None where numpy uses another BLAS."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+            get, set_ = dll.scipy_openblas_get_num_threads64_, dll.scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+class _OneNumpyThread:
+    """Context that holds numpy's OpenBLAS to one thread; no-op without it.
+
+    numpy and scipy each load their own OpenBLAS, and the spinning workers
+    of one pool starve the other when a solve moves between numpy products
+    (assembly, dense_schur) and scipy LAPACK (eigh): on 2 cores a Fig. 5
+    p-sweep took twice as long with both pools at 2 threads.  scipy's pool
+    keeps its threads.  Overlapping entries from several threads share one
+    hold: the first saves the caller's count and the last restores it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self):
+        blas = _numpy_blas()
+        with self._lock:
+            if blas is not None and self._depth == 0:
+                self._saved = blas[0]()
+                blas[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        blas = _numpy_blas()
+        with self._lock:
+            self._depth -= 1
+            if blas is not None and self._depth == 0:
+                blas[1](self._saved)
+
+
+_ONE_NUMPY_THREAD = _OneNumpyThread()
+
+
 def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     """beta_n and the k smallest eigenvalues for each config, in order.
 
@@ -184,18 +241,20 @@ def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     sweep over one mesh family) starts its eigensolve from that point's
     eigenvectors.  A point that raises one of `failures` gets the exception
     in place of its result, and the point after it starts cold; any other
-    exception propagates.
+    exception propagates.  numpy's BLAS runs on one thread meanwhile, so
+    the results do not depend on its thread count.
     """
     out, previous, start = [], None, None
-    for config in configs:
-        if previous is None or not _same_family(previous, config):
-            start = None
-        previous = config
-        try:
-            result, start = _beta(config, k, start)
-        except failures as exc:
-            result, start = exc, None
-        out.append(result)
+    with _ONE_NUMPY_THREAD:
+        for config in configs:
+            if previous is None or not _same_family(previous, config):
+                start = None
+            previous = config
+            try:
+                result, start = _beta(config, k, start)
+            except failures as exc:
+                result, start = exc, None
+            out.append(result)
     return out
 
 

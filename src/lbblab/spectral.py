@@ -63,10 +63,12 @@ _LANCZOS_TOL = 1e-12  # ARPACK convergence tolerance
 _LANCZOS_RESTARTS = 20000  # ARPACK restart cap
 _RESIDUAL_TOL = 1e-10  # largest accepted eigen-residual (the residual contract)
 # Cost rule below the dense cap, fitted on 2-core timings of SV P4-P3dc,
-# Q_n-Q_kdc and polygon-fan systems.  The dense route costs n_p solves with
-# Ahat (n_s on a small skeleton, see dense_schur) plus an n_p^3 eigh; ARPACK
-# costs the augmented-Lagrangian factor plus about two solves per Lanczos
-# vector when it converges well.
+# Q_n-Q_kdc and polygon-fan systems.  The fit predates the one-thread hold
+# on numpy's BLAS in infsup.compute_betas: its timings ran numpy on 2
+# threads, which slowed the dense route's products on Q_n-Q_kdc.  The dense
+# route costs n_p solves with Ahat (n_s on a small skeleton, see
+# dense_schur) plus an n_p^3 eigh; ARPACK costs the augmented-Lagrangian
+# factor plus about two solves per Lanczos vector when it converges well.
 _DOFS_PER_LANCZOS_VECTOR = 10  # ARPACK first only above this many pressure dofs per vector
 _SOLVES_PER_LANCZOS_VECTOR = 3  # shift-invert solve budget before the dense fallback
 # a skeleton is small when this many skeleton dofs still number at most the

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eig, null_space
 
-from lbblab import spectral
+from lbblab import infsup, spectral
 from lbblab.cli import sv_mesh
 from lbblab.fem import (
     BoundaryCondition,
@@ -20,6 +20,16 @@ from lbblab.geometry import (
     rect_grid,
     regular_polygon_mesh,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def numpy_blas_threads_unchanged():
+    """Fail the session if it leaves numpy's OpenBLAS thread count changed."""
+    blas = infsup._numpy_blas()
+    before = blas[0]() if blas else None
+    yield
+    after = blas[0]() if blas else None
+    assert after == before, f"numpy's OpenBLAS threads went from {before} to {after}"
 
 
 def brute_force_sigmas(system, deflate=True):

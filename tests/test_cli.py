@@ -592,3 +592,43 @@ def test_every_config_key_read_is_set_somewhere():
     set_keys = {k for path in configs for k in keys(json.loads(path.read_text()))}
     tests = Path(__file__).read_text()
     assert sorted(k for k in read - set_keys if f'"{k}"' not in tests) == []
+
+
+def _main_on(cfg, command, tmp_path, *flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main([command, "--config", str(path), "--out", str(tmp_path / "run"), *flags])
+
+
+@pytest.mark.parametrize("key", ["converge_tol", "converge_tl"])
+def test_unread_config_key_is_warned_about(key, tmp_path, capsys):
+    # a misspelled check key drops its check: the run says so on stderr,
+    # and the exit code stays what the checks that did run make it
+    cfg = {
+        "kind": "p-sweep",
+        "width": 2,
+        "height": 1,
+        "grids": [[1, 1]],
+        "n_values": [2, 4],
+        "k_rules": [{"type": "half"}],
+        "k": 2,
+        "beta_ref": 0.387262,
+        key: 0.02,
+    }
+    assert _main_on(cfg, "sweep", tmp_path, "--check") == 0
+    out, err = capsys.readouterr()
+    if key == "converge_tol":
+        assert "p-convergence: pass" in out
+        assert err == ""
+    else:
+        assert "p-convergence" not in out
+        assert err == "warning: config key 'converge_tl' is not read by p-sweep\n"
+
+
+def test_perturb_rate_warns_of_a_solver_block(tmp_path, capsys):
+    # perturb-rate solves no eigenproblem; `out` is read even under --out
+    cfg = {"kind": "perturb-rate", "n_values": [8, 16], "grid_density": 128,
+           "solver": {"seed": 3}, "out": "unused"}
+    assert _main_on(cfg, "perturb", tmp_path) == 0
+    assert capsys.readouterr().err == "warning: config key 'solver' is not read by perturb-rate\n"
+    assert (tmp_path / "run.csv").exists()

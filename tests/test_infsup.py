@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -591,3 +593,150 @@ def test_chain_with_every_element_moved_matches_fresh_points():
     chained = compute_betas(configs, k=6)
     for got, config in zip(chained, configs):
         _assert_same_point(got, compute_beta(config, k=6))
+
+
+# ----------------------------------------------------------------------
+# numpy's OpenBLAS held to one thread while compute_betas runs
+# ----------------------------------------------------------------------
+
+needs_numpy_blas = pytest.mark.skipif(
+    infsup._numpy_blas() is None, reason="numpy without its bundled OpenBLAS"
+)
+
+
+@pytest.fixture
+def numpy_threads():
+    """numpy's (get, set) thread-count functions, with the pool at 2 threads
+    for the test and the caller's count restored after it."""
+    get, set_ = infsup._numpy_blas()
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+def _threads_at_assembly(monkeypatch, get, on_call=lambda: None):
+    """Record numpy's thread count at every assembly inside a solve."""
+    seen = []
+    real = infsup.assemble_system
+
+    def assemble(*args, **kwargs):
+        on_call()
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(infsup, "assemble_system", assemble)
+    return seen
+
+
+@needs_numpy_blas
+def test_numpy_blas_runs_one_thread_inside_a_solve(numpy_threads, monkeypatch):
+    get, _ = numpy_threads
+    seen = _threads_at_assembly(monkeypatch, get)
+    compute_betas(_sv_chain(4, 1, (0.1, 0.2)), k=3)
+    assert seen == [1, 1]
+    assert get() == 2
+
+
+@needs_numpy_blas
+def test_numpy_blas_threads_come_back_after_a_raised_error(numpy_threads, monkeypatch):
+    get, _ = numpy_threads
+    _failing_at(monkeypatch, None, EigenSolverError, [])
+    with pytest.raises(EigenSolverError, match="injected"):
+        compute_betas(_sv_chain(4, 1, (0.1, 0.2, 0.3)), k=3)
+    assert get() == 2
+
+
+@needs_numpy_blas
+def test_overlapping_solves_share_one_hold(numpy_threads, monkeypatch):
+    # A enters, then B; A returns while B is still inside; B must still run
+    # on one thread, and the caller's 2 come back only after B returns
+    get, _ = numpy_threads
+    both_inside = threading.Barrier(2, timeout=60)
+    a_returned = threading.Event()
+    after_a = {}
+
+    def on_call():
+        both_inside.wait()
+        if threading.current_thread().name == "B":
+            assert a_returned.wait(timeout=60)
+
+    seen = _threads_at_assembly(monkeypatch, get, on_call)
+    config = _quad_pair(3, 1, rect_grid(1, 1, 1, 1))
+    results = {}
+
+    def solve():
+        name = threading.current_thread().name
+        results[name] = compute_beta(config, k=2)
+        if name == "A":
+            after_a["threads"] = get()
+            a_returned.set()
+
+    threads = [threading.Thread(target=solve, name=name) for name in "AB"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert set(results) == {"A", "B"}
+    assert seen == [1, 1]
+    assert after_a["threads"] == 1
+    assert get() == 2
+
+
+@needs_numpy_blas
+def test_hold_under_thread_stress(numpy_threads):
+    # more threads than cores entering and leaving the hold, with frequent
+    # thread switches: a lost update of the shared depth would let some
+    # holder see 2 threads or leave the pool at 1
+    get, _ = numpy_threads
+    seen = []
+    start = threading.Barrier(8, timeout=60)
+
+    def worker():
+        start.wait()
+        for _ in range(10000):
+            with infsup._ONE_NUMPY_THREAD:
+                seen.append(get())
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * 10000 and set(seen) == {1}
+    assert get() == 2
+
+
+@needs_numpy_blas
+def test_without_numpy_openblas_the_hold_does_nothing(numpy_threads, monkeypatch):
+    get, _ = numpy_threads
+    config = _quad_pair(3, 1, rect_grid(1, 1, 1, 1))
+    held = compute_beta(config, k=2)
+    monkeypatch.setattr(infsup, "_numpy_blas", lambda: None)
+    seen = _threads_at_assembly(monkeypatch, get)
+    free = compute_beta(config, k=2)
+    assert seen == [2]
+    assert get() == 2
+    assert np.array_equal(free.sigmas, held.sigmas)
+
+
+@needs_numpy_blas
+def test_sigmas_do_not_depend_on_the_callers_numpy_threads(numpy_threads):
+    # the dense route's products on Q8-Q7dc round differently on 1 and 2
+    # numpy threads; held, the caller's count cannot reach them
+    _, set_ = numpy_threads
+    config = _quad_pair(8, 7, rect_grid(2, 1, 2, 2))
+    set_(2)
+    two = compute_beta(config, k=3)
+    set_(1)
+    one = compute_beta(config, k=3)
+    set_(2)
+    assert two.method == one.method == "dense"
+    assert np.array_equal(two.sigmas, one.sigmas)
