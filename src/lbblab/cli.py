@@ -660,8 +660,7 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         if res is not None:
             hx, hm = res.max_diameter_velocity, res.min_inradius_pressure
         else:  # a failed point's sizes, from its meshes
-            hx = element_sizes(pc.velocity_mesh)[0]
-            hm = element_sizes(pc.pressure_mesh or pc.velocity_mesh)[1]
+            hx, hm = element_sizes(pc.velocity_mesh, pc.pressure_mesh)
         lead = [f"{nx}x{ny}", str(depth(i)), _g(hx), _g(hm), _g(hx / hm), _ref_cell(beta_ref)]
         rows.append((lead, res))
     text, parsed = _beta_table(

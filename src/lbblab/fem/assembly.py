@@ -16,9 +16,12 @@ uniform grid), and the class matrices are expanded to every element just
 before the scatter.  Equal inputs give bitwise-equal element matrices, so
 the result is the one of a kernel call per element, bit for bit; assembly
 runs in fixed element order, so reruns agree bitwise too.
-`assemble_system` condenses the interior velocity dofs out of the same
-class matrices and builds the uncondensed A and B only when they are read
-(`AssembledSystem`).
+`assemble_system` condenses the velocity dofs inside one pressure element
+out of the same class matrices and builds the uncondensed A and B only when
+they are read (`AssembledSystem`).  The first pass (`_condense`) eliminates
+the Lagrange nodes inside one velocity element; on nested pairs a second
+pass (`_condense_macros`) eliminates the remaining dofs whose fine elements
+all lie in one pressure element, one dense macro block per pressure element.
 """
 
 from __future__ import annotations
@@ -230,19 +233,21 @@ class AssembledSystem:
     same pressure Schur complement after static condensation.
 
     Mp and m are the pressure mass and mean vector.  Eliminating the
-    interior velocity dofs I (Lagrange nodes inside one element) from the
-    stiffness A and coupling B leaves the skeleton dofs S and
+    interior velocity dofs I (velocity dofs inside one pressure element)
+    from the stiffness A and coupling B leaves the skeleton dofs S and
     B A^{-1} B^T = D + C Ahat^{-1} C^T with
 
         Ahat = A_SS - A_SI A_II^{-1} A_IS,  C = B_S - B_I A_II^{-1} A_IS,
         D = B_I A_II^{-1} B_I^T.
 
     Ahat = diag(Khat, Khat) is SPD and couples the skeleton dofs of each
-    element, and D has Mp's sparsity pattern.  D = E^T E with
-    E = L^{-1} B_I^T for the element Cholesky factors A_II = L L^T: the
-    dense and Woodbury routes take D assembled, while D q = E^T (E q) keeps
-    q.Dq at the roundoff floor squared on near-null pressure modes.
-    Without interior dofs Ahat = A, C = B, D = 0 and E has no rows.
+    pressure element, and D has Mp's sparsity pattern.  D = E^T E with
+    E = L^{-1} B_I^T for the Cholesky factors A_II = L L^T of each
+    elimination pass (the element interiors, then on nested pairs the rest
+    of each pressure element's interior): the dense and Woodbury routes
+    take D assembled, while D q = E^T (E q) keeps q.Dq at the roundoff
+    floor squared on near-null pressure modes.  Without interior dofs
+    Ahat = A, C = B, D = 0 and E has no rows.
 
     The solve path reads only the condensed forms.  The uncondensed A and B
     are read by the test oracles (``tests/conftest.py``) and the benchmark
@@ -272,27 +277,62 @@ class AssembledSystem:
         return self.Mp.shape[0]
 
 
-def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp, n_p: int):
-    """(Ahat, C, D, E) of `AssembledSystem` from the class matrices K, Bx,
-    By and the class `inverse` of every element.
+@dataclass(frozen=True)
+class _Patches:
+    """The condensed matrices of one elimination pass, per patch: a velocity
+    element, or a macro (the fine elements of one pressure element).
 
-    Interior dofs belong to one element each, so the condensation is
-    element-local and per scalar component, and runs once per class.  With
-    K_II = L L^T (one batched Cholesky) and Y = L^{-1} [K_IS, Bx_I^T, By_I^T],
-    an element adds K_SS - Y_S^T Y_S to Khat, Bx_S - Y_x^T Y_S and
-    By_S - Y_y^T Y_S to the two component blocks of C, Y_x^T Y_x + Y_y^T Y_y
-    to D, and its own rows Y_x and Y_y to E.  By Sylvester's law A is SPD
-    iff every K_II and Ahat are: a failed Cholesky raises
-    NotPositiveDefinite, and factorizing Ahat checks the rest.
+    Patch q has the matrices of index i = index[q] (its element class in
+    the first pass).  It adds Khat[i] to the scalar skeleton stiffness on
+    its skeleton dofs eds[q], and Cx[i] and Cy[i] to the two component
+    blocks of C on its pressures edp[q].  Its eliminated dofs are the rows
+    rows[q] of each component block of E, with entries Yx[i] and Yy[i], and
+    add Dloc[i] to D.  A -1 in eds or rows marks a slot that holds no dof.
+    The matrices are expanded to every patch only for the scatter.
     """
-    ref = reference_element(dof_v.space.family, dof_v.space.degree)
-    inner = np.array([kind[0] == "i" for kind in ref.node_kind])
-    I, S = np.flatnonzero(inner), np.flatnonzero(~inner)
-    ed = dof_v.element_dofs
-    skeleton = np.ones(dof_v.n_global, dtype=bool)
-    skeleton[ed[:, I]] = False
-    number = np.cumsum(skeleton) - 1  # skeleton numbering in global dof order
-    eds = np.where(ed[:, S] >= 0, number[ed[:, S]], -1)
+
+    eds: np.ndarray
+    Khat: np.ndarray
+    Cx: np.ndarray
+    Cy: np.ndarray
+    edp: np.ndarray
+    rows: np.ndarray
+    Yx: np.ndarray
+    Yy: np.ndarray
+    Dloc: np.ndarray
+    index: np.ndarray
+    n_s: int
+    n_rows: int
+
+
+def _skeleton_forms(p: _Patches, n_p: int):
+    """(Ahat, C) scattered from the patches."""
+    i = p.index
+    C = _coupling(p.edp, p.eds, p.Cx[i], p.Cy[i], (n_p, p.n_s))
+    return _vector_stiffness(p.eds, p.Khat[i], p.n_s), C
+
+
+def _interior_forms(p: _Patches, n_p: int):
+    """(D, E) scattered from the patches."""
+    i, shape = p.index, (p.n_rows, n_p)
+    D = _scatter(p.edp, p.edp, p.Dloc[i], (n_p, n_p))
+    E = sparse.vstack(
+        [_scatter(p.rows, p.edp, p.Yx[i], shape), _scatter(p.rows, p.edp, p.Yy[i], shape)],
+        format="csr",
+    )
+    return D, E
+
+
+def _eliminate(K, Bx, By, I: np.ndarray, S: np.ndarray):
+    """(Khat, Cx, Cy, Dloc, Yx, Yy): the local dofs I eliminated from the
+    batched patch matrices K (np, n, n) and Bx, By (np, nbP, n), leaving S.
+
+    With K_II = L L^T (one batched Cholesky) and Y = L^{-1} [K_IS, Bx_I^T,
+    By_I^T], a patch adds K_SS - Y_S^T Y_S to Khat, Bx_S - Y_x^T Y_S and
+    By_S - Y_y^T Y_S to the two component blocks of C, Y_x^T Y_x + Y_y^T Y_y
+    to D, and its own rows Y_x and Y_y to E.  A failed Cholesky raises
+    NotPositiveDefinite.
+    """
     try:
         L = np.linalg.cholesky(K[:, I[:, None], I])
     except np.linalg.LinAlgError as exc:
@@ -306,19 +346,117 @@ def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp, n_p: int):
     Cx = Bx[:, :, S] - Yx.transpose(0, 2, 1) @ YS
     Cy = By[:, :, S] - Yy.transpose(0, 2, 1) @ YS
     Dloc = _symmetrize(Yx.transpose(0, 2, 1) @ Yx + Yy.transpose(0, 2, 1) @ Yy)
-    n_s, n_I = int(skeleton.sum()), len(I)
-    rows = np.arange(len(ed) * n_I).reshape(len(ed), n_I)
-    Ahat = _vector_stiffness(eds, Khat[inverse], n_s)
-    C = _coupling(edp, eds, Cx[inverse], Cy[inverse], (n_p, n_s))
-    D = _scatter(edp, edp, Dloc[inverse], (n_p, n_p))
-    E = sparse.vstack(
-        [
-            _scatter(rows, edp, Yx[inverse], (rows.size, n_p)),
-            _scatter(rows, edp, Yy[inverse], (rows.size, n_p)),
-        ],
-        format="csr",
+    return Khat, Cx, Cy, Dloc, Yx, Yy
+
+
+def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp) -> _Patches:
+    """The first pass: the interior Lagrange nodes of every element
+    eliminated from the class matrices K, Bx, By; `inverse` gives every
+    element's class.
+
+    Interior nodes belong to one element each, so the elimination is
+    element-local and per scalar component, and runs once per class.  By
+    Sylvester's law A is SPD iff every K_II and Ahat are: a failed Cholesky
+    raises NotPositiveDefinite, and factorizing Ahat checks the rest.
+    """
+    ref = reference_element(dof_v.space.family, dof_v.space.degree)
+    inner = np.array([kind[0] == "i" for kind in ref.node_kind])
+    I, S = np.flatnonzero(inner), np.flatnonzero(~inner)
+    ed = dof_v.element_dofs
+    skeleton = np.ones(dof_v.n_global, dtype=bool)
+    skeleton[ed[:, I]] = False
+    number = np.cumsum(skeleton) - 1  # skeleton numbering in global dof order
+    eds = np.where(ed[:, S] >= 0, number[ed[:, S]], -1)
+    Khat, Cx, Cy, Dloc, Yx, Yy = _eliminate(K, Bx, By, I, S)
+    rows = np.arange(len(ed) * len(I)).reshape(len(ed), len(I))
+    return _Patches(
+        eds, Khat, Cx, Cy, edp, rows, Yx, Yy, Dloc, inverse, int(skeleton.sum()), rows.size
     )
-    return Ahat, C, D, E
+
+
+_MACRO_BATCH = 1 << 20  # dense macro matrix entries per batched elimination (8 MB)
+
+
+def _macro_blocks(first: _Patches, slot, p_elem, ms, n: int, n_m: int):
+    """Dense (Khat, Cx, Cy) of the macros ms over their n local dofs, summed
+    from their fine elements in element order; slot holds the macro-local
+    dof of every element slot (-1: none)."""
+    at = np.full(n_m, -1)
+    at[ms] = np.arange(len(ms))
+    els = np.flatnonzero(at[p_elem] >= 0)
+    at, loc = at[p_elem[els]], slot[els]
+    ok = loc >= 0
+    g, npl = len(ms), first.Cx.shape[1]
+    kk = ok[:, :, None] & ok[:, None, :]
+    idx = (at[:, None, None] * n + loc[:, :, None]) * n + loc[:, None, :]
+    cls = first.index[els]
+    K = np.bincount(idx[kk], first.Khat[cls][kk], minlength=g * n * n).reshape(g, n, n)
+    cc = np.broadcast_to(ok[:, None, :], (len(els), npl, loc.shape[1]))
+    idx = (at[:, None, None] * npl + np.arange(npl)[:, None]) * n + loc[:, None, :]
+    Bx, By = (
+        np.bincount(idx[cc], B[cls][cc], minlength=g * npl * n).reshape(g, npl, n)
+        for B in (first.Cx, first.Cy)
+    )
+    return K, Bx, By
+
+
+def _condense_macros(first: _Patches, p_elem: np.ndarray, edp_macro: np.ndarray):
+    """The second pass, for nested pairs: every skeleton dof of `first`
+    whose fine elements all lie in one pressure element (its macro)
+    eliminated; None when no dof does, as on a shared mesh.
+
+    Such a dof couples only to dofs of its own macro, so the elimination is
+    macro-local: `_eliminate` runs on dense macro blocks summed from the
+    fine elements' Khat, Cx and Cy, batched over macros of equal local
+    sizes.  The pressures of macro m are edp_macro[m], those of every one
+    of its fine elements, so continuous pressures work too.
+    """
+    eds, n_s = first.eds, first.n_s
+    n_m, npl = edp_macro.shape
+    valid = eds >= 0
+    pairs, pair_of = np.unique((p_elem[:, None] * n_s + eds)[valid], return_inverse=True)
+    macro, dof = np.divmod(pairs, n_s)
+    inside = np.bincount(dof, minlength=n_s) == 1
+    if not inside.any():
+        return None
+    # macro-local numbering: the macro's inside dofs, then its boundary dofs
+    is_in = inside[dof]
+    order = np.argsort(2 * macro + ~is_in, kind="stable")
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order))
+    count = np.bincount(macro, minlength=n_m)
+    local -= (np.cumsum(count) - count)[macro]
+    n_in = np.bincount(macro[is_in], minlength=n_m)
+    n_b = count - n_in
+    slot = np.full(eds.shape, -1)
+    slot[valid] = local[pair_of]
+    # the outputs, padded to the largest macro
+    eds2 = np.full((n_m, n_b.max()), -1)
+    rows = np.full((n_m, n_in.max()), -1)
+    number, row = np.cumsum(~inside) - 1, np.cumsum(inside) - 1  # Ahat's and E's numbering
+    edge = ~is_in
+    eds2[macro[edge], local[edge] - n_in[macro[edge]]] = number[dof[edge]]
+    rows[macro[is_in], local[is_in]] = row[dof[is_in]]
+    Khat = np.zeros((n_m, eds2.shape[1], eds2.shape[1]))
+    Cx, Cy = np.zeros((n_m, npl, eds2.shape[1])), np.zeros((n_m, npl, eds2.shape[1]))
+    Yx, Yy = np.zeros((n_m, rows.shape[1], npl)), np.zeros((n_m, rows.shape[1], npl))
+    Dloc = np.zeros((n_m, npl, npl))
+    sizes, group = np.unique(np.column_stack([n_in, n_b]), axis=0, return_inverse=True)
+    for g, (ni, nb) in enumerate(sizes):
+        n = ni + nb
+        members = np.flatnonzero(group.ravel() == g)
+        step = max(1, _MACRO_BATCH // (n * n))
+        for c in range(0, len(members), step):
+            ms = members[c : c + step]
+            K, Bx, By = _macro_blocks(first, slot, p_elem, ms, n, n_m)
+            (
+                Khat[ms, :nb, :nb], Cx[ms, :, :nb], Cy[ms, :, :nb], Dloc[ms],
+                Yx[ms, :ni], Yy[ms, :ni],
+            ) = _eliminate(K, Bx, By, np.arange(ni), np.arange(ni, n))
+    return _Patches(
+        eds2, Khat, Cx, Cy, edp_macro, rows, Yx, Yy, Dloc, np.arange(n_m),
+        int((~inside).sum()), int(inside.sum()),
+    )
 
 
 def assemble_system(
@@ -332,7 +470,15 @@ def assemble_system(
     Bx, By = _divergence_blocks(dof_v, dof_p, rep, maps, map_class)
     Mp, m = assemble_pressure_mass(dof_p)
     edp, n_v, n_p = dof_p.element_dofs[p_elem], dof_v.n_global, dof_p.n_global
-    Ahat, C, D, E = _condense(dof_v, K, Bx, By, inverse, edp, n_p)
+    first = _condense(dof_v, K, Bx, By, inverse, edp)
+    second = None
+    if parent_map is not None:
+        second = _condense_macros(first, p_elem, dof_p.element_dofs)
+    Ahat, C = _skeleton_forms(second or first, n_p)
+    D, E = _interior_forms(first, n_p)
+    if second is not None:
+        D2, E2 = _interior_forms(second, n_p)
+        D, E = (D + D2).tocsr(), sparse.vstack([E, E2], format="csr")
     blocks = _ClassBlocks(K, Bx, By, inverse, dof_v.element_dofs, edp, n_v, n_p)
     return AssembledSystem(
         Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E, n_velocity=2 * n_v, blocks=blocks

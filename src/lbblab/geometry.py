@@ -481,31 +481,37 @@ def _quad_inradii(p: np.ndarray) -> np.ndarray:
     return best
 
 
-def element_sizes(mesh: Mesh) -> tuple[float, float]:
-    """(max element diameter, min inscribed-circle radius) over the mesh."""
-    pts = mesh.points
-    elems = mesh.elements
-    gathered = pts[elems]  # (ne, k, 2)
-    k = elems.shape[1]
+def _max_diameter(mesh: Mesh) -> float:
+    gathered = mesh.points[mesh.elements]  # (ne, k, 2)
+    k = gathered.shape[1]
     diam = 0.0
     for i in range(k):
         for j in range(i + 1, k):
             d = np.linalg.norm(gathered[:, i] - gathered[:, j], axis=1)
             diam = max(diam, float(d.max()))
+    return diam
+
+
+def _min_inradius(mesh: Mesh) -> float:
+    gathered = mesh.points[mesh.elements]
     if mesh.is_quad:
-        inr = float(_quad_inradii(gathered).min())
-    else:
-        sides = np.stack(
-            [
-                np.linalg.norm(gathered[:, 1] - gathered[:, 0], axis=1),
-                np.linalg.norm(gathered[:, 2] - gathered[:, 1], axis=1),
-                np.linalg.norm(gathered[:, 0] - gathered[:, 2], axis=1),
-            ],
-            axis=1,
-        )
-        area = mesh.areas()
-        inr = float((2.0 * area / sides.sum(axis=1)).min())
-    return diam, float(inr)
+        return float(_quad_inradii(gathered).min())
+    sides = np.stack(
+        [
+            np.linalg.norm(gathered[:, 1] - gathered[:, 0], axis=1),
+            np.linalg.norm(gathered[:, 2] - gathered[:, 1], axis=1),
+            np.linalg.norm(gathered[:, 0] - gathered[:, 2], axis=1),
+        ],
+        axis=1,
+    )
+    return float((2.0 * mesh.areas() / sides.sum(axis=1)).min())
+
+
+def element_sizes(mesh: Mesh, pressure_mesh: Mesh | None = None) -> tuple[float, float]:
+    """(max element diameter over mesh, min inscribed-circle radius over
+    pressure_mesh, by default mesh itself): the sizes a pairing reports.
+    Only the radii of the mesh that reports them are computed."""
+    return _max_diameter(mesh), _min_inradius(mesh if pressure_mesh is None else pressure_mesh)
 
 
 def save_mesh(mesh: Mesh, path) -> None:

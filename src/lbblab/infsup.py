@@ -165,9 +165,7 @@ def _eigs(config: PairConfig, k: int, start=None) -> tuple[GenEigResult, int, Do
 def _beta(config: PairConfig, k: int, start=None) -> tuple[BetaResult, np.ndarray]:
     """The point's BetaResult and eigenvectors; `start` as in `_eigs`."""
     result, n_velocity, dof_p = _eigs(config, k, start)
-    diam_v, inr_p = element_sizes(config.velocity_mesh)
-    if config.pressure_mesh is not None:
-        _, inr_p = element_sizes(config.pressure_mesh)
+    diam_v, inr_p = element_sizes(config.velocity_mesh, config.pressure_mesh)
     return BetaResult(
         beta=float(np.sqrt(max(result.values[0], 0.0))),
         sigmas=result.values,

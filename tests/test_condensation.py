@@ -1,4 +1,5 @@
-"""Static condensation of the interior velocity dofs.
+"""Static condensation of the interior velocity dofs: those inside one
+element, and on nested pairs those inside one pressure element.
 
 The production Schur operator is D + C Ahat^{-1} C^T on the skeleton dofs
 (`AssembledSystem`); the uncondensed B A^{-1} B^T of the full (A, B) is
@@ -78,9 +79,9 @@ def _perturbed_quads():
     return make_mesh(pts, quads=grid.elements)
 
 
-def _nested(coarse, vdeg, pdeg, levels=2):
+def _nested(coarse, vdeg, pdeg, levels=2, pcont=DC):
     fine, pm = refine_chain(coarse, levels)
-    return _system(fine, vdeg, pdeg, p_mesh=coarse, parent_map=pm)
+    return _system(fine, vdeg, pdeg, pcont, p_mesh=coarse, parent_map=pm)
 
 
 CASES = {
@@ -92,6 +93,8 @@ CASES = {
     "nested P3/P2dc": lambda: _nested(regular_polygon_mesh(5, 0), 3, 2),
     "nested Q3/Q2dc": lambda: _nested(_perturbed_quads(), 3, 2),
     "nested Q2/Q1dc": lambda: _nested(_perturbed_quads(), 2, 1),
+    "nested Q2/Q1": lambda: _nested(rect_grid(2, 1, 2, 1), 2, 1, pcont=C0),
+    "nested Q2/Q1dc on one pressure element": lambda: _nested(rect_grid(2, 1, 1, 1), 2, 1),
     "P2-P1": lambda: _system(_sv(), 2, 1, C0),
     "P3-P2": lambda: _system(_sv(), 3, 2, C0),
 }
@@ -128,10 +131,30 @@ def test_skeleton_counts():
     assert system.E.shape[0] == 1922 - 122
 
 
+@pytest.mark.parametrize(
+    "coarse, levels, pcont, n_velocity, n_skeleton",
+    [
+        (rect_grid(2, 1, 8, 4), 3, DC, 16002, 1602),
+        (rect_grid(2, 1, 2, 1), 2, C0, 210, 14),
+        (rect_grid(2, 1, 1, 1), 2, DC, 98, 0),
+    ],
+    ids=["Q2/Q1dc 8x4 depth 3", "Q2/Q1 2x1 depth 2", "Q2/Q1dc 1x1 depth 2"],
+)
+def test_nested_skeleton_counts(coarse, levels, pcont, n_velocity, n_skeleton):
+    # on nested pairs only the velocity dofs on the pressure elements'
+    # boundaries stay: 801 per component on 8x4, the 7 on the middle line of
+    # 2x1, none on one pressure element; every other velocity dof is a row
+    # of E
+    system = _nested(coarse, 2, 1, levels, pcont)
+    assert system.n_velocity == n_velocity and system.Ahat.shape[0] == n_skeleton
+    assert system.E.shape[0] == n_velocity - n_skeleton
+
+
 ORACLE_CASES = {
     "SV P4-P3dc": lambda: _system(sv_mesh(4, 1, 4, 1, 0.4, 0.15), 4, 3),
     "P3-P2": lambda: _system(_sv(), 3, 2, C0),
     "nested Q3/Q2dc": lambda: _nested(_perturbed_quads(), 3, 2, levels=1),
+    "nested Q3/Q2dc depth 2": lambda: _nested(_perturbed_quads(), 3, 2, levels=2),
 }
 
 
@@ -210,6 +233,14 @@ def test_solve_path_builds_no_uncondensed_matrices(monkeypatch):
     for mesh, family, vdeg, pdeg in cases:
         vs, ps = _spaces(family, vdeg, pdeg)
         compute_beta(PairConfig(velocity_space=vs, pressure_space=ps, velocity_mesh=mesh), k=3)
+    coarse = rect_grid(2, 1, 4, 2)
+    fine, pm = refine_chain(coarse, 2)
+    vs, ps = _spaces(Family.QUAD, 2, 1)
+    nested = PairConfig(
+        velocity_space=vs, pressure_space=ps, velocity_mesh=fine, pressure_mesh=coarse,
+        parent_map=pm,
+    )
+    compute_beta(nested, k=3)
     assert builds == []
     # the oracles' A and B are built once each, on first access
     system = _system(rect_grid(2, 1, 2, 2), 3, 2)

@@ -20,7 +20,7 @@ from lbblab.fem import (
     assembly,
     build_dof_map,
 )
-from lbblab.geometry import make_mesh, rect_grid, refine_chain, regular_polygon_mesh
+from lbblab.geometry import ParentMap, make_mesh, rect_grid, refine_chain, regular_polygon_mesh
 
 from conftest import per_element_system
 
@@ -82,6 +82,34 @@ def test_classes_reproduce_per_element_assembly(build):
         _assert_bitwise(getattr(got, name), getattr(want, name))
     assert np.array_equal(_bits(got.m), _bits(want.m))
     assert got.n_velocity == want.n_velocity
+
+
+SHARED = {name: build for name, build in CASES.items() if not name.startswith("nested")}
+
+
+@pytest.mark.parametrize("build", SHARED.values(), ids=SHARED.keys())
+def test_macro_pass_is_a_no_op_on_shared_meshes(build, monkeypatch):
+    # every element its own parent: no skeleton dof lies inside one pressure
+    # element, so the second pass returns early and the first-level forms
+    # come back bit for bit
+    dv, dp, _ = build()
+    ne = dv.mesh.n_elements
+    identity = ParentMap(
+        parent=np.arange(ne), matrix=np.tile(np.eye(2), (ne, 1, 1)), offset=np.zeros((ne, 2))
+    )
+    passes = []
+    macros = assembly._condense_macros
+
+    def counted(*args):
+        passes.append(macros(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(assembly, "_condense_macros", counted)
+    got = assemble_system(dv, dp, parent_map=identity)
+    want = assemble_system(dv, dp)
+    assert passes == [None]
+    for name in ("Ahat", "C", "D", "E", "Mp"):
+        _assert_bitwise(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize(

@@ -426,6 +426,26 @@ def test_element_sizes_fine_grid_inradius():
     assert inr == pytest.approx(1.0 / 12.0, abs=1e-9)
 
 
+def test_element_sizes_of_a_nested_pair(monkeypatch):
+    # the diameter of the fine mesh and the radii of the coarse one, the
+    # same values as two separate calls, without the fine quads' radii
+    from lbblab import geometry
+
+    coarse = rect_grid(2, 1, 8, 4)
+    fine, _ = refine_chain(coarse, 3)
+    want = (element_sizes(fine)[0], element_sizes(coarse)[1])
+    radii = geometry._quad_inradii
+    seen = []
+
+    def counted(p):
+        seen.append(len(p))
+        return radii(p)
+
+    monkeypatch.setattr(geometry, "_quad_inradii", counted)
+    assert element_sizes(fine, coarse) == want
+    assert seen == [coarse.n_elements]
+
+
 def test_transformed_reflection_repairs_orientation():
     m = regular_polygon_mesh(5, 0)
     reflected = m.transformed(matrix=np.array([[1.0, 0.0], [0.0, -1.0]]))
