@@ -220,14 +220,10 @@ def _betas(runs: list[list], k: int, jobs: int) -> list[list[BetaResult | None]]
                 out.append(res)
         return out
 
-    return _parallel(solve, runs, jobs)
-
-
-def _parallel(fn, items, jobs: int):
     if jobs <= 1:
-        return [fn(it) for it in items]
+        return [solve(run) for run in runs]
     with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
+        return list(ex.map(solve, runs))
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -695,7 +691,7 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
 
     runs = [[_pair(regular_polygon_mesh(n, refine), vdeg, pdeg, solver)] for n in n_values]
     results = _betas(runs, k, jobs)
-    ests = _parallel(lambda n: perturb.polygon_disk_eps(n, grid_density=eps_grid), n_values, jobs)
+    ests = [perturb.polygon_disk_eps(n, grid_density=eps_grid) for n in n_values]
     disk = analytic.beta_disk().value
     rows = []
     for n, [res], est in zip(n_values, results, ests):
@@ -749,7 +745,7 @@ def plot_polygon_limit(rows: list[dict]) -> str:
 def run_perturb_rate(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     n_values = [int(n) for n in cfg.get("n_values", [8, 16, 32, 64])]
     grid = int(cfg.get("grid_density", 512))
-    ests = _parallel(lambda n: perturb.polygon_disk_eps(n, grid_density=grid), n_values, jobs)
+    ests = [perturb.polygon_disk_eps(n, grid_density=grid) for n in n_values]
     chash = _cfg_hash(cfg)
     # estimate attributes written as columns, in order
     cols = ["eps_forward", "eps_inverse", "eps", "jacobian_deviation", "neumann_inverse_bound"]

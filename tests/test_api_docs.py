@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from lbblab import fem, infsup, spectral
+from lbblab import analytic, fem, geometry, infsup, perturb, spectral
 from lbblab.spectral import SolverOptions
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("module", [spectral, infsup, fem], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [spectral, infsup, fem, perturb, geometry, analytic], ids=lambda m: m.__name__
+)
 def test_public_names_resolve(module):
     # the package's own names resolve by importing it; __all__ is read only
     # by a star import, so a stale entry would otherwise go unnoticed

@@ -12,7 +12,6 @@ from lbblab.perturb import (
     estimate_eps,
     interpolate_boundary,
     polygon_disk_eps,
-    spectral_norm_2x2,
 )
 
 
@@ -23,6 +22,17 @@ def parabola_patch(nodes=(0.0, 0.5, 1.0)):
         dphi=lambda x: 1.0 - 2.0 * np.asarray(x),
         eta0=1.0,
         nodes=np.asarray(nodes),
+    )
+
+
+def wild_patch():
+    # steep oscillation, far from its three-node interpolant
+    return GraphBoundaryPatch(
+        interval=(0.0, 1.0),
+        phi=lambda x: 1.0 + 0.9 * np.sin(40.0 * np.asarray(x)),
+        dphi=lambda x: 36.0 * np.cos(40.0 * np.asarray(x)),
+        eta0=0.05,
+        nodes=np.array([0.0, 0.4, 1.0]),
     )
 
 
@@ -154,25 +164,51 @@ def test_rejects_nonpositive_interpolant():
 
 
 def test_wild_graph_reports_unbounded_neumann():
-    # steep oscillation: forward closeness exceeds 1, Neumann bound infinite
-    patch = GraphBoundaryPatch(
-        interval=(0.0, 1.0),
-        phi=lambda x: 1.0 + 0.9 * np.sin(40.0 * np.asarray(x)),
-        dphi=lambda x: 36.0 * np.cos(40.0 * np.asarray(x)),
-        eta0=0.05,
-        nodes=np.array([0.0, 0.4, 1.0]),
-    )
+    # forward closeness exceeds 1, Neumann bound infinite
+    patch = wild_patch()
     est = estimate_eps(build_graph_map(patch, interpolate_boundary(patch)), 256)
     assert est.eps_forward >= 1
     assert math.isinf(est.neumann_inverse_bound)
 
 
-def test_spectral_norm_closed_form():
-    rng = np.random.default_rng(9)
-    mats = rng.standard_normal((50, 2, 2))
-    ours = spectral_norm_2x2(mats)
-    ref = np.linalg.norm(mats, ord=2, axis=(1, 2))
-    assert np.allclose(ours, ref, atol=1e-12)
+@pytest.mark.parametrize(
+    "patch, phi_h",
+    [
+        (parabola_patch(), interpolate_boundary(parabola_patch())),
+        circle_patches(16)[1],
+        (wild_patch(), interpolate_boundary(wild_patch())),
+    ],
+    ids=["parabola", "circle 16", "wild sine"],
+)
+def test_estimate_eps_matches_brute_force_norms(patch, phi_h):
+    # oracle: the 2-norms of DF - I and DF^-1 - I, built as full 2x2
+    # matrices on the same x1 samples and on x2 levels in [0, phi(x1)]
+    # that include the graph, where the sups are attained.  On the parabola
+    # and the circle both sups sit at a node, where r = 1; the wild sine
+    # puts them inside the subintervals
+    gm = build_graph_map(patch, phi_h)
+    density = 256
+    est = estimate_eps(gm, grid_density=density)
+    a, b = patch.interval
+    xs, iv = [], []
+    for i, (x0, x1) in enumerate(zip(patch.nodes, patch.nodes[1:])):
+        count = max(4, int(round(density * (x1 - x0) / (b - a))) + 1)
+        xs.append(np.linspace(x0, x1, count))
+        iv.append(np.full(count, i))
+    x, iv = np.concatenate(xs), np.concatenate(iv)
+    assert est.sample_count == x.size
+    r, dr = gm.ratio(x, interval=iv), gm.ratio_derivative(x, interval=iv)
+    x2 = np.multiply.outer(np.array([0.0, 0.25, 0.5, 0.9, 1.0]), patch.phi(x))
+    DF = np.zeros((*x2.shape, 2, 2))
+    DF[..., 0, 0] = 1.0
+    DF[..., 1, 0] = x2 * dr
+    DF[..., 1, 1] = r
+    eye = np.eye(2)
+    fwd = np.linalg.norm(DF - eye, 2, axis=(-2, -1)).max()
+    inv = np.linalg.norm(np.linalg.inv(DF) - eye, 2, axis=(-2, -1)).max()
+    assert est.eps_forward > 0
+    assert est.eps_forward == pytest.approx(fwd, rel=1e-14)
+    assert est.eps_inverse == pytest.approx(inv, rel=1e-14)
 
 
 # ------------------------------------------------------------ circle patches
