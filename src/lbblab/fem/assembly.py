@@ -18,10 +18,12 @@ the result is the one of a kernel call per element, bit for bit; assembly
 runs in fixed element order, so reruns agree bitwise too.
 `assemble_system` condenses the velocity dofs inside one pressure element
 out of the same class matrices and builds the uncondensed A and B only when
-they are read (`AssembledSystem`).  The first pass (`_condense`) eliminates
-the Lagrange nodes inside one velocity element; on nested pairs a second
-pass (`_condense_macros`) eliminates the remaining dofs whose fine elements
-all lie in one pressure element, one dense macro block per pressure element.
+they are read (`AssembledSystem`).  One routine, `_condense`, runs twice:
+the element pass eliminates every element's interior Lagrange nodes, and on
+nested pairs the nested pass every remaining dof whose fine elements all
+lie in one pressure element.  Both levels eliminate once per class of
+congruent patch groups (see `_condense` for the canonical numbering and the
+empty-slot rule that make them congruent).
 """
 
 from __future__ import annotations
@@ -55,8 +57,17 @@ def _element_classes(mesh: Mesh, tag: np.ndarray | None = None):
     key = np.concatenate(edges, axis=1).view(np.int64)  # bits: 0.0 and -0.0 differ
     if tag is not None:
         key = np.column_stack([key, tag])
-    _, rep, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return rep, inverse.ravel()
+    return _unique_rows(key)
+
+
+def _unique_rows(a: np.ndarray):
+    """(first, inverse): the first of every set of equal rows of the integer
+    array a, and every row's set.  The rows are compared as raw bytes, which
+    sorts them faster than np.unique(axis=0) does."""
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _element_geometry(mesh: Mesh, ref_pts: np.ndarray, rep=slice(None)):
@@ -125,8 +136,8 @@ def _vector_stiffness(element_dofs, K: np.ndarray, n: int) -> sparse.csr_matrix:
 def _pressure_maps(dof_p: DofMap, v_mesh: Mesh, parent_map: ParentMap | None):
     """How each velocity element sees the pressure basis.
 
-    Returns (maps, map_class, p_elem): the distinct child-to-parent affine
-    reference maps as rows (matrix, offset), the map of every velocity
+    Returns (maps, map_class, p_elem): the bitwise-distinct child-to-parent
+    affine reference maps as rows (matrix, offset), the map of every velocity
     element, and the pressure element it lies in.  On a shared mesh maps is
     None and every element has the identity map 0.
     """
@@ -143,8 +154,8 @@ def _pressure_maps(dof_p: DofMap, v_mesh: Mesh, parent_map: ParentMap | None):
     stacked = np.concatenate(
         [parent_map.matrix.reshape(ne, 4), parent_map.offset], axis=1
     )
-    maps, map_class = np.unique(stacked, axis=0, return_inverse=True)
-    return maps, map_class.ravel(), parent_map.parent
+    first, map_class = _unique_rows(stacked.view(np.int64))  # bits: 0.0 and -0.0 differ
+    return stacked[first], map_class, parent_map.parent
 
 
 def _pressure_tables(dof_p: DofMap, maps, ref_pts: np.ndarray) -> np.ndarray:
@@ -242,12 +253,13 @@ class AssembledSystem:
 
     Ahat = diag(Khat, Khat) is SPD and couples the skeleton dofs of each
     pressure element, and D has Mp's sparsity pattern.  D = E^T E with
-    E = L^{-1} B_I^T for the Cholesky factors A_II = L L^T of each
-    elimination pass (the element interiors, then on nested pairs the rest
-    of each pressure element's interior): the dense and Woodbury routes
-    take D assembled, while D q = E^T (E q) keeps q.Dq at the roundoff
-    floor squared on near-null pressure modes.  Without interior dofs
-    Ahat = A, C = B, D = 0 and E has no rows.
+    E = L^{-1} B_I^T for the Cholesky factors A_II = L L^T of both passes
+    of the one elimination routine, `_condense`: the element interiors,
+    then on nested pairs the rest of each pressure element's interior, each
+    factored once per class of congruent groups.  The dense and Woodbury
+    routes take D assembled, while D q = E^T (E q) keeps q.Dq at the
+    roundoff floor squared on near-null pressure modes.  Without interior
+    dofs Ahat = A, C = B, D = 0 and E has no rows.
 
     The solve path reads only the condensed forms.  The uncondensed A and B
     are read by the test oracles (``tests/conftest.py``) and the benchmark
@@ -279,48 +291,21 @@ class AssembledSystem:
 
 @dataclass(frozen=True)
 class _Patches:
-    """The condensed matrices of one elimination pass, per patch: a velocity
-    element, or a macro (the fine elements of one pressure element).
-
-    Patch q has the matrices of index i = index[q] (its element class in
-    the first pass).  It adds Khat[i] to the scalar skeleton stiffness on
-    its skeleton dofs eds[q], and Cx[i] and Cy[i] to the two component
-    blocks of C on its pressures edp[q].  Its eliminated dofs are the rows
-    rows[q] of each component block of E, with entries Yx[i] and Yy[i], and
-    add Dloc[i] to D.  A -1 in eds or rows marks a slot that holds no dof.
-    The matrices are expanded to every patch only for the scatter.
-    """
+    """One pass of `_condense`: its D and E, and per group what scatters
+    Ahat and C (`assemble_system`, from the last pass).  Group g has the
+    matrices of its class index[g], zero-padded to the largest class: Khat
+    to the scalar stiffness on its kept dofs eds[g] (-1: no dof), Cx and Cy
+    to the component blocks of C on its pressures edp[g]."""
 
     eds: np.ndarray
     Khat: np.ndarray
     Cx: np.ndarray
     Cy: np.ndarray
     edp: np.ndarray
-    rows: np.ndarray
-    Yx: np.ndarray
-    Yy: np.ndarray
-    Dloc: np.ndarray
     index: np.ndarray
     n_s: int
-    n_rows: int
-
-
-def _skeleton_forms(p: _Patches, n_p: int):
-    """(Ahat, C) scattered from the patches."""
-    i = p.index
-    C = _coupling(p.edp, p.eds, p.Cx[i], p.Cy[i], (n_p, p.n_s))
-    return _vector_stiffness(p.eds, p.Khat[i], p.n_s), C
-
-
-def _interior_forms(p: _Patches, n_p: int):
-    """(D, E) scattered from the patches."""
-    i, shape = p.index, (p.n_rows, n_p)
-    D = _scatter(p.edp, p.edp, p.Dloc[i], (n_p, n_p))
-    E = sparse.vstack(
-        [_scatter(p.rows, p.edp, p.Yx[i], shape), _scatter(p.rows, p.edp, p.Yy[i], shape)],
-        format="csr",
-    )
-    return D, E
+    D: sparse.csr_matrix
+    E: sparse.csr_matrix
 
 
 def _eliminate(K, Bx, By, I: np.ndarray, S: np.ndarray):
@@ -349,114 +334,124 @@ def _eliminate(K, Bx, By, I: np.ndarray, S: np.ndarray):
     return Khat, Cx, Cy, Dloc, Yx, Yy
 
 
-def _condense(dof_v: DofMap, K, Bx, By, inverse: np.ndarray, edp) -> _Patches:
-    """The first pass: the interior Lagrange nodes of every element
-    eliminated from the class matrices K, Bx, By; `inverse` gives every
-    element's class.
+_MACRO_BATCH = 1 << 20  # dense group matrix entries per batched elimination (8 MB)
 
-    Interior nodes belong to one element each, so the elimination is
-    element-local and per scalar component, and runs once per class.  By
-    Sylvester's law A is SPD iff every K_II and Ahat are: a failed Cholesky
-    raises NotPositiveDefinite, and factorizing Ahat checks the rest.
+
+def _layout(dofs: np.ndarray, group: np.ndarray, inside: np.ndarray):
+    """(order, local, pairs): the patches group by group in patch order, the
+    group-local number local[q, s] of slot s of patch order[q], and every
+    dof d of every group g once as pairs = (g, l, d, is_in), l its local
+    number and d = -1 for an empty slot; numbered as `_condense` says."""
+    n = len(inside)
+    order = np.argsort(group, kind="stable")
+    g = np.repeat(group[order], dofs.shape[1])
+    d = dofs[order].ravel()
+    d = np.where(d >= 0, d, n + np.arange(d.size))
+    # every entry's first entry of its dof in its group: only the patches of
+    # groups of two or more can repeat a dof
+    first = np.arange(d.size)
+    shared = np.flatnonzero(np.bincount(group)[g] > 1)
+    key = g[shared] * (n + d.size) + d[shared]
+    pos = np.argsort(key, kind="stable")
+    head = np.ones(len(pos), dtype=bool)
+    head[1:] = key[pos[1:]] != key[pos[:-1]]
+    first[shared[pos]] = shared[pos[head]][np.cumsum(head) - 1]
+    new = np.flatnonzero(first == np.arange(d.size))
+    pg, pd = g[new], np.where(d[new] < n, d[new], -1)
+    is_in = (pd >= 0) & inside[pd]
+    by = np.argsort(2 * pg + ~is_in, kind="stable")  # per group: inside dofs first
+    count = np.bincount(pg)
+    rank = np.empty(d.size, dtype=np.intp)
+    rank[new[by]] = np.arange(len(new)) - np.repeat(np.cumsum(count) - count, count)
+    return order, rank[first].reshape(dofs.shape), (pg, rank[new], pd, is_in)
+
+
+def _condense(dofs, cls, K, Bx, By, group, edp, n_p: int, inside) -> _Patches:
+    """The dofs marked `inside` eliminated, group by group.
+
+    Patch q has the dofs dofs[q] (-1: an empty slot) and the matrices K, Bx,
+    By of its class cls[q], and lies in group group[q] with the pressures
+    edp[group[q]] of n_p.  All patches of an inside dof lie in one group, so
+    the elimination is group-local, on dense group matrices summed from the
+    member patches in patch order.  Each group numbers its dofs (`_layout`)
+    not by global dof number but by first appearance over (member patch,
+    slot), its inside dofs first, then the rest.  An empty slot counts as a
+    kept dof of its own, which the scatter drops, so a boundary element
+    keeps its class's layout: otherwise every boundary pattern would be a
+    class of its own (216 instead of 178 on SV 24x6), and the reordered
+    elimination moved the last bits of 1446 of Ahat's 111250 entries there.
+    Groups with equal member classes and equal layout have equal dense
+    matrices, so `_eliminate` runs once per class of groups, batched by
+    size: once per element class in the element pass, 9 times for the 32
+    pressure elements of 8x4 Q1dc pressures in the nested pass (interior, 4
+    sides, 4 corners).  By Sylvester's law A is SPD iff every eliminated
+    block and Ahat are: a failed Cholesky raises NotPositiveDefinite, and
+    factorizing Ahat checks the rest.
     """
-    ref = reference_element(dof_v.space.family, dof_v.space.degree)
-    inner = np.array([kind[0] == "i" for kind in ref.node_kind])
-    I, S = np.flatnonzero(inner), np.flatnonzero(~inner)
-    ed = dof_v.element_dofs
-    skeleton = np.ones(dof_v.n_global, dtype=bool)
-    skeleton[ed[:, I]] = False
-    number = np.cumsum(skeleton) - 1  # skeleton numbering in global dof order
-    eds = np.where(ed[:, S] >= 0, number[ed[:, S]], -1)
-    Khat, Cx, Cy, Dloc, Yx, Yy = _eliminate(K, Bx, By, I, S)
-    rows = np.arange(len(ed) * len(I)).reshape(len(ed), len(I))
-    return _Patches(
-        eds, Khat, Cx, Cy, edp, rows, Yx, Yy, Dloc, inverse, int(skeleton.sum()), rows.size
+    ng, npl = edp.shape
+    order, local, (pg, pl, pd, is_in) = _layout(dofs, group, inside)
+    n_in = np.bincount(pg[is_in], minlength=ng)
+    n_out = np.bincount(pg, minlength=ng) - n_in
+    g, c_of = group[order], cls[order]
+    size = np.bincount(g, minlength=ng)
+    j = np.arange(len(g)) - np.repeat(np.cumsum(size) - size, size)
+    # member j of group g is the patch order[members[g, j]]
+    members = np.full((ng, size.max()), -1)
+    members[g, j] = np.arange(len(g))
+    layout = np.full((ng, size.max(), dofs.shape[1]), -1)
+    layout[g, j] = local
+    # the sizes lead the key, so the classes of one size are numbered consecutively
+    key = np.column_stack(
+        [n_in, n_out, np.where(members >= 0, c_of[members], -1), layout.reshape(ng, -1)]
     )
-
-
-_MACRO_BATCH = 1 << 20  # dense macro matrix entries per batched elimination (8 MB)
-
-
-def _macro_blocks(first: _Patches, slot, p_elem, ms, n: int, n_m: int):
-    """Dense (Khat, Cx, Cy) of the macros ms over their n local dofs, summed
-    from their fine elements in element order; slot holds the macro-local
-    dof of every element slot (-1: none)."""
-    at = np.full(n_m, -1)
-    at[ms] = np.arange(len(ms))
-    els = np.flatnonzero(at[p_elem] >= 0)
-    at, loc = at[p_elem[els]], slot[els]
-    ok = loc >= 0
-    g, npl = len(ms), first.Cx.shape[1]
-    kk = ok[:, :, None] & ok[:, None, :]
-    idx = (at[:, None, None] * n + loc[:, :, None]) * n + loc[:, None, :]
-    cls = first.index[els]
-    K = np.bincount(idx[kk], first.Khat[cls][kk], minlength=g * n * n).reshape(g, n, n)
-    cc = np.broadcast_to(ok[:, None, :], (len(els), npl, loc.shape[1]))
-    idx = (at[:, None, None] * npl + np.arange(npl)[:, None]) * n + loc[:, None, :]
-    Bx, By = (
-        np.bincount(idx[cc], B[cls][cc], minlength=g * npl * n).reshape(g, npl, n)
-        for B in (first.Cx, first.Cy)
-    )
-    return K, Bx, By
-
-
-def _condense_macros(first: _Patches, p_elem: np.ndarray, edp_macro: np.ndarray):
-    """The second pass, for nested pairs: every skeleton dof of `first`
-    whose fine elements all lie in one pressure element (its macro)
-    eliminated; None when no dof does, as on a shared mesh.
-
-    Such a dof couples only to dofs of its own macro, so the elimination is
-    macro-local: `_eliminate` runs on dense macro blocks summed from the
-    fine elements' Khat, Cx and Cy, batched over macros of equal local
-    sizes.  The pressures of macro m are edp_macro[m], those of every one
-    of its fine elements, so continuous pressures work too.
-    """
-    eds, n_s = first.eds, first.n_s
-    n_m, npl = edp_macro.shape
-    valid = eds >= 0
-    pairs, pair_of = np.unique((p_elem[:, None] * n_s + eds)[valid], return_inverse=True)
-    macro, dof = np.divmod(pairs, n_s)
-    inside = np.bincount(dof, minlength=n_s) == 1
-    if not inside.any():
-        return None
-    # macro-local numbering: the macro's inside dofs, then its boundary dofs
-    is_in = inside[dof]
-    order = np.argsort(2 * macro + ~is_in, kind="stable")
-    local = np.empty_like(order)
-    local[order] = np.arange(len(order))
-    count = np.bincount(macro, minlength=n_m)
-    local -= (np.cumsum(count) - count)[macro]
-    n_in = np.bincount(macro[is_in], minlength=n_m)
-    n_b = count - n_in
-    slot = np.full(eds.shape, -1)
-    slot[valid] = local[pair_of]
-    # the outputs, padded to the largest macro
-    eds2 = np.full((n_m, n_b.max()), -1)
-    rows = np.full((n_m, n_in.max()), -1)
-    number, row = np.cumsum(~inside) - 1, np.cumsum(inside) - 1  # Ahat's and E's numbering
-    edge = ~is_in
-    eds2[macro[edge], local[edge] - n_in[macro[edge]]] = number[dof[edge]]
-    rows[macro[is_in], local[is_in]] = row[dof[is_in]]
-    Khat = np.zeros((n_m, eds2.shape[1], eds2.shape[1]))
-    Cx, Cy = np.zeros((n_m, npl, eds2.shape[1])), np.zeros((n_m, npl, eds2.shape[1]))
-    Yx, Yy = np.zeros((n_m, rows.shape[1], npl)), np.zeros((n_m, rows.shape[1], npl))
-    Dloc = np.zeros((n_m, npl, npl))
-    sizes, group = np.unique(np.column_stack([n_in, n_b]), axis=0, return_inverse=True)
-    for g, (ni, nb) in enumerate(sizes):
-        n = ni + nb
-        members = np.flatnonzero(group.ravel() == g)
+    rep, index = _unique_rows(key)
+    ni_c, ns_c = n_in[rep], n_out[rep]
+    ni, ns = ni_c.max(), ns_c.max()
+    shapes = [(ns, ns), (npl, ns), (npl, ns), (npl, npl), (ni, npl), (ni, npl)]
+    Khat, Cx, Cy, Dloc, Yx, Yy = out = [np.zeros((len(rep), *shape)) for shape in shapes]
+    bounds = np.r_[0, np.flatnonzero((np.diff(ni_c) != 0) | (np.diff(ns_c) != 0)) + 1, len(rep)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        n = ni_c[lo] + ns_c[lo]
         step = max(1, _MACRO_BATCH // (n * n))
-        for c in range(0, len(members), step):
-            ms = members[c : c + step]
-            K, Bx, By = _macro_blocks(first, slot, p_elem, ms, n, n_m)
-            (
-                Khat[ms, :nb, :nb], Cx[ms, :, :nb], Cy[ms, :, :nb], Dloc[ms],
-                Yx[ms, :ni], Yy[ms, :ni],
-            ) = _eliminate(K, Bx, By, np.arange(ni), np.arange(ni, n))
-    return _Patches(
-        eds2, Khat, Cx, Cy, edp_macro, rows, Yx, Yy, Dloc, np.arange(n_m),
-        int((~inside).sum()), int(inside.sum()),
+        for a in range(lo, hi, step):
+            b = slice(a, min(a + step, hi))
+            dense = _dense_blocks(members[rep[b]], local, c_of, K, Bx, By, n, ni_c[lo])
+            for o, r in zip(out, _eliminate(*dense)):
+                o[b, : r.shape[1], : r.shape[2]] = r
+    # Ahat's numbering of the kept dofs, E's of the inside ones
+    number, row = np.cumsum(~inside) - 1, np.cumsum(inside) - 1
+    eds, rows = np.full((ng, ns), -1), np.full((ng, ni), -1)
+    kg, kd = pg[~is_in], pd[~is_in]
+    eds[kg, pl[~is_in] - n_in[kg]] = np.where(kd >= 0, number[kd], -1)
+    rows[pg[is_in], pl[is_in]] = row[pd[is_in]]
+    D = _scatter(edp, edp, Dloc[index], (n_p, n_p))
+    shape = (int(inside.sum()), n_p)
+    E = sparse.vstack([_scatter(rows, edp, Y[index], shape) for Y in (Yx, Yy)], format="csr")
+    return _Patches(eds, Khat, Cx, Cy, edp, index, int((~inside).sum()), D, E)
+
+
+def _dense_blocks(members, local, c_of, K, Bx, By, n: int, ni: int):
+    """(K, Bx, By, I, S): the dense matrices of the groups whose member
+    patches are the rows of members (-1: none), summed in member order over
+    the n local dofs, and the positions of the ni inside and of the other
+    local dofs.  Groups of one patch and one layout, as in the element pass,
+    keep their class matrices, signed zeros included (a sum starts from
+    +0.0): I and S then index them in slot order."""
+    loc = local[members[:, 0]]
+    if members.shape[1] == 1 and (loc == loc[0]).all():
+        c, at = c_of[members[:, 0]], np.argsort(loc[0])
+        return K[c], Bx[c], By[c], at[:ni], at[ni:]
+    b, npl = len(members), Bx.shape[1]
+    at, m = np.nonzero(members >= 0)
+    loc, c = local[members[at, m]], c_of[members[at, m]]
+    kk = (at[:, None, None] * n + loc[:, :, None]) * n + loc[:, None, :]
+    bb = (at[:, None, None] * npl + np.arange(npl)[:, None]) * n + loc[:, None, :]
+    Kd = np.bincount(kk.ravel(), K[c].ravel(), minlength=b * n * n).reshape(b, n, n)
+    Bxd, Byd = (
+        np.bincount(bb.ravel(), B[c].ravel(), minlength=b * npl * n).reshape(b, npl, n)
+        for B in (Bx, By)
     )
+    return Kd, Bxd, Byd, np.arange(ni), np.arange(ni, n)
 
 
 def assemble_system(
@@ -469,17 +464,30 @@ def assemble_system(
     K = _stiffness_blocks(dof_v, rep)
     Bx, By = _divergence_blocks(dof_v, dof_p, rep, maps, map_class)
     Mp, m = assemble_pressure_mass(dof_p)
-    edp, n_v, n_p = dof_p.element_dofs[p_elem], dof_v.n_global, dof_p.n_global
-    first = _condense(dof_v, K, Bx, By, inverse, edp)
+    ed, edp = dof_v.element_dofs, dof_p.element_dofs[p_elem]
+    n_v, n_p = dof_v.n_global, dof_p.n_global
+    ref = reference_element(dof_v.space.family, dof_v.space.degree)
+    interior = np.zeros(n_v, dtype=bool)
+    interior[ed[:, [kind[0] == "i" for kind in ref.node_kind]]] = True
+    first = _condense(ed, inverse, K, Bx, By, np.arange(len(ed)), edp, n_p, interior)
     second = None
-    if parent_map is not None:
-        second = _condense_macros(first, p_elem, dof_p.element_dofs)
-    Ahat, C = _skeleton_forms(second or first, n_p)
-    D, E = _interior_forms(first, n_p)
+    if parent_map is not None:  # the nested pass: the dofs in one pressure element
+        valid = first.eds >= 0
+        pairs = np.unique((p_elem[:, None] * first.n_s + first.eds)[valid])
+        inside = np.bincount(pairs % first.n_s, minlength=first.n_s) == 1
+        if inside.any():
+            second = _condense(
+                first.eds, first.index, first.Khat, first.Cx, first.Cy, p_elem,
+                dof_p.element_dofs, n_p, inside,
+            )
+    last = second or first
+    i = last.index
+    Ahat = _vector_stiffness(last.eds, last.Khat[i], last.n_s)
+    C = _coupling(last.edp, last.eds, last.Cx[i], last.Cy[i], (n_p, last.n_s))
+    D, E = first.D, first.E
     if second is not None:
-        D2, E2 = _interior_forms(second, n_p)
-        D, E = (D + D2).tocsr(), sparse.vstack([E, E2], format="csr")
-    blocks = _ClassBlocks(K, Bx, By, inverse, dof_v.element_dofs, edp, n_v, n_p)
+        D, E = (D + second.D).tocsr(), sparse.vstack([E, second.E], format="csr")
+    blocks = _ClassBlocks(K, Bx, By, inverse, ed, edp, n_v, n_p)
     return AssembledSystem(
         Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E, n_velocity=2 * n_v, blocks=blocks
     )

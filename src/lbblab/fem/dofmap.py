@@ -16,15 +16,13 @@ class DofMap:
 
     element_dofs holds -1 for dofs eliminated by zero-trace boundary
     conditions.  dof_points are the physical Lagrange node positions of the
-    surviving global dofs; is_boundary_dof flags dofs sitting on the domain
-    boundary (all False after zero-trace elimination).
+    surviving global dofs.
     """
 
     mesh: Mesh
     space: ElementSpace
     n_global: int
     element_dofs: np.ndarray
-    is_boundary_dof: np.ndarray
     dof_points: np.ndarray = field(repr=False)
 
     @property
@@ -54,7 +52,6 @@ def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
             space=space,
             n_global=ne * nloc,
             element_dofs=element_dofs,
-            is_boundary_dof=np.zeros(ne * nloc, dtype=bool),
             dof_points=phys.reshape(ne * nloc, 2),
         )
 
@@ -81,20 +78,17 @@ def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
 
     element_dofs, first = first_appearance(keys)
     points_arr = phys.reshape(ne * nloc, 2)[first]
-    boundary_arr = on_boundary.ravel()[first]
     if space.bc is BoundaryCondition.ZERO_TRACE:
-        keep = ~boundary_arr
+        keep = ~on_boundary.ravel()[first]
         renumber = -np.ones(len(points_arr), dtype=np.int64)
         renumber[keep] = np.arange(keep.sum())
         element_dofs = renumber[element_dofs]
         points_arr = points_arr[keep]
-        boundary_arr = np.zeros(int(keep.sum()), dtype=bool)
     return DofMap(
         mesh=mesh,
         space=space,
         n_global=len(points_arr),
         element_dofs=element_dofs,
-        is_boundary_dof=boundary_arr,
         dof_points=points_arr,
     )
 

@@ -182,9 +182,6 @@ class SchurOperator:
     def apply(self, q: np.ndarray) -> np.ndarray:
         return self.E.T @ (self.E @ q) + self.C @ self.factor.solve(self.C.T @ q)
 
-    def as_linear_operator(self) -> LinearOperator:
-        return LinearOperator(self.shape, matvec=self.apply, dtype=float)
-
 
 @dataclass(frozen=True)
 class GenEigResult:
@@ -457,7 +454,7 @@ def _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget, start=Non
     v0 = project(v0)
     try:
         _, vecs = eigsh(
-            op.as_linear_operator(),
+            LinearOperator(op.shape, matvec=op.apply, dtype=float),
             k=k,
             M=mass,
             sigma=-tau,

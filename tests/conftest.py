@@ -155,13 +155,11 @@ def loop_dof_map(mesh, space):
         renumber[keep] = np.arange(keep.sum())
         element_dofs = renumber[element_dofs]
         points_arr = points_arr[keep]
-        boundary_arr = np.zeros(int(keep.sum()), dtype=bool)
     return DofMap(
         mesh=mesh,
         space=space,
         n_global=len(points_arr),
         element_dofs=element_dofs,
-        is_boundary_dof=boundary_arr,
         dof_points=points_arr,
     )
 

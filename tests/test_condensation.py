@@ -150,6 +150,25 @@ def test_nested_skeleton_counts(coarse, levels, pcont, n_velocity, n_skeleton):
     assert system.E.shape[0] == n_velocity - n_skeleton
 
 
+@pytest.mark.parametrize("grid", [(2, 1), (4, 2)], ids=["2x1", "4x2"])
+def test_nested_velocity_spaces_never_lower_beta(grid):
+    # a finer velocity mesh inside the same pressure mesh nests the velocity
+    # spaces: beta is an inf over the same pressures of a sup over more
+    # velocities, so it cannot fall with depth (it rises by 3e-6 to 5e-4 a
+    # level here, far above roundoff)
+    coarse = rect_grid(2, 1, *grid)
+    vs, ps = _spaces(Family.QUAD, 2, 1)
+    betas = []
+    for depth in range(1, 5):
+        fine, pm = refine_chain(coarse, depth)
+        config = PairConfig(
+            velocity_space=vs, pressure_space=ps, velocity_mesh=fine, pressure_mesh=coarse,
+            parent_map=pm,
+        )
+        betas.append(compute_beta(config, k=1).beta)
+    assert (np.diff(betas) >= 0).all(), betas
+
+
 ORACLE_CASES = {
     "SV P4-P3dc": lambda: _system(sv_mesh(4, 1, 4, 1, 0.4, 0.15), 4, 3),
     "P3-P2": lambda: _system(_sv(), 3, 2, C0),

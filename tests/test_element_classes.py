@@ -89,27 +89,53 @@ SHARED = {name: build for name, build in CASES.items() if not name.startswith("n
 
 @pytest.mark.parametrize("build", SHARED.values(), ids=SHARED.keys())
 def test_macro_pass_is_a_no_op_on_shared_meshes(build, monkeypatch):
-    # every element its own parent: no skeleton dof lies inside one pressure
-    # element, so the second pass returns early and the first-level forms
-    # come back bit for bit
+    # every element its own parent: no skeleton dof of the element pass lies
+    # inside one pressure element, so the nested mask is empty, `_condense`
+    # runs for the element pass only, and its forms come back bit for bit
     dv, dp, _ = build()
     ne = dv.mesh.n_elements
     identity = ParentMap(
         parent=np.arange(ne), matrix=np.tile(np.eye(2), (ne, 1, 1)), offset=np.zeros((ne, 2))
     )
-    passes = []
-    macros = assembly._condense_macros
+    masks = []
+    condense = assembly._condense
 
-    def counted(*args):
-        passes.append(macros(*args))
-        return passes[-1]
+    def recorded(*args):
+        masks.append(args[-1])
+        return condense(*args)
 
-    monkeypatch.setattr(assembly, "_condense_macros", counted)
+    monkeypatch.setattr(assembly, "_condense", recorded)
     got = assemble_system(dv, dp, parent_map=identity)
+    assert len(masks) == 1 and masks[0].any()
     want = assemble_system(dv, dp)
-    assert passes == [None]
     for name in ("Ahat", "C", "D", "E", "Mp"):
         _assert_bitwise(getattr(got, name), getattr(want, name))
+
+
+def test_congruent_macros_eliminate_once(monkeypatch):
+    # 8x4 Q1dc pressures, Q2 velocities two levels finer: the 32 macros fall
+    # into 9 classes by which of their sides lie on the boundary (interior,
+    # 4 sides, 4 corners), and the element pass eliminates once per element
+    # class
+    coarse = rect_grid(2, 1, 8, 4)
+    fine, pm = refine_chain(coarse, 2)
+    dv, dp = _maps(fine, 2, 1, p_mesh=coarse)
+    passes = []
+    condense, eliminate = assembly._condense, assembly._eliminate
+
+    def per_pass(*args):
+        passes.append(0)
+        return condense(*args)
+
+    def counted(K, *args):
+        passes[-1] += len(K)
+        return eliminate(K, *args)
+
+    monkeypatch.setattr(assembly, "_condense", per_pass)
+    monkeypatch.setattr(assembly, "_eliminate", counted)
+    assemble_system(dv, dp, parent_map=pm)
+    _, map_class, _ = assembly._pressure_maps(dp, fine, pm)
+    assert passes == [len(assembly._element_classes(fine, map_class)[0]), 9]
 
 
 @pytest.mark.parametrize(
