@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,7 +42,6 @@ from .infsup import (
     PairConfig,
     compute_beta,
     compute_betas,
-    eigenfunction_export,
 )
 from .spectral import EigenSolverError, NotPositiveDefinite, SolverOptions
 from .svgplot import line_plot
@@ -226,16 +226,11 @@ def _betas(runs: list[list], k: int, jobs: int) -> list[list[BetaResult | None]]
         return list(ex.map(solve, runs))
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def _parse_csv(text: str) -> list[dict]:
-    return list(csv.DictReader(io.StringIO(text)))
+def _table(header: list[str], rows: list[list[str]]) -> tuple[str, list[dict]]:
+    """CSV text of string cells, and its rows as the CSV reader reads them
+    back: every plot and check works from what the CSV says."""
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    return text, list(csv.DictReader(io.StringIO(text)))
 
 
 def _beta_table(
@@ -243,27 +238,68 @@ def _beta_table(
     rows: list[tuple[list[str], BetaResult | None]],
     k: int,
 ) -> tuple[str, list[dict]]:
-    """CSV text and parsed rows of (lead cells, result) pairs: the lead
-    columns, then the beta columns of `_beta_header`."""
-    text = _csv_text(
+    """`_table` of (lead cells, result) pairs: the lead columns, then the
+    beta columns of `_beta_header`."""
+    return _table(
         lead_header + _beta_header(k),
         [lead + _beta_cells(result, k) for lead, result in rows],
     )
-    return text, _parse_csv(text)
+
+
+_MESH = operator.itemgetter("mesh")
+_MESH_RULE = operator.itemgetter("mesh", "rule")
+
+
+def _series(rows: list[dict], key, x: str, y, order=None) -> list:
+    """One (label, xs, ys) series per group of rows with equal `key(row)`,
+    rows in the order given: xs from column `x`, ys from column `y` or, if
+    `y` is callable, y(row).  The labels are the keys listed in `order`,
+    else the keys in order of first appearance."""
+    groups = {}
+    for r in rows:
+        groups.setdefault(key(r), []).append(r)
+    get = y if callable(y) else lambda r: float(r[y])
+    return [(label, [float(r[x]) for r in groups.get(label, [])],
+             [get(r) for r in groups.get(label, [])])
+            for label in (groups if order is None else order)]
+
+
+def _columns(rows: list[dict], x: str, columns: list[tuple[str, str]]) -> list:
+    """One (label, xs, ys) series per (label, column) over column `x`."""
+    xs = [float(r[x]) for r in rows]
+    return [(label, xs, [float(r[column]) for r in rows]) for label, column in columns]
+
+
+def _reference_line(rows: list[dict]) -> list:
+    """The `beta_ref` column as a labelled reference line; line_plot drops
+    it where it is not set (NaN)."""
+    return [("reference", float(rows[0]["beta_ref"]))] if rows else []
 
 
 def _ref_cell(beta_ref) -> str:
     return _g(beta_ref) if beta_ref is not None else "nan"
 
 
+def _nonempty(key: str, values: list) -> list:
+    """A config's list of points under `key`; a run over none is an error."""
+    if not values:
+        raise ValueError(f"config key {key!r} lists no points")
+    return values
+
+
+def _max_beta(name: str, rows: list[dict], bound: float, text: str) -> CheckResult:
+    """The largest beta of the unflagged rows must be at most `bound`;
+    `text` formats the check's detail from that beta."""
+    worst = _nan_max([float(r["beta"]) for r in rows if r["flagged"] == "0"])
+    return CheckResult(name, worst <= bound, text.format(worst))
+
+
 def _usc(rows: list[dict], cfg: dict, name="usc-all-rows", label="max beta") -> CheckResult:
     """Upper semicontinuity on every unflagged row: beta <= beta_ref + slack."""
     beta_ref = cfg["beta_ref"]
     slack = float(cfg.get("slack", 0.005))
-    worst = _nan_max([float(r["beta"]) for r in rows if r["flagged"] == "0"])
-    return CheckResult(
-        name, worst <= float(beta_ref) + slack, f"{label}={worst:.6g} <= {beta_ref} + {slack}"
-    )
+    return _max_beta(name, rows, float(beta_ref) + slack,
+                     f"{label}={{:.6g}} <= {beta_ref} + {slack}")
 
 
 def _nan_max(values: list[float]) -> float:
@@ -311,7 +347,7 @@ def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         save_mesh(pc.velocity_mesh, cfg["mesh_out"])
     result = compute_beta(pc, k=k)
     if cfg.get("eigenfunction_out"):
-        eigenfunction_export(result, cfg["eigenfunction_out"])
+        _write(cfg["eigenfunction_out"], _eigenfunction_csv(result))
     text, parsed = _beta_table([], [([], result)], k)
     checks = []
     if "beta_range" in cfg:
@@ -328,6 +364,17 @@ def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     return RunOutput(csv=text, checks=checks)
 
 
+def _eigenfunction_csv(result: BetaResult) -> str:
+    """The leading pressure eigenfunction, one row per (element, local
+    node) slot that holds a dof, with the dof's point and coefficient."""
+    element, node = np.nonzero(result.dof_p.element_dofs >= 0)
+    dof = result.dof_p.element_dofs[element, node]
+    ints = np.column_stack([element, node, dof]).tolist()
+    reals = np.column_stack([result.dof_p.dof_points[dof], result.eigenfunction[dof]]).tolist()
+    rows = [[*map(str, i), *map(_g, r)] for i, r in zip(ints, reals)]
+    return _table(["element", "local_node", "global_dof", "x", "y", "coefficient"], rows)[0]
+
+
 def run_spectrum(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     pc, k = _config_pair(cfg, seed)
     result = compute_beta(pc, k=k)
@@ -340,8 +387,8 @@ def run_spectrum(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
          _g(result.residual_max), "0"]
         for j, s in enumerate(result.sigmas)
     ]
-    text = _csv_text(header, rows)
-    svg = plot_spectrum(_parse_csv(text))
+    text, parsed = _table(header, rows)
+    svg = plot_spectrum(parsed)
     checks = [
         CheckResult(
             "sigma-bounds",
@@ -351,25 +398,18 @@ def run_spectrum(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     ]
     extra = {}
     if corners:
-        irows = [
-            [_g(w), _g(analytic.cosserat_interval(w)[0]), _g(analytic.cosserat_interval(w)[1])]
-            for w in corners
-        ]
-        extra["intervals"] = _csv_text(["omega", "low", "high"], irows)
+        irows = [[_g(w), *map(_g, analytic.cosserat_interval(w))] for w in corners]
+        extra["intervals"] = _table(["omega", "low", "high"], irows)[0]
     return RunOutput(csv=text, extra_csv=extra, svgs={"": svg}, checks=checks)
 
 
 def plot_spectrum(rows: list[dict]) -> str:
-    xs = [float(r["j"]) for r in rows]
-    ys = [float(r["sigma"]) for r in rows]
-    refs = []
-    if rows and not math.isnan(float(rows[0]["cosserat_low"])):
-        refs = [
-            ("essential low", float(rows[0]["cosserat_low"])),
-            ("essential high", float(rows[0]["cosserat_high"])),
-        ]
+    refs = [
+        ("essential low", float(rows[0]["cosserat_low"])),
+        ("essential high", float(rows[0]["cosserat_high"])),
+    ] if rows else []
     return line_plot(
-        [("sigma_j", xs, ys)],
+        _columns(rows, "j", [("sigma_j", "sigma")]),
         "eigenvalue index",
         "sigma",
         title="Schur spectrum",
@@ -384,7 +424,7 @@ def plot_spectrum(rows: list[dict]) -> str:
 def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     width, height = float(cfg["width"]), float(cfg["height"])
-    grids = [tuple(g) for g in cfg["grids"]]
+    grids = [tuple(g) for g in _nonempty("grids", cfg["grids"])]
     b = float(cfg.get("b", 0.4))
     a0 = float(cfg.get("a_start", -0.49))
     a1 = float(cfg.get("a_stop", 0.49))
@@ -420,39 +460,25 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     # least-squares slope of beta(a) through the origin on a small window
     w0, w1 = cfg.get("slope_window", [0.02, 0.10])
     slope_rows = []
-    for nx, ny in grids:
-        label = f"{nx}x{ny}"
-        pts = [
-            (float(r["a"]), float(r["beta"]))
-            for r in parsed
-            if r["mesh"] == label and w0 - 1e-12 <= float(r["a"]) <= w1 + 1e-12
-        ]
-        if not pts:
+    for label, aa, bb in _series(parsed, _MESH, "a", "beta",
+                                 order=[f"{nx}x{ny}" for nx, ny in grids]):
+        window = [w0 - 1e-12 <= a <= w1 + 1e-12 for a in aa]
+        if not any(window):
             continue
-        aa = np.array([p[0] for p in pts])
-        bb = np.array([p[1] for p in pts])
+        aa, bb = np.array(aa)[window], np.array(bb)[window]
         slope = float(aa @ bb / (aa @ aa))
         fit = slope * aa
         rel = float(np.linalg.norm(bb - fit) / np.linalg.norm(fit))
         slope_rows.append([label, _g(w0), _g(w1), _g(slope), _g(rel)])
     extra = {
-        "slopes": _csv_text(["mesh", "a_min", "a_max", "slope", "relative_residual"], slope_rows)
+        "slopes": _table(["mesh", "a_min", "a_max", "slope", "relative_residual"], slope_rows)[0]
     }
 
     checks = [_usc(parsed, cfg)] if beta_ref is not None else []
     if any(abs(a) < 1e-12 for a in a_values):
-        z = _nan_max([
-            float(r["beta"])
-            for r in parsed
-            if abs(float(r["a"])) < 1e-12 and r["flagged"] == "0"
-        ])
-        checks.append(
-            CheckResult(
-                "singular-point",
-                z <= _ZERO_BETA_MAX,
-                f"beta(a=0) max={z:.3g} <= {_ZERO_BETA_MAX:g}",
-            )
-        )
+        at_zero = [r for r in parsed if abs(float(r["a"])) < 1e-12]
+        checks.append(_max_beta("singular-point", at_zero, _ZERO_BETA_MAX,
+                                f"beta(a=0) max={{:.3g}} <= {_ZERO_BETA_MAX:g}"))
     if slope_rows:
         rel_max = _nan_max([float(r[4]) for r in slope_rows])
         checks.append(
@@ -465,31 +491,8 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     return RunOutput(csv=text, extra_csv=extra, svgs=svgs, checks=checks)
 
 
-def _series_by_mesh(rows: list[dict]):
-    order = []
-    for r in rows:
-        if r["mesh"] not in order:
-            order.append(r["mesh"])
-    return order
-
-
-def _series_over_a(rows: list[dict], y) -> list:
-    """One (mesh label, a values, y(row) values) series per mesh."""
-    series = []
-    for label in _series_by_mesh(rows):
-        sub = [r for r in rows if r["mesh"] == label]
-        series.append((label, [float(r["a"]) for r in sub], [y(r) for r in sub]))
-    return series
-
-
-def _reference_line(rows: list[dict]) -> list:
-    """The `beta_ref` column as a labelled reference line, if it is set."""
-    ref = float(rows[0]["beta_ref"]) if rows else float("nan")
-    return [] if math.isnan(ref) else [("reference", ref)]
-
-
 def plot_sv_sweep(rows: list[dict]) -> str:
-    return line_plot(_series_over_a(rows, lambda r: float(r["beta"])), "a", "beta_n(a)",
+    return line_plot(_series(rows, _MESH, "a", "beta"), "a", "beta_n(a)",
                      title="inf-sup constant vs decentering", ref_lines=_reference_line(rows))
 
 
@@ -500,28 +503,22 @@ def plot_sv_sweep_diff_fine(rows: list[dict], zero_max: float) -> str:
     threshold) are left out: there both betas are roundoff, and their ratio
     would set the autoscaled axis.
     """
-    labels = _series_by_mesh(rows)
-    finest = max(labels, key=lambda lab: max(
-        int(r["n_velocity"]) for r in rows if r["mesh"] == lab))
+    sizes = _series(rows, _MESH, "a", "n_velocity")
+    finest = max(sizes, key=lambda s: max(s[2]))[0]
     fine = {r["a"]: float(r["beta"]) for r in rows if r["mesh"] == finest}
-    series = []
-    for label in labels:
-        if label == finest:
-            continue
-        sub = [r for r in rows if r["mesh"] == label and r["a"] in fine]
-        xs = [float(r["a"]) for r in sub]
-        ys = []
-        for r in sub:
-            bf = fine[r["a"]]
-            d = (bf - float(r["beta"])) / bf if bf > zero_max else float("nan")
-            ys.append(d)
-        series.append((label, xs, ys))
+
+    def relative(r):
+        bf = fine[r["a"]]
+        return (bf - float(r["beta"])) / bf if bf > zero_max else float("nan")
+
+    series = _series([r for r in rows if r["a"] in fine], _MESH, "a", relative,
+                     order=[label for label, _, _ in sizes if label != finest])
     return line_plot(series, "a", "log10 relative difference to finest mesh",
                      title="mesh convergence", log_y=True)
 
 
 def plot_sv_sweep_diff_ref(rows: list[dict]) -> str:
-    series = _series_over_a(rows, lambda r: float(r["beta_ref"]) - float(r["beta"]))
+    series = _series(rows, _MESH, "a", lambda r: float(r["beta_ref"]) - float(r["beta"]))
     return line_plot(series, "a", "log10 difference to reference",
                      title="distance to the continuous value", log_y=True)
 
@@ -554,9 +551,9 @@ def _degree_rule(rule: dict):
 def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     width, height = float(cfg["width"]), float(cfg["height"])
-    grids = [tuple(g) for g in cfg["grids"]]
-    n_values = [int(n) for n in cfg["n_values"]]
-    rules = [_degree_rule(rule) for rule in cfg["k_rules"]]
+    grids = [tuple(g) for g in _nonempty("grids", cfg["grids"])]
+    n_values = [int(n) for n in _nonempty("n_values", cfg["n_values"])]
+    rules = [_degree_rule(rule) for rule in _nonempty("k_rules", cfg["k_rules"])]
     k = int(cfg.get("k", 6))
     beta_ref = cfg.get("beta_ref")
 
@@ -584,42 +581,25 @@ def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         checks.append(_usc(parsed, cfg))
     if "converge_tol" in cfg and beta_ref is not None:
         tol = float(cfg["converge_tol"])
-        ok = True
-        detail = []
-        for (nx, ny) in grids:
-            for label, _ in rules:
-                lbl = (f"{nx}x{ny}", label)
-                # a failed point stays: its NaN beta fails both tests below
-                sub = [r for r in parsed if (r["mesh"], r["rule"]) == lbl]
-                sub.sort(key=lambda r: int(r["n"]))
-                if not sub:
-                    ok = False
-                    continue
-                errs = [abs(float(r["beta"]) - float(beta_ref)) for r in sub]
-                mono = all(e2 <= e1 + 1e-9 for e1, e2 in zip(errs, errs[1:]))
-                ok = ok and mono and errs[-1] < tol
-                detail.append(f"{lbl}: final err {errs[-1]:.4g}")
-        checks.append(CheckResult("p-convergence", ok, "; ".join(detail)))
+        # each (mesh, rule) pair's errors over n; a failed point stays, and
+        # its NaN beta fails both tests below, as does a pair without rows
+        errs = _series(
+            sorted(parsed, key=lambda r: int(r["n"])), _MESH_RULE, "n",
+            lambda r: abs(float(r["beta"]) - float(beta_ref)),
+            order=[(f"{nx}x{ny}", label) for nx, ny in grids for label, _ in rules],
+        )
+        ok = all(e and all(e2 <= e1 + 1e-9 for e1, e2 in zip(e, e[1:])) and e[-1] < tol
+                 for _, _, e in errs)
+        detail = "; ".join(f"{lbl}: final err {e[-1]:.4g}" for lbl, _, e in errs if e)
+        checks.append(CheckResult("p-convergence", ok, detail))
     return RunOutput(csv=text, svgs=svgs, checks=checks)
 
 
 def plot_p_sweep(rows: list[dict]) -> str:
-    combos = []
-    for r in rows:
-        key = (r["mesh"], r["rule"])
-        if key not in combos:
-            combos.append(key)
-    series = []
-    for mesh_label, rule in combos:
-        sub = [r for r in rows if (r["mesh"], r["rule"]) == (mesh_label, rule)]
-        sub.sort(key=lambda r: int(r["n"]))
-        series.append(
-            (
-                f"{mesh_label} {rule}",
-                [float(r["n"]) for r in sub],
-                [float(r["beta"]) for r in sub],
-            )
-        )
+    # one series per (mesh, rule) pair, in order of first appearance and of n
+    series = _series(sorted(rows, key=lambda r: int(r["n"])), _MESH_RULE, "n", "beta",
+                     order=list(dict.fromkeys(map(_MESH_RULE, rows))))
+    series = [(f"{mesh} {rule}", xs, ys) for (mesh, rule), xs, ys in series]
     return line_plot(series, "velocity degree n", "beta_n",
                      title="p-version inf-sup constants", ref_lines=_reference_line(rows))
 
@@ -632,7 +612,7 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     width, height = float(cfg["width"]), float(cfg["height"])
     vdeg, pdeg = int(cfg.get("velocity_degree", 2)), int(cfg.get("pressure_degree", 0))
-    grids = [tuple(g) for g in cfg["pressure_grids"]]
+    grids = [tuple(g) for g in _nonempty("pressure_grids", cfg["pressure_grids"])]
     rule = cfg.get("refine_velocity", {"mode": "fixed", "r": 1})
     if rule["mode"] not in ("fixed", "growing"):
         raise ValueError(f"unknown refine_velocity mode {rule['mode']!r}")
@@ -666,10 +646,8 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
 
 
 def plot_h_refinement(rows: list[dict]) -> str:
-    xs = [float(r["ratio"]) for r in rows]
-    ys = [float(r["beta"]) for r in rows]
     return line_plot(
-        [("beta_n", xs, ys)],
+        _columns(rows, "ratio", [("beta_n", "beta")]),
         "mesh-size ratio h_velocity / h_pressure",
         "beta_n",
         title="h-refinement with nested meshes",
@@ -683,7 +661,7 @@ def plot_h_refinement(rows: list[dict]) -> str:
 
 def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
-    n_values = [int(n) for n in cfg.get("n_values", [8, 16, 32, 64])]
+    n_values = [int(n) for n in _nonempty("n_values", cfg.get("n_values", [8, 16, 32, 64]))]
     refine = int(cfg.get("refine", 1))
     vdeg, pdeg = int(cfg.get("velocity_degree", 4)), int(cfg.get("pressure_degree", 3))
     k = int(cfg.get("k", 6))
@@ -715,10 +693,9 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         k,
     )
     ok_bounds = all(
-        float(r["lower_bound"]) - 0.01 <= float(r["beta"]) <= disk + 0.005
+        r["flagged"] == "0" and float(r["lower_bound"]) - 0.01 <= float(r["beta"]) <= disk + 0.005
         for r in parsed
-        if r["flagged"] == "0"
-    ) and all(r["flagged"] == "0" for r in parsed)
+    )
     checks = [
         CheckResult("two-sided-bounds", ok_bounds, f"{len(parsed)} polygon sizes"),
         _doubling_ratios("gap-contraction", parsed, "gap", (0.3, 0.7)),
@@ -728,12 +705,8 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
 
 
 def plot_polygon_limit(rows: list[dict]) -> str:
-    xs = [float(r["n"]) for r in rows]
-    series = [
-        ("beta_n", xs, [float(r["beta"]) for r in rows]),
-        ("lower bound", xs, [float(r["lower_bound"]) for r in rows]),
-        ("upper bound", xs, [float(r["upper_bound"]) for r in rows]),
-    ]
+    series = _columns(rows, "n", [("beta_n", "beta"), ("lower bound", "lower_bound"),
+                                  ("upper bound", "upper_bound")])
     return line_plot(series, "polygon edges n", "beta",
                      title="inscribed polygons approaching the disk")
 
@@ -743,7 +716,7 @@ def plot_polygon_limit(rows: list[dict]) -> str:
 # ----------------------------------------------------------------------
 
 def run_perturb_rate(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
-    n_values = [int(n) for n in cfg.get("n_values", [8, 16, 32, 64])]
+    n_values = [int(n) for n in _nonempty("n_values", cfg.get("n_values", [8, 16, 32, 64]))]
     grid = int(cfg.get("grid_density", 512))
     ests = [perturb.polygon_disk_eps(n, grid_density=grid) for n in n_values]
     chash = _cfg_hash(cfg)
@@ -755,8 +728,7 @@ def run_perturb_rate(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         cells = [_g(getattr(est, c)) for c in cols]
         rows.append([chash, str(n), *cells, str(int(bound_ok)), str(est.sample_count)])
     header = ["config_hash", "n", *cols, "jacobian_bound_ok", "sample_count"]
-    text = _csv_text(header, rows)
-    parsed = _parse_csv(text)
+    text, parsed = _table(header, rows)
     checks = [
         _doubling_ratios("eps-halving", parsed, "eps_forward", _EPS_RATIOS),
         CheckResult(
@@ -769,12 +741,8 @@ def run_perturb_rate(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
 
 
 def plot_perturb_rate(rows: list[dict]) -> str:
-    xs = [float(r["n"]) for r in rows]
-    series = [
-        ("eps forward", xs, [float(r["eps_forward"]) for r in rows]),
-        ("eps inverse", xs, [float(r["eps_inverse"]) for r in rows]),
-        ("|1 - J|", xs, [float(r["jacobian_deviation"]) for r in rows]),
-    ]
+    series = _columns(rows, "n", [("eps forward", "eps_forward"), ("eps inverse", "eps_inverse"),
+                                  ("|1 - J|", "jacobian_deviation")])
     return line_plot(series, "polygon edges n", "log10 closeness",
                      title="Lipschitz closeness of the polygon maps", log_y=True)
 
@@ -818,16 +786,17 @@ class _ReadLog(dict):
         return super().get(key, default)
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", newline="\n") as f:
+        f.write(text)
+
+
 def _write_outputs(prefix: str, out: RunOutput) -> None:
-    with open(f"{prefix}.csv", "w", newline="\n") as f:
-        f.write(out.csv)
+    _write(f"{prefix}.csv", out.csv)
     for suffix, text in sorted(out.extra_csv.items()):
-        with open(f"{prefix}_{suffix}.csv", "w", newline="\n") as f:
-            f.write(text)
+        _write(f"{prefix}_{suffix}.csv", text)
     for suffix, text in sorted(out.svgs.items()):
-        name = f"{prefix}.svg" if suffix == "" else f"{prefix}_{suffix}.svg"
-        with open(name, "w", newline="\n") as f:
-            f.write(text)
+        _write(f"{prefix}.svg" if suffix == "" else f"{prefix}_{suffix}.svg", text)
 
 
 # glibc mallopt parameters (malloc.h) and the values main pins them to

@@ -47,7 +47,6 @@ __all__ = [
     "PairConfig",
     "compute_beta",
     "compute_betas",
-    "eigenfunction_export",
 ]
 
 
@@ -261,19 +260,3 @@ def compute_beta(config: PairConfig, k: int = 6) -> BetaResult:
     on the zero-mean pressures; beta_n^2 is the smallest of them."""
     return compute_betas([config], k)[0]
 
-
-def eigenfunction_export(result: BetaResult, path) -> None:
-    """CSV of the leading pressure eigenfunction with dof geometry."""
-    q = result.eigenfunction
-    dof = result.dof_p
-    with open(path, "w", newline="\n") as f:
-        f.write("element,local_node,global_dof,x,y,coefficient\n")
-        for e in range(dof.element_dofs.shape[0]):
-            for loc in range(dof.n_local):
-                g = dof.element_dofs[e, loc]
-                if g < 0:
-                    continue
-                x, y = dof.dof_points[g]
-                f.write(
-                    f"{e},{loc},{g},{x:.17g},{y:.17g},{q[g]:.17g}\n"
-                )

@@ -44,25 +44,21 @@ def line_plot(
 
     series: iterable of (label, xs, ys).  With log_y the base-10 logarithm
     of positive y values is plotted and non-positive points are dropped.
-    ref_lines: iterable of (label, y_value) horizontal dashed markers.
+    ref_lines: iterable of (label, y_value) horizontal dashed markers; a
+    non-finite y_value, or with log_y a non-positive one, is dropped.
     """
-    prepared = []
-    for label, xs, ys in series:
-        pts = []
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                pts.append(None)
-                continue
-            if log_y:
-                pts.append((x, math.log10(y)) if y > 0 else None)
-            else:
-                pts.append((x, y))
-        prepared.append((label, pts))
-    refs = []
-    for label, y in ref_lines:
-        yv = math.log10(y) if log_y and y > 0 else (None if log_y else y)
-        if yv is not None:
-            refs.append((label, yv))
+
+    def drawn(y):
+        return math.isfinite(y) and (y > 0 or not log_y)
+
+    def axis(y):
+        return math.log10(y) if log_y else y
+
+    prepared = [
+        (label, [(x, axis(y)) if math.isfinite(x) and drawn(y) else None for x, y in zip(xs, ys)])
+        for label, xs, ys in series
+    ]
+    refs = [(label, axis(y)) for label, y in ref_lines if drawn(y)]
 
     all_x = [p[0] for _, pts in prepared for p in pts if p]
     all_y = [p[1] for _, pts in prepared for p in pts if p]

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from lbblab import spectral
@@ -16,14 +19,19 @@ from lbblab.cli import (
     _betas,
     _degree_rule,
     _doubling_ratios,
+    _eigenfunction_csv,
     _pair,
     _solver_options,
     _usc,
     main,
+    plot_h_refinement,
+    plot_p_sweep,
     plot_perturb_rate,
     plot_polygon_limit,
+    plot_spectrum,
     plot_sv_sweep,
     plot_sv_sweep_diff_fine,
+    plot_sv_sweep_diff_ref,
     run_h_refinement,
     run_p_sweep,
     run_perturb_rate,
@@ -40,6 +48,7 @@ from lbblab.spectral import (
     factorize_spd,
     smallest_generalized_eigs,
 )
+from lbblab.svgplot import line_plot
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -252,7 +261,7 @@ def test_polygon_runner_reports_sv_degeneration(polygon_serial):
 
 
 def test_polygon_limit_parallel_matches_serial(polygon_serial):
-    # the betas and the eps estimates are each mapped over the threads
+    # the betas are mapped over the threads; the eps estimates run serially
     assert run_polygon_limit(POLYGON_CFG, jobs=2) == polygon_serial
 
 
@@ -632,3 +641,152 @@ def test_perturb_rate_warns_of_a_solver_block(tmp_path, capsys):
     assert _main_on(cfg, "perturb", tmp_path) == 0
     assert capsys.readouterr().err == "warning: config key 'solver' is not read by perturb-rate\n"
     assert (tmp_path / "run.csv").exists()
+
+
+def _cells(header, lines):
+    """Rows as the CSV reader gives them, from whitespace-separated cells."""
+    return [dict(zip(header.split(), line.split())) for line in lines]
+
+
+# two meshes with a flagged NaN row, roundoff betas at a = 0 and a beta
+# above the reference (dropped on the log axis of diff_ref)
+SV_ROWS = _cells("mesh a beta_ref n_velocity beta flagged", [
+    "4x1 -0.1 0.218444 196 0.23 0",
+    "4x1 0 0.218444 196 1.3e-15 0",
+    "4x1 0.1 0.218444 196 0.12 0",
+    "4x1 0.2 0.218444 196 0.19 0",
+    "8x2 -0.1 0.218444 868 0.21 0",
+    "8x2 0 0.218444 868 2.1e-16 0",
+    "8x2 0.1 0.218444 868 0.125 0",
+    "8x2 0.2 0.218444 0 nan 1",
+])
+# (mesh, rule) pairs interleaved, n out of order, no reference
+P_ROWS = _cells("mesh rule n beta beta_ref", [
+    "1x1 k=n-1 4 0.31 nan",
+    "1x1 k=n-1 2 0.42 nan",
+    "1x1 k=ceil(n/2) 4 0.36 nan",
+    "2x2 k=n-1 6 0.29 nan",
+    "1x1 k=n-1 6 0.3 nan",
+    "2x2 k=n-1 2 0.4 nan",
+    "1x1 k=ceil(n/2) 2 0.45 nan",
+])
+SPECTRUM_ROWS = _cells("j sigma cosserat_low cosserat_high", [
+    "1 0.04 0.2 0.8", "2 0.31 0.2 0.8", "3 0.5 0.2 0.8", "4 0.72 0.2 0.8",
+])
+POLYGON_ROWS = _cells("n beta lower_bound upper_bound", [
+    "8 0.61 0.5 0.7", "16 nan 0.58 0.705", "32 0.69 0.64 0.707",
+])
+PERTURB_ROWS = _cells("n eps_forward eps_inverse jacobian_deviation", [
+    "8 0.2 0.25 0.3", "16 0.1 0.12 0", "32 0.05 0.06 0.08",
+])
+H_ROWS = _cells("ratio beta beta_ref", [
+    "1.4 0.38 0.387262", "0.7 0.385 0.387262", "0.35 nan 0.387262",
+])
+
+# SHA-256 of each plot of the rows above, recorded before the plots shared
+# their row grouping; regenerating a plot from its own CSV cannot see a
+# change made to both
+PINNED_PLOTS = {
+    "sv_sweep": (lambda: plot_sv_sweep(SV_ROWS),
+                 "0bbf8b28ec442b6abea21a3dabf4afc56e0cc11715e8192afd2314bc6f6fefde"),
+    "sv_sweep_diff_fine": (lambda: plot_sv_sweep_diff_fine(SV_ROWS, 1e-6),
+                           "1819c2cd943d4c23bca22201747c9f46bdfafcfe0631dd9484e99eccf7b6bd8f"),
+    "sv_sweep_diff_ref": (lambda: plot_sv_sweep_diff_ref(SV_ROWS),
+                          "917d0b8239ac27dcbc79576064fa50d7378b425584da9dad728d5d3959e39867"),
+    "p_sweep": (lambda: plot_p_sweep(P_ROWS),
+                "ca0951ccd7f15c14a232f6d88185435aadfb5bb325ad1796d1282c343e6d042f"),
+    "spectrum": (lambda: plot_spectrum(SPECTRUM_ROWS),
+                 "46e78edb0ac43aa53e629dc3cd05a9d7aa56ba57bd7495b8584c280643ad9290"),
+    "spectrum_no_interval": (
+        lambda: plot_spectrum([dict(r, cosserat_low="nan", cosserat_high="nan")
+                               for r in SPECTRUM_ROWS]),
+        "12da37cb9f7b206037a89b67bd00d418a673bb7e80562f2676d3fd7c937c3b82"),
+    "polygon_limit": (lambda: plot_polygon_limit(POLYGON_ROWS),
+                      "33711b28bf820298d643ae2d55e51b2c05964510d3ec056e865a7e9e2b541a95"),
+    "perturb_rate": (lambda: plot_perturb_rate(PERTURB_ROWS),
+                     "397eebeeb14eb947b69fbf2542fde64101653e93cbdac08d6d20943d830b121a"),
+    "h_refinement": (lambda: plot_h_refinement(H_ROWS),
+                     "f9f2c3a20b092e957fb6a31a84dcfb8a434bdbb137b089deccb2b43b37a3ed8e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLOTS))
+def test_plot_bytes_are_pinned(name):
+    plot, digest = PINNED_PLOTS[name]
+    assert hashlib.sha256(plot().encode()).hexdigest() == digest
+
+
+def test_eigenfunction_csv_bytes_are_pinned():
+    pc = _pair(sv_mesh(2, 1, 2, 1, 0.4, 0.3), 4, 3, SolverOptions())
+    dof_p = build_dof_map(pc.velocity_mesh, pc.pressure_space)
+    # exact coefficients of 17 significant digits, not an eigensolver's last bits
+    q = (np.arange(dof_p.n_global) - dof_p.n_global / 2) / 7
+    text = _eigenfunction_csv(SimpleNamespace(dof_p=dof_p, eigenfunction=q))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "00fcbaa4831efd21867b79fe961aeef3446cfc2896bd2db04dc4f0fda477a1ee"
+    )
+
+
+def test_eigenfunction_export(tmp_path, monkeypatch):
+    from lbblab import cli
+
+    real, solved = cli.compute_beta, []
+
+    def compute_beta(pc, k):
+        solved.append((pc, real(pc, k)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(cli, "compute_beta", compute_beta)
+    cfg = {
+        "kind": "single-beta",
+        "domain": {"type": "rectangle", "width": 2, "height": 1},
+        "mesh": {"nx": 2, "ny": 1, "b": 0.4, "a": 0.3, "split": True},
+        "elements": {"velocity_degree": 4, "pressure_degree": 3},
+        "k": 2,
+        "eigenfunction_out": str(tmp_path / "eig.csv"),
+    }
+    assert _main_on(cfg, "beta", tmp_path) == 0
+    [(pc, r)] = solved
+    q = r.eigenfunction
+    dv = build_dof_map(pc.velocity_mesh, pc.velocity_space)
+    dp = build_dof_map(pc.velocity_mesh, pc.pressure_space)
+    sys_ = assemble_system(dv, dp)
+    assert q @ (sys_.Mp @ q) == pytest.approx(1.0, abs=1e-10)
+    assert abs(sys_.m @ q) <= 1e-9
+    nz = q[np.abs(q) > 1e-12 * np.abs(q).max()]
+    assert nz[0] > 0  # canonical sign
+
+    rows = _rows((tmp_path / "eig.csv").read_text())
+    assert len(rows) == dp.n_global  # discontinuous: one row per dof
+    row = rows[17]
+    g = int(row["global_dof"])
+    assert float(row["coefficient"]) == pytest.approx(q[g], rel=1e-15)
+    assert float(row["x"]) == pytest.approx(dp.dof_points[g, 0], rel=1e-15)
+
+
+@pytest.mark.parametrize("log_y", [False, True], ids=["linear", "log"])
+def test_non_finite_reference_line_is_dropped(log_y):
+    series = [("s", [1.0, 2.0, 3.0], [0.1, 0.2, 0.4])]
+    plain = line_plot(series, "x", "y", log_y=log_y)
+    for ref in (math.nan, math.inf):
+        assert line_plot(series, "x", "y", log_y=log_y, ref_lines=[("r", ref)]) == plain
+
+
+P_CFG = {
+    "kind": "p-sweep", "width": 2, "height": 1, "grids": [[1, 1]], "n_values": [2],
+    "k_rules": [{"type": "half"}], "k": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, command, key",
+    [(SV_CFG, "sweep", "grids"), (P_CFG, "sweep", "grids"), (P_CFG, "sweep", "n_values"),
+     (P_CFG, "sweep", "k_rules"), (H_CFG, "sweep", "pressure_grids"),
+     (POLYGON_CFG, "polygon", "n_values"),
+     ({"kind": "perturb-rate", "grid_density": 128}, "perturb", "n_values")],
+    ids=lambda v: v["kind"] if isinstance(v, dict) else v,
+)
+def test_empty_point_list_is_rejected(cfg, command, key, tmp_path, capsys):
+    assert _main_on(dict(cfg, **{key: []}), command, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: config key {key!r} lists no points\n"
+    assert not (tmp_path / "run.csv").exists()

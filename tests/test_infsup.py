@@ -25,7 +25,6 @@ from lbblab.infsup import (
     PairConfig,
     compute_beta,
     compute_betas,
-    eigenfunction_export,
 )
 from lbblab.spectral import (
     EigenSolverError,
@@ -140,32 +139,6 @@ def test_usc_check_examples():
     for mesh, beta_ref, slack, passed in cases:
         cfg = PairConfig(velocity_space=P4, pressure_space=P3DC, velocity_mesh=mesh)
         assert (compute_beta(cfg, k=2).beta <= beta_ref + slack) is passed
-
-
-def test_eigenfunction_export(tmp_path):
-    cfg = PairConfig(
-        velocity_space=P4, pressure_space=P3DC,
-        velocity_mesh=sv_mesh(2, 1, 2, 1, b=0.4, a=0.3),
-    )
-    r = compute_beta(cfg, k=2)
-    q = r.eigenfunction
-    dv = build_dof_map(cfg.velocity_mesh, cfg.velocity_space)
-    dp = build_dof_map(cfg.velocity_mesh, cfg.pressure_space)
-    sys_ = assemble_system(dv, dp)
-    assert q @ (sys_.Mp @ q) == pytest.approx(1.0, abs=1e-10)
-    assert abs(sys_.m @ q) <= 1e-9
-    nz = q[np.abs(q) > 1e-12 * np.abs(q).max()]
-    assert nz[0] > 0  # canonical sign
-
-    path = tmp_path / "eig.csv"
-    eigenfunction_export(r, path)
-    with open(path) as f:
-        rows = list(csv.DictReader(f))
-    assert len(rows) == dp.n_global  # discontinuous: one row per dof
-    row = rows[17]
-    g = int(row["global_dof"])
-    assert float(row["coefficient"]) == pytest.approx(q[g], rel=1e-15)
-    assert float(row["x"]) == pytest.approx(dp.dof_points[g, 0], rel=1e-15)
 
 
 def test_csv_row_format():

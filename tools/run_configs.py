@@ -1,0 +1,60 @@
+"""Run every committed config through the CLI and keep everything it leaves.
+
+    python3 tools/run_configs.py OUTDIR
+
+Each `configs/<name>.json` runs in its own subprocess as
+
+    python -m lbblab.cli <command> --config configs/<name>.json \
+        --out OUTDIR/<name> --seed 0 --jobs 2 --check
+
+from the checkout's root and on the checkout's own `src`, where <command>
+is the subcommand that `lbblab.cli._COMMAND_KINDS` maps the config's kind
+to.  Next to the CSV and SVG outputs it writes `<name>.stdout`,
+`<name>.stderr` and `<name>.exit`.  Run it on two checkouts, each into a
+fresh directory, and compare the two with `diff -r`.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from lbblab.cli import _COMMAND_KINDS  # noqa: E402
+
+
+def _command(kind: str) -> str:
+    (command,) = [c for c, kinds in _COMMAND_KINDS.items() if kind in kinds]
+    return command
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        name = path.stem
+        command = _command(json.loads(path.read_text())["kind"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lbblab.cli", command,
+             "--config", str(path.relative_to(ROOT)), "--out", str(out / name),
+             "--seed", "0", "--jobs", "2", "--check"],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+        (out / f"{name}.stdout").write_text(proc.stdout)
+        (out / f"{name}.stderr").write_text(proc.stderr)
+        (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
+        print(f"{name}: {command} exit {proc.returncode}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
