@@ -104,7 +104,7 @@ def _center_quad(grid: Mesh) -> int:
     lo = grid.points.min(axis=0)
     hi = grid.points.max(axis=0)
     center = 0.5 * (lo + hi)
-    centroids = grid.points[grid.quads].mean(axis=1)
+    centroids = grid.points[grid.elements].mean(axis=1)
     return int(np.argmin(np.linalg.norm(centroids - center, axis=1)))
 
 
@@ -280,11 +280,18 @@ def _ref_cell(beta_ref) -> str:
     return _g(beta_ref) if beta_ref is not None else "nan"
 
 
-def _nonempty(key: str, values: list) -> list:
-    """A config's list of points under `key`; a run over none is an error."""
+def _nonempty(key: str, values: list, convert, name=None, repeats=False) -> list:
+    """A config's list of points under `key`, each passed through `convert`.
+    A run over none is an error, and so, unless `repeats`, is a point listed
+    twice; points compare by name(point), by default the point itself."""
     if not values:
         raise ValueError(f"config key {key!r} lists no points")
-    return values
+    points = [convert(v) for v in values]
+    names = [point if name is None else name(point) for point in points]
+    twice = [n for i, n in enumerate(names) if n in names[:i]]
+    if twice and not repeats:
+        raise ValueError(f"config key {key!r} lists {twice[0]} twice")
+    return points
 
 
 def _max_beta(name: str, rows: list[dict], bound: float, text: str) -> CheckResult:
@@ -424,7 +431,7 @@ def plot_spectrum(rows: list[dict]) -> str:
 def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     width, height = float(cfg["width"]), float(cfg["height"])
-    grids = [tuple(g) for g in _nonempty("grids", cfg["grids"])]
+    grids = _nonempty("grids", cfg["grids"], tuple)
     b = float(cfg.get("b", 0.4))
     a0 = float(cfg.get("a_start", -0.49))
     a1 = float(cfg.get("a_stop", 0.49))
@@ -551,9 +558,10 @@ def _degree_rule(rule: dict):
 def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     width, height = float(cfg["width"]), float(cfg["height"])
-    grids = [tuple(g) for g in _nonempty("grids", cfg["grids"])]
-    n_values = [int(n) for n in _nonempty("n_values", cfg["n_values"])]
-    rules = [_degree_rule(rule) for rule in _nonempty("k_rules", cfg["k_rules"])]
+    grids = _nonempty("grids", cfg["grids"], tuple)
+    n_values = _nonempty("n_values", cfg["n_values"], int)
+    # two rules with one label would give one label two series
+    rules = _nonempty("k_rules", cfg["k_rules"], _degree_rule, name=lambda rule: rule[0])
     k = int(cfg.get("k", 6))
     beta_ref = cfg.get("beta_ref")
 
@@ -612,7 +620,8 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     width, height = float(cfg["width"]), float(cfg["height"])
     vdeg, pdeg = int(cfg.get("velocity_degree", 2)), int(cfg.get("pressure_degree", 0))
-    grids = [tuple(g) for g in _nonempty("pressure_grids", cfg["pressure_grids"])]
+    # in growing mode a grid repeated at a greater depth is a new point
+    grids = _nonempty("pressure_grids", cfg["pressure_grids"], tuple, repeats=True)
     rule = cfg.get("refine_velocity", {"mode": "fixed", "r": 1})
     if rule["mode"] not in ("fixed", "growing"):
         raise ValueError(f"unknown refine_velocity mode {rule['mode']!r}")
@@ -661,7 +670,7 @@ def plot_h_refinement(rows: list[dict]) -> str:
 
 def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
-    n_values = [int(n) for n in _nonempty("n_values", cfg.get("n_values", [8, 16, 32, 64]))]
+    n_values = _nonempty("n_values", cfg.get("n_values", [8, 16, 32, 64]), int)
     refine = int(cfg.get("refine", 1))
     vdeg, pdeg = int(cfg.get("velocity_degree", 4)), int(cfg.get("pressure_degree", 3))
     k = int(cfg.get("k", 6))
@@ -716,7 +725,7 @@ def plot_polygon_limit(rows: list[dict]) -> str:
 # ----------------------------------------------------------------------
 
 def run_perturb_rate(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
-    n_values = [int(n) for n in _nonempty("n_values", cfg.get("n_values", [8, 16, 32, 64]))]
+    n_values = _nonempty("n_values", cfg.get("n_values", [8, 16, 32, 64]), int)
     grid = int(cfg.get("grid_density", 512))
     ests = [perturb.polygon_disk_eps(n, grid_density=grid) for n in n_values]
     chash = _cfg_hash(cfg)

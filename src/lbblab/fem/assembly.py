@@ -468,7 +468,7 @@ def assemble_system(
     n_v, n_p = dof_v.n_global, dof_p.n_global
     ref = reference_element(dof_v.space.family, dof_v.space.degree)
     interior = np.zeros(n_v, dtype=bool)
-    interior[ed[:, [kind[0] == "i" for kind in ref.node_kind]]] = True
+    interior[ed[:, ref.kind == "i"]] = True
     first = _condense(ed, inverse, K, Bx, By, np.arange(len(ed)), edp, n_p, interior)
     second = None
     if parent_map is not None:  # the nested pass: the dofs in one pressure element

@@ -58,10 +58,8 @@ def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
     # one int64 key per (element, local node): the vertex id; npts +
     # edge * (k - 1) + slot for edge nodes, the slot counted from the edge's
     # lower-index vertex; a unique key for interior nodes
-    kind = np.array([c[0] for c in ref.node_kind])
-    v, ed, inner = (np.flatnonzero(kind == c) for c in "vei")
-    entity = np.array([c[1] for c in ref.node_kind])
-    slot = np.array([c[2] if c[0] == "e" else 0 for c in ref.node_kind])
+    v, ed, inner = (np.flatnonzero(ref.kind == c) for c in "vei")
+    entity, slot = ref.entity, ref.slot
     npts, nv = len(mesh.points), elems.shape[1]
     on_vertex = np.zeros(npts, dtype=bool)
     on_vertex[mesh.boundary_edges[:, :2]] = True

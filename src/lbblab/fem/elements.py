@@ -14,6 +14,8 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.legendre import Legendre
 
+from ..geometry import _REFERENCE
+
 
 class Family(str, Enum):
     TRIANGLE = "tri"
@@ -117,52 +119,55 @@ def _per_coordinate(table, t: np.ndarray, x: np.ndarray) -> np.ndarray:
 class ReferenceElement:
     """Nodal basis on the reference cell with entity classification.
 
-    node_kind entries are ('v', vertex), ('e', edge, slot) with the slot
-    counted from the edge's first local vertex, or ('i', index).
+    The nodes sit on the integer lattice (i, j) of the cell scaled by the
+    degree k: i + j <= k on the triangle, i, j <= k on the square, j the outer
+    loop.  Triangle nodes are lattice / k (the centroid for P0), quad nodes
+    the Gauss-Lobatto points at the lattice indices.  Per node, kind is 'v'
+    (on two sides), 'e' (on one side s, from corner s to s + 1) or 'i';
+    entity is the corner, the side s or the interior index in node order;
+    slot is an edge node's lattice steps from corner s, minus 1, and 0 for
+    the other kinds.
     """
 
     def __init__(self, family: Family, degree: int):
         self.family = Family(family)
-        self.degree = degree
-        if self.family is Family.TRIANGLE:
-            self._init_triangle()
+        self.degree = k = degree
+        tri = self.family is Family.TRIANGLE
+        corners = k * _REFERENCE[3 if tri else 4][0].astype(np.int64)
+        lattice = np.array([(i, j) for j in range(k + 1) for i in range(k + 1)
+                            if not tri or i + j <= k])
+        rel = lattice[:, None, :] - corners[None]  # (node, corner, 2)
+        side = np.roll(corners, -1, axis=0) - corners
+        # on[n, s]: node n lies on the line of side s, so (the cell being
+        # convex) on the side; for k = 0 the single node lies on every side
+        # and is interior.  A lattice step along a side moves each coordinate
+        # by at most 1, so the steps from corner s are the max-norm distance.
+        on = side[:, 0] * rel[..., 1] - side[:, 1] * rel[..., 0] == 0
+        count = on.sum(axis=1)
+        s = on.argmax(axis=1)
+        self.kind = np.where(count == 2, "v", np.where(count == 1, "e", "i"))
+        self.entity = np.select(
+            [count == 2, count == 1],
+            [(rel == 0).all(axis=2).argmax(axis=1), s],
+            np.cumsum(self.kind == "i") - 1,
+        )
+        self.slot = np.where(
+            count == 1, np.abs(rel[np.arange(len(lattice)), s]).max(axis=1) - 1, 0
+        )
+        if tri:
+            self.nodes = lattice / k if k else np.array([[1.0 / 3.0, 1.0 / 3.0]])
+            self._exps = [
+                (p, q) for total in range(k + 1) for p in range(total + 1)
+                for q in [total - p]
+            ]
+            self._coeff = np.linalg.inv(self._monomials(self.nodes))
         else:
-            self._init_quad()
+            self._t = gauss_lobatto(k)
+            self.nodes = self._t[lattice]
         self.n_basis = len(self.nodes)
-
-    # -- triangle: principal lattice + monomial Vandermonde ----------------
-    def _init_triangle(self):
-        k = self.degree
-        if k == 0:
-            self.nodes = np.array([[1.0 / 3.0, 1.0 / 3.0]])
-            self.node_kind = [("i", 0)]
-        else:
-            nodes, kinds = [], []
-            interior = 0
-            for j in range(k + 1):
-                for i in range(k + 1 - j):
-                    lam = (k - i - j, i, j)
-                    nodes.append((i / k, j / k))
-                    zero = [c == 0 for c in lam]
-                    if sum(zero) == 2:
-                        kinds.append(("v", int(np.argmax([not z for z in zero]))))
-                    elif zero[2]:
-                        kinds.append(("e", 0, i - 1))
-                    elif zero[0]:
-                        kinds.append(("e", 1, j - 1))
-                    elif zero[1]:
-                        kinds.append(("e", 2, (k - j) - 1))
-                    else:
-                        kinds.append(("i", interior))
-                        interior += 1
-            self.nodes = np.array(nodes)
-            self.node_kind = kinds
-        self._exps = [
-            (p, q) for total in range(self.degree + 1) for p in range(total + 1)
-            for q in [total - p]
-        ]
-        V = self._monomials(self.nodes)
-        self._coeff = np.linalg.inv(V)
+        # one cached instance serves every caller
+        for a in (self.nodes, self.kind, self.entity, self.slot):
+            a.setflags(write=False)
 
     def _monomials(self, pts: np.ndarray) -> np.ndarray:
         x, y = pts[:, 0], pts[:, 1]
@@ -176,42 +181,6 @@ class ReferenceElement:
             dy = q * x**p * y ** (q - 1) if q > 0 else np.zeros_like(x)
             cols.append(np.stack([dx, dy], axis=1))
         return np.stack(cols, axis=1)  # (npts, nbasis, 2)
-
-    # -- quad: Gauss-Lobatto tensor lattice --------------------------------
-    def _init_quad(self):
-        k = self.degree
-        t = gauss_lobatto(k)
-        self._t = t
-        nodes, kinds = [], []
-        interior = 0
-        for j in range(k + 1):
-            for i in range(k + 1):
-                nodes.append((t[i], t[j]))
-                on = (i == 0, i == k, j == 0, j == k)  # left right bottom top
-                if k == 0:
-                    kinds.append(("i", interior))
-                    interior += 1
-                elif on[2] and on[0]:
-                    kinds.append(("v", 0))
-                elif on[2] and on[1]:
-                    kinds.append(("v", 1))
-                elif on[3] and on[1]:
-                    kinds.append(("v", 2))
-                elif on[3] and on[0]:
-                    kinds.append(("v", 3))
-                elif on[2]:
-                    kinds.append(("e", 0, i - 1))
-                elif on[1]:
-                    kinds.append(("e", 1, j - 1))
-                elif on[3]:
-                    kinds.append(("e", 2, (k - i) - 1))
-                elif on[0]:
-                    kinds.append(("e", 3, (k - j) - 1))
-                else:
-                    kinds.append(("i", interior))
-                    interior += 1
-        self.nodes = np.array(nodes)
-        self.node_kind = kinds
 
     # -- evaluation ---------------------------------------------------------
     def eval(self, pts: np.ndarray) -> np.ndarray:

@@ -47,8 +47,8 @@ class Mesh:
     """Conforming homogeneous 2D mesh.
 
     points : (n, 2) float array of vertex coordinates
-    triangles : (nt, 3) int array, counterclockwise (empty for quad meshes)
-    quads : (nq, 4) int array, counterclockwise (empty for triangle meshes)
+    elements : (ne, 3) triangle or (ne, 4) quad int array, counterclockwise;
+        the vertex count sets the family
     boundary_edges : (nb, 3) int array of (vertex_a, vertex_b, element)
     element_edges : (ne, k) int array, the edge of each element side (side j
         joins local vertices j and j + 1), edges numbered in the order of
@@ -57,24 +57,19 @@ class Mesh:
     """
 
     points: np.ndarray
-    triangles: np.ndarray
-    quads: np.ndarray
+    elements: np.ndarray
     boundary_edges: np.ndarray
     element_edges: np.ndarray = field(repr=False)
     on_boundary: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.points, self.triangles, self.quads, self.boundary_edges,
-                  self.element_edges, self.on_boundary):
+        for a in (self.points, self.elements, self.boundary_edges, self.element_edges,
+                  self.on_boundary):
             a.setflags(write=False)
 
     @property
     def is_quad(self) -> bool:
-        return len(self.quads) > 0
-
-    @property
-    def elements(self) -> np.ndarray:
-        return self.quads if self.is_quad else self.triangles
+        return self.elements.shape[1] == 4
 
     @property
     def n_elements(self) -> int:
@@ -96,8 +91,7 @@ class Mesh:
         if matrix is not None:
             pts = pts @ np.asarray(matrix, dtype=float).T
         pts = pts + np.asarray(shift, dtype=float)
-        return make_mesh(pts, triangles=self.triangles if not self.is_quad else None,
-                         quads=self.quads if self.is_quad else None)
+        return make_mesh(pts, self.elements)
 
 
 # per vertex count: reference corners (counterclockwise), reference area,
@@ -175,12 +169,12 @@ def _check_positive(points: np.ndarray, elems: np.ndarray, repair: bool):
     return elems, int(bad.sum())
 
 
-def make_mesh(points, triangles=None, quads=None, repair_orientation=True) -> Mesh:
+def make_mesh(points, elements, repair_orientation=True) -> Mesh:
     """Validate raw arrays and build a Mesh.
 
-    Checks homogeneity, element orientation (repairing if requested),
-    conformity (shared edges match by vertex indices) and that boundary
-    edges form closed loops.
+    elements is a nonempty (ne, 3) triangle or (ne, 4) quad array.  Checks
+    element orientation (repairing if requested), conformity (shared edges
+    match by vertex indices) and that boundary edges form closed loops.
     """
     points = np.ascontiguousarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -188,11 +182,9 @@ def make_mesh(points, triangles=None, quads=None, repair_orientation=True) -> Me
     if not np.isfinite(points).all():
         raise MeshError("non-finite vertex coordinates")
 
-    have_t = triangles is not None and len(triangles) > 0
-    have_q = quads is not None and len(quads) > 0
-    if have_t == have_q:
-        raise MeshError("mesh must be homogeneous: all-triangle or all-quad")
-    elems = np.ascontiguousarray(triangles if have_t else quads, dtype=np.int64)
+    elems = np.ascontiguousarray(elements, dtype=np.int64)
+    if elems.ndim != 2 or elems.shape[1] not in _REFERENCE or not len(elems):
+        raise MeshError("elements must be a nonempty (n, 3) or (n, 4) array")
     if elems.min() < 0 or elems.max() >= len(points):
         raise MeshError("element vertex index out of range")
 
@@ -221,8 +213,7 @@ def make_mesh(points, triangles=None, quads=None, repair_orientation=True) -> Me
 
     return Mesh(
         points=points,
-        triangles=elems if have_t else np.empty((0, 3), dtype=np.int64),
-        quads=elems if have_q else np.empty((0, 4), dtype=np.int64),
+        elements=elems,
         boundary_edges=boundary,
         element_edges=edge.reshape(elems.shape),
         on_boundary=count == 1,
@@ -251,7 +242,7 @@ def rect_grid(width: float, height: float, nx: int, ny: int) -> Mesh:
     for j in range(ny):
         for i in range(nx):
             quads.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return make_mesh(points, quads=np.array(quads, dtype=np.int64))
+    return make_mesh(points, np.array(quads, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -286,7 +277,7 @@ def sv_split(quad_mesh: Mesh, params: SvSplitParams) -> Mesh:
     """
     if not quad_mesh.is_quad:
         raise MeshError("sv_split requires an all-quad mesh")
-    quads = quad_mesh.quads
+    quads = quad_mesh.elements
     shifts = [params.b]
     if params.special is not None:
         qi, a = params.special
@@ -306,7 +297,7 @@ def sv_split(quad_mesh: Mesh, params: SvSplitParams) -> Mesh:
     scale = quad_mesh.areas().repeat(4)
     if (det <= 1e-14 * scale).any():
         raise MeshError("degenerate split: apex lies on a quad edge")
-    return make_mesh(points, triangles=tris, repair_orientation=False)
+    return make_mesh(points, tris, repair_orientation=False)
 
 
 def regularity_index(mesh: Mesh, node: int) -> float:
@@ -319,10 +310,10 @@ def regularity_index(mesh: Mesh, node: int) -> float:
     """
     if mesh.is_quad:
         raise MeshError("regularity index is defined on triangle meshes")
-    inc = np.nonzero((mesh.triangles == node).any(axis=1))[0]
+    inc = np.nonzero((mesh.elements == node).any(axis=1))[0]
     if len(inc) < 2:
         raise MeshError("node has fewer than 2 incident triangles")
-    tris, rows = mesh.triangles[inc], np.arange(len(inc))
+    tris, rows = mesh.elements[inc], np.arange(len(inc))
     at = np.argmax(tris == node, axis=1)
     # the two sides through the node: the one leaving it and the one entering it
     sides = mesh.element_edges[inc[:, None], np.stack([at, (at + 2) % 3], axis=1)].ravel()
@@ -353,7 +344,7 @@ def regular_polygon_mesh(n: int, refinement_levels: int = 0) -> Mesh:
     tris = np.array(
         [[0, 1 + k, 1 + (k + 1) % n] for k in range(n)], dtype=np.int64
     )
-    return refine_chain(make_mesh(points, triangles=tris, repair_orientation=False),
+    return refine_chain(make_mesh(points, tris, repair_orientation=False),
                         refinement_levels)[0]
 
 
@@ -422,10 +413,7 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, ParentMap]:
     table, mat, off = _SUBCELLS[k]
     children = local[:, table].reshape(-1, k)
     refined = make_mesh(
-        np.concatenate([pts, new.reshape(-1, 2)[first]]),
-        triangles=None if mesh.is_quad else children,
-        quads=children if mesh.is_quad else None,
-        repair_orientation=False,
+        np.concatenate([pts, new.reshape(-1, 2)[first]]), children, repair_orientation=False
     )
     # children come four per parent, in sub-cell order
     sub = np.tile(np.arange(4), ne)
@@ -521,12 +509,12 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def _write_mesh(mesh: Mesh, f: io.TextIOBase) -> None:
-    f.write(f"mesh2d {len(mesh.points)} {len(mesh.triangles)} {len(mesh.quads)}\n")
+    ne = mesh.n_elements
+    ntri, nquad = (0, ne) if mesh.is_quad else (ne, 0)
+    f.write(f"mesh2d {len(mesh.points)} {ntri} {nquad}\n")
     for x, y in mesh.points:
         f.write(f"{x:.17g} {y:.17g}\n")
-    for row in mesh.triangles:
-        f.write(" ".join(str(int(v)) for v in row) + "\n")
-    for row in mesh.quads:
+    for row in mesh.elements:
         f.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
@@ -540,12 +528,10 @@ def load_mesh(path) -> Mesh:
         npts, ntri, nquad = (int(t) for t in tokens[1:4])
         if len(tokens) != 4 + 2 * npts + 3 * ntri + 4 * nquad:
             raise MeshError("mesh2d file is truncated or has trailing data")
-        pos = 4
-        pts = np.array(tokens[pos : pos + 2 * npts], dtype=float).reshape(npts, 2)
-        pos += 2 * npts
-        tris = np.array(tokens[pos : pos + 3 * ntri], dtype=np.int64).reshape(ntri, 3)
-        pos += 3 * ntri
-        quads = np.array(tokens[pos : pos + 4 * nquad], dtype=np.int64).reshape(nquad, 4)
+        pts = np.array(tokens[4 : 4 + 2 * npts], dtype=float).reshape(npts, 2)
+        elems = np.array(tokens[4 + 2 * npts :], dtype=np.int64)
     except (ValueError, IndexError) as exc:
         raise MeshError(f"malformed mesh2d file: {exc}") from exc
-    return make_mesh(pts, triangles=tris if ntri else None, quads=quads if nquad else None)
+    if ntri and nquad:
+        raise MeshError("mesh must be homogeneous: all-triangle or all-quad")
+    return make_mesh(pts, elems.reshape(-1, 4 if nquad else 3))

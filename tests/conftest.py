@@ -126,20 +126,19 @@ def loop_dof_map(mesh, space):
     nv = elems.shape[1]
     for e in range(ne):
         verts = elems[e]
-        for loc, kind in enumerate(ref.node_kind):
-            if kind[0] == "v":
-                key = ("v", int(verts[kind[1]]))
-                on_boundary = verts[kind[1]] in boundary_vertices
-            elif kind[0] == "e":
-                edge, slot = kind[1], kind[2]
-                a, b = int(verts[edge]), int(verts[(edge + 1) % nv])
+        for loc, (kind, entity, slot) in enumerate(zip(ref.kind, ref.entity, ref.slot)):
+            if kind == "v":
+                key = ("v", int(verts[entity]))
+                on_boundary = verts[entity] in boundary_vertices
+            elif kind == "e":
+                a, b = int(verts[entity]), int(verts[(entity + 1) % nv])
                 if a > b:
                     a, b = b, a
                     slot = (k - 2) - slot
                 key = ("e", a, b, slot)
                 on_boundary = (a, b) in boundary_pairs
             else:
-                key = ("i", e, kind[1])
+                key = ("i", e, int(entity))
                 on_boundary = False
             if key not in ids:
                 ids[key] = len(points)
@@ -215,7 +214,7 @@ def loop_refine_uniform(mesh):
 
     children = []
     if mesh.is_quad:
-        for a, b, c, d in mesh.quads:
+        for a, b, c, d in mesh.elements:
             mab, mbc, mcd, mda = mid(a, b), mid(b, c), mid(c, d), mid(d, a)
             ctr = len(pts)
             pts.append(0.25 * (mesh.points[a] + mesh.points[b] + mesh.points[c] + mesh.points[d]))
@@ -227,10 +226,10 @@ def loop_refine_uniform(mesh):
             ]
         mat = np.array([[[0.5, 0.0], [0.0, 0.5]]] * 4)
         off = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-        refined = make_mesh(np.array(pts), quads=np.array(children, dtype=np.int64),
+        refined = make_mesh(np.array(pts), np.array(children, dtype=np.int64),
                             repair_orientation=False)
     else:
-        for a, b, c in mesh.triangles:
+        for a, b, c in mesh.elements:
             mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
             children += [
                 [a, mab, mca],
@@ -247,7 +246,7 @@ def loop_refine_uniform(mesh):
             ]
         )
         off = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.0]])
-        refined = make_mesh(np.array(pts), triangles=np.array(children, dtype=np.int64),
+        refined = make_mesh(np.array(pts), np.array(children, dtype=np.int64),
                             repair_orientation=False)
     sub = np.tile(np.arange(4), mesh.n_elements)
     pm = ParentMap(
@@ -268,7 +267,7 @@ def fan_angles(mesh, node):
     """
     if mesh.is_quad:
         raise MeshError("regularity index is defined on triangle meshes")
-    tris = mesh.triangles
+    tris = mesh.elements
     inc = np.nonzero((tris == node).any(axis=1))[0]
     if len(inc) < 2:
         raise MeshError("node has fewer than 2 incident triangles")
@@ -322,10 +321,10 @@ def permuted_sv_mesh():
     label = rng.permutation(len(mesh.points))
     points = np.empty_like(mesh.points)
     points[label] = mesh.points
-    tris = label[mesh.triangles][rng.permutation(mesh.n_elements)]
+    tris = label[mesh.elements][rng.permutation(mesh.n_elements)]
     shift = rng.integers(0, 3, len(tris))
     tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shift[:, None]) % 3]
-    return make_mesh(points, triangles=tris)
+    return make_mesh(points, tris)
 
 
 # meshes whose edges are met in many orders, as (id, coarse mesh factory,

@@ -244,7 +244,7 @@ def test_criterion_8_eps_closeness_rate():
 
 def _small_instances():
     single_tri = make_mesh(
-        np.array([[0.0, 0.0], [1.2, 0.1], [0.3, 1.0]]), triangles=np.array([[0, 1, 2]])
+        np.array([[0.0, 0.0], [1.2, 0.1], [0.3, 1.0]]), np.array([[0, 1, 2]])
     )
     del single_tri  # velocity space would be empty on a single triangle
     out = []

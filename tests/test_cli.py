@@ -141,7 +141,7 @@ def test_singular_point_check_fails_on_a_nan_beta(nan_grid, monkeypatch):
     def compute_betas(configs, k, failures):
         results = real(configs, k, failures)
         mesh = configs[0].velocity_mesh
-        if len(mesh.triangles) == 4 * nan_grid[0] * nan_grid[1]:
+        if len(mesh.elements) == 4 * nan_grid[0] * nan_grid[1]:
             results = [dataclasses.replace(res, beta=math.nan) for res in results]
         return results
 
@@ -790,3 +790,31 @@ def test_empty_point_list_is_rejected(cfg, command, key, tmp_path, capsys):
     assert _main_on(dict(cfg, **{key: []}), command, tmp_path) == 1
     assert capsys.readouterr().err == f"error: config key {key!r} lists no points\n"
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, command, key, points, entry",
+    [(SV_CFG, "sweep", "grids", [[4, 1], [2, 1], [4, 1]], "(4, 1)"),
+     (P_CFG, "sweep", "grids", [[1, 1], [1, 1]], "(1, 1)"),
+     (P_CFG, "sweep", "n_values", [2, 4, 2], "2"),
+     # one label from two different rules
+     (P_CFG, "sweep", "k_rules", [{"type": "sqrt"}, {"type": "sqrt", "coefficient": 1.0}],
+      "k=ceil(1.0*sqrt(n))"),
+     (POLYGON_CFG, "polygon", "n_values", [8, 8], "8"),
+     ({"kind": "perturb-rate", "grid_density": 128}, "perturb", "n_values", [8, 16, 8], "8")],
+    ids=["sv-sweep-grids", "p-sweep-grids", "p-sweep-n_values", "p-sweep-k_rules",
+         "polygon-limit", "perturb-rate"],
+)
+def test_duplicated_point_is_rejected(cfg, command, key, points, entry, tmp_path, capsys):
+    assert _main_on(dict(cfg, **{key: points}), command, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: config key {key!r} lists {entry} twice\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_repeated_pressure_grid_is_a_new_point(tmp_path):
+    # in growing mode the second [2, 1] is refined one level deeper
+    cfg = dict(H_CFG, pressure_grids=[[2, 1], [2, 1]],
+               refine_velocity={"mode": "growing", "start": 1, "step": 1})
+    assert _main_on(cfg, "sweep", tmp_path) == 0
+    rows = list(csv.DictReader(open(tmp_path / "run.csv")))
+    assert len(rows) == 2

@@ -36,7 +36,7 @@ def _stiffness(dv):
 
 
 SINGLE_TRI = make_mesh(
-    np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), triangles=np.array([[0, 1, 2]])
+    np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]])
 )
 
 
@@ -89,7 +89,7 @@ def test_shared_edge_dofs_consistent():
     seen = {}
     ref = reference_element(Family.TRIANGLE, 3)
     for e in range(mesh.n_elements):
-        verts = mesh.points[mesh.triangles[e]]
+        verts = mesh.points[mesh.elements[e]]
         for loc in range(d.n_local):
             g = d.element_dofs[e, loc]
             x, y = ref.nodes[loc]
@@ -102,7 +102,7 @@ def test_element_order_permutation_invariance():
     mesh = sv_split(rect_grid(2, 1, 2, 1), SvSplitParams(b=0.3))
     rng = np.random.default_rng(11)
     perm = rng.permutation(mesh.n_elements)
-    mesh2 = make_mesh(mesh.points, triangles=mesh.triangles[perm])
+    mesh2 = make_mesh(mesh.points, mesh.elements[perm])
     space = ElementSpace(Family.TRIANGLE, 3, Continuity.C0, BoundaryCondition.NONE)
     d1 = build_dof_map(mesh, space)
     d2 = build_dof_map(mesh2, space)
@@ -284,10 +284,10 @@ def test_patch_test_linear_divergence(family):
     # interpolated linear velocity field: <div v, 1> = (alpha+delta)*area
     if family is Family.QUAD:
         pts = np.array([[0.2, 0.1], [1.3, 0.3], [1.1, 1.2], [0.05, 0.9]])
-        mesh = make_mesh(pts, quads=np.array([[0, 1, 2, 3]]))
+        mesh = make_mesh(pts, np.array([[0, 1, 2, 3]]))
     else:
         pts = np.array([[0.2, 0.1], [1.3, 0.3], [0.4, 1.2]])
-        mesh = make_mesh(pts, triangles=np.array([[0, 1, 2]]))
+        mesh = make_mesh(pts, np.array([[0, 1, 2]]))
     dv = build_dof_map(mesh, ElementSpace(family, 2, Continuity.C0, BoundaryCondition.NONE))
     dp = build_dof_map(
         mesh, ElementSpace(family, 0, Continuity.DISCONTINUOUS, BoundaryCondition.NONE)
@@ -482,7 +482,7 @@ def _perturbed_quad_grid():
     grid = rect_grid(2, 1, 2, 1)
     rng = np.random.default_rng(7)
     pts = grid.points + rng.uniform(-0.15, 0.15, grid.points.shape)
-    return make_mesh(pts, quads=grid.elements)
+    return make_mesh(pts, grid.elements)
 
 
 @pytest.mark.parametrize("n", range(1, 17))

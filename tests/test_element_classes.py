@@ -42,7 +42,7 @@ def _perturbed_quads():
     rng = np.random.default_rng(3)
     inner = ~np.isin(np.arange(len(grid.points)), grid.boundary_edges[:, :2])
     pts = grid.points + rng.uniform(-0.1, 0.1, grid.points.shape) * inner[:, None]
-    return make_mesh(pts, quads=grid.elements)
+    return make_mesh(pts, grid.elements)
 
 
 def _nested(coarse, vdeg, pdeg):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -86,6 +87,48 @@ def test_basis_dimensions():
     assert reference_element(Family.TRIANGLE, 0).n_basis == 1
     assert reference_element(Family.QUAD, 3).n_basis == 16
     assert reference_element(Family.QUAD, 0).n_basis == 1
+
+
+def _kinds(family, degree):
+    ref = reference_element(family, degree)
+    return [(str(c), int(e), int(s)) for c, e, s in zip(ref.kind, ref.entity, ref.slot)]
+
+
+# per node in node order: v<corner>, e<side>.<slot> or i<interior index>
+NODE_KINDS = {
+    (Family.TRIANGLE, 0): "i0",
+    (Family.TRIANGLE, 1): "v0 v1 v2",
+    (Family.TRIANGLE, 2): "v0 e0.0 v1 e2.0 e1.0 v2",
+    (Family.TRIANGLE, 3): "v0 e0.0 e0.1 v1 e2.1 i0 e1.0 e2.0 e1.1 v2",
+    (Family.QUAD, 0): "i0",
+    (Family.QUAD, 1): "v0 v1 v3 v2",
+    (Family.QUAD, 2): "v0 e0.0 v1 e3.0 i0 e1.0 v3 e2.0 v2",
+    (Family.QUAD, 3): "v0 e0.0 e0.1 v1 e3.1 i0 i1 e1.0 e3.0 i2 i3 e1.1 v3 e2.1 e2.0 v2",
+}
+
+
+@pytest.mark.parametrize("family, degree", list(NODE_KINDS), ids=lambda v: str(v))
+def test_node_kinds_by_hand(family, degree):
+    want = []
+    for token in NODE_KINDS[family, degree].split():
+        entity, _, slot = token[1:].partition(".")
+        want.append((token[0], int(entity), int(slot or 0)))
+    assert _kinds(family, degree) == want
+
+
+@pytest.mark.parametrize(
+    "family, digest",
+    [(Family.TRIANGLE, "f022f0f875ccec03d262a54b7ee8a9f29017f2107e3a9ea313f80b920ef6cbf6"),
+     (Family.QUAD, "90352fbcf931a22d3c16cf8bc165f3d2c9829f220e245543e8f2dc9bf5458276")],
+    ids=["tri", "quad"],
+)
+def test_node_kinds_are_pinned(family, digest):
+    # SHA-256 of the (kind, entity, slot) lists of degrees 0-16: the kinds
+    # fix the global dof numbering, on which every output's bytes depend
+    h = hashlib.sha256()
+    for degree in range(17):
+        h.update(repr(_kinds(family, degree)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_quad_lattice_is_gauss_lobatto():

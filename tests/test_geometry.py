@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -26,16 +27,16 @@ from conftest import EDGE_MESHES, fan_angles, fan_regularity_index, loop_refine_
 def test_rect_grid_counts():
     m = rect_grid(4, 1, 4, 1)
     assert len(m.points) == 10
-    assert len(m.quads) == 4
+    assert len(m.elements) == 4
     assert np.allclose(m.areas(), 1.0)
 
     m2 = rect_grid(4, 1, 24, 6)
-    assert len(m2.quads) == 144
+    assert len(m2.elements) == 144
     assert np.allclose(m2.areas(), 1.0 / 36.0)
 
     m3 = rect_grid(2, 1, 1, 1)
     assert len(m3.points) == 4
-    assert len(m3.quads) == 1
+    assert len(m3.elements) == 1
     assert m3.areas()[0] == pytest.approx(2.0)
 
 
@@ -48,7 +49,7 @@ def test_rect_grid_validation():
 
 def test_sv_split_centered():
     m = sv_split(rect_grid(1, 1, 1, 1), SvSplitParams(b=0.0))
-    assert len(m.triangles) == 4
+    assert len(m.elements) == 4
     apex = m.points[4]
     assert np.allclose(apex, [0.5, 0.5])
     assert regularity_index(m, 4) == pytest.approx(0.0, abs=1e-14)
@@ -80,7 +81,7 @@ def test_sv_split_decentered_angles(sv_unit_square):
 
 def test_sv_split_special_quad():
     m = sv_split(rect_grid(4, 1, 4, 1), SvSplitParams(b=0.4, special=(0, -0.1)))
-    assert len(m.triangles) == 16
+    assert len(m.elements) == 16
     apexes = m.points[10:]
     special = np.isclose(apexes, [0.5, 0.4]).all(axis=1)
     assert special.sum() == 1
@@ -119,7 +120,7 @@ def test_regularity_index_errors():
     assert regularity_index(m, 1) > 0
     single = make_mesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        triangles=np.array([[0, 1, 2]]),
+        np.array([[0, 1, 2]]),
     )
     with pytest.raises(MeshError):
         regularity_index(single, 0)
@@ -129,7 +130,7 @@ def test_regularity_index_errors():
 def _bow_tie():
     # two triangles that meet only at node 0
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]])
-    return make_mesh(pts, triangles=np.array([[0, 1, 2], [0, 3, 4]]))
+    return make_mesh(pts, np.array([[0, 1, 2], [0, 3, 4]]))
 
 
 def _pinched_fan():
@@ -138,7 +139,7 @@ def _pinched_fan():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
                     [3.0, 3.0], [2.0, 3.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [0, 5, 6]])
-    return make_mesh(pts, triangles=tris)
+    return make_mesh(pts, tris)
 
 
 @pytest.mark.parametrize("make", [_bow_tie, _pinched_fan], ids=["bow-tie", "pinched-fan"])
@@ -189,8 +190,7 @@ def test_refinement_is_the_loop_refinement(make, depth):
     for _ in range(depth - 1):
         want, finer = loop_refine_uniform(want)
         want_pm = want_pm.compose(finer)
-    for name in ("points", "triangles", "quads", "boundary_edges", "element_edges",
-                 "on_boundary"):
+    for name in ("points", "elements", "boundary_edges", "element_edges", "on_boundary"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     for name in ("parent", "matrix", "offset"):
         assert np.array_equal(getattr(got_pm, name), getattr(want_pm, name)), name
@@ -238,7 +238,7 @@ def test_regularity_index_is_the_fan_index(make, depth):
 @pytest.mark.parametrize("n,levels,ntri", [(3, 0, 3), (8, 0, 8), (16, 2, 256)])
 def test_regular_polygon_mesh(n, levels, ntri):
     m = regular_polygon_mesh(n, levels)
-    assert len(m.triangles) == ntri
+    assert len(m.elements) == ntri
     radii = np.linalg.norm(m.points, axis=1)
     assert radii.max() == pytest.approx(1.0, abs=1e-15)
     assert m.areas().sum() == pytest.approx(n / 2 * math.sin(2 * math.pi / n), abs=1e-12)
@@ -249,19 +249,19 @@ def test_regular_polygon_mesh(n, levels, ntri):
 def test_refine_uniform_quad():
     m = rect_grid(1, 1, 1, 1)
     r, pm = refine_uniform(m)
-    assert len(r.quads) == 4
+    assert len(r.elements) == 4
     assert (pm.parent == 0).all()
     assert r.areas().sum() == pytest.approx(1.0, abs=1e-12)
 
     r2, _ = refine_uniform(r)
-    assert len(r2.quads) == 16
+    assert len(r2.elements) == 16
     assert np.allclose(r2.areas(), 1.0 / 16.0)
 
 
 def test_refine_uniform_triangles():
     m = sv_split(rect_grid(1, 1, 1, 1), SvSplitParams(b=0.0))
     r, pm = refine_uniform(m)
-    assert len(r.triangles) == 16
+    assert len(r.elements) == 16
     assert r.areas().sum() == pytest.approx(1.0, abs=1e-12)
     assert len(pm.parent) == 16
     # parent-reference maps send child corners into the parent cell
@@ -274,19 +274,19 @@ def test_refine_uniform_triangles():
 def test_refine_chain_compose():
     m = regular_polygon_mesh(4, 0)
     fine, pm = refine_chain(m, 2)
-    assert len(fine.triangles) == 64
+    assert len(fine.elements) == 64
     # composed map: physical position of a mapped reference point must agree
     rng = np.random.default_rng(3)
     for e in [0, 13, 40, 63]:
         ref = rng.dirichlet([1, 1, 1])[:2][None, :]
         parent, pref = pm.to_parent_ref(e, ref)
-        child_pts = fine.points[fine.triangles[e]]
+        child_pts = fine.points[fine.elements[e]]
         phys_child = (
             child_pts[0]
             + np.outer(ref[:, 0], child_pts[1] - child_pts[0])
             + np.outer(ref[:, 1], child_pts[2] - child_pts[0])
         )
-        par_pts = m.points[m.triangles[parent]]
+        par_pts = m.points[m.elements[parent]]
         phys_par = (
             par_pts[0]
             + np.outer(pref[:, 0], par_pts[1] - par_pts[0])
@@ -312,13 +312,13 @@ def test_element_sizes():
     # sqrt(3)/2 and 3*sqrt(3)/2, and the circle fits between the closer sides
     s3 = math.sqrt(3.0)
     para = make_mesh(np.array([[0, 0], [3, 0], [3.5, s3 / 2], [0.5, s3 / 2]]),
-                     quads=np.array([[0, 1, 2, 3]]))
+                     np.array([[0, 1, 2, 3]]))
     _, inr4 = element_sizes(para)
     assert inr4 == pytest.approx(s3 / 4, rel=1e-12)
 
     # rhombus with diagonals 4 and 2 is tangential: r = area / semiperimeter
     rhombus = make_mesh(np.array([[-2.0, 0], [0, -1], [2, 0], [0, 1]]),
-                        quads=np.array([[0, 1, 2, 3]]))
+                        np.array([[0, 1, 2, 3]]))
     _, inr5 = element_sizes(rhombus)
     assert inr5 == pytest.approx(4.0 / (2 * math.sqrt(5.0)), rel=1e-12)
 
@@ -327,7 +327,7 @@ def test_element_sizes():
     th = math.radians(40.0)
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     corners = 3.0 * np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]) @ rot.T + [2.0, 1.0]
-    _, inr6 = element_sizes(make_mesh(corners, quads=np.array([[0, 1, 2, 3]])))
+    _, inr6 = element_sizes(make_mesh(corners, np.array([[0, 1, 2, 3]])))
     assert inr6 == pytest.approx(1.5, rel=1e-12)
 
 
@@ -364,8 +364,8 @@ def test_quad_inradius_is_translation_invariant(degrees):
     far = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]]) @ turn.T + [1.0, 0.0]
     near = far - [1.0, 0.0]
     quad = np.array([[0, 1, 2, 3]])
-    _, r_far = element_sizes(make_mesh(far, quads=quad))
-    _, r_near = element_sizes(make_mesh(near, quads=quad))
+    _, r_far = element_sizes(make_mesh(far, quad))
+    _, r_near = element_sizes(make_mesh(near, quad))
     assert r_far == pytest.approx(r_near, rel=1e-12)
     assert r_near == pytest.approx(h / 2, rel=1e-9)
 
@@ -375,8 +375,23 @@ def test_mesh_io_roundtrip(tmp_path):
     path = tmp_path / "mesh.txt"
     save_mesh(m, path)
     m2 = load_mesh(path)
-    assert np.array_equal(m.triangles, m2.triangles)
+    assert np.array_equal(m.elements, m2.elements)
     assert np.allclose(m.points, m2.points)
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [(lambda: rect_grid(2.0, 1.0, 3, 2),
+      "0160d052bc49f0b598f033e3050d7b7f98942a8ec7868f75d64c0d10e472665b"),
+     (lambda: sv_split(rect_grid(2.0, 1.0, 3, 2), SvSplitParams(b=0.2, special=(1, -0.3))),
+      "e0719d04ca7b5ff041382afe525e401778258bad9c79d709cbb3468e31c7e472")],
+    ids=["rect-grid", "sv-split"],
+)
+def test_mesh_file_bytes_are_pinned(make, digest, tmp_path):
+    # the mesh2d format is fixed: these bytes must not move
+    path = tmp_path / "mesh.txt"
+    save_mesh(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_mesh_io_reorients(tmp_path):
@@ -392,22 +407,24 @@ def test_conformity_rejects_bad_meshes():
     # overlapping triangles traverse the shared edge in the same direction
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
     with pytest.raises(MeshError):
-        make_mesh(pts, triangles=np.array([[0, 1, 2], [0, 1, 3]]),
+        make_mesh(pts, np.array([[0, 1, 2], [0, 1, 3]]),
                   repair_orientation=False)
     # non-manifold: three triangles on one edge
     pts2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [2.0, 1.0]])
     with pytest.raises(MeshError):
         make_mesh(
             pts2,
-            triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
+            np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
             repair_orientation=False,
         )
 
 
-def test_mixed_mesh_rejected():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(MeshError):
-        make_mesh(pts, triangles=np.array([[0, 1, 2]]), quads=np.array([[0, 1, 2, 3]]))
+def test_mixed_mesh_rejected(tmp_path):
+    # a mesh2d file with both a triangle and a quad section
+    path = tmp_path / "mixed.txt"
+    path.write_text("mesh2d 4 1 1\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 1 2 3\n")
+    with pytest.raises(MeshError, match="homogeneous"):
+        load_mesh(path)
 
 
 def test_load_mesh_rejects_malformed(tmp_path):
@@ -495,14 +512,14 @@ def test_reference_map_jacobian_matches_central_differences(nv):
 def test_make_mesh_quad_orientation():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
     clockwise = np.array([[0, 3, 2, 1]])
-    m = make_mesh(pts, quads=clockwise)
-    assert m.quads.tolist() == [[1, 2, 3, 0]]
+    m = make_mesh(pts, clockwise)
+    assert m.elements.tolist() == [[1, 2, 3, 0]]
     assert m.areas()[0] == pytest.approx(2.0)
     with pytest.raises(MeshError):
-        make_mesh(pts, quads=clockwise, repair_orientation=False)
+        make_mesh(pts, clockwise, repair_orientation=False)
     # a dart: the vertex (0.5, 0.5) is reflex, so either orientation has a
     # corner with a non-positive Jacobian
     dart = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 0.5], [0.0, 2.0]])
     for order in ([[0, 1, 2, 3]], [[3, 2, 1, 0]]):
         with pytest.raises(MeshError, match="non-convex"):
-            make_mesh(dart, quads=np.array(order))
+            make_mesh(dart, np.array(order))
