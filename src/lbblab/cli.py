@@ -294,6 +294,14 @@ def _nonempty(key: str, values: list, convert, name=None, repeats=False) -> list
     return points
 
 
+def _k(cfg: dict) -> int:
+    """A config's count of eigenvalues to report: key `k`, at least 1."""
+    k = int(cfg.get("k", 6))
+    if k < 1:
+        raise ValueError("config key 'k' must be at least 1")
+    return k
+
+
 def _max_beta(name: str, rows: list[dict], bound: float, text: str) -> CheckResult:
     """The largest beta of the unflagged rows must be at most `bound`;
     `text` formats the check's detail from that beta."""
@@ -338,6 +346,7 @@ def _doubling_ratios(name: str, rows: list[dict], column: str, window) -> CheckR
 
 def _config_pair(cfg: dict, seed) -> tuple[PairConfig, int]:
     """The pairing and eigenvalue count of a `domain`/`mesh`/`elements` config."""
+    k = _k(cfg)
     el = cfg["elements"]
     pc = _pair(
         _domain_mesh(cfg),
@@ -345,7 +354,7 @@ def _config_pair(cfg: dict, seed) -> tuple[PairConfig, int]:
         el["pressure_degree"],
         _solver_options(cfg, seed),
     )
-    return pc, int(cfg.get("k", 6))
+    return pc, k
 
 
 def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
@@ -436,9 +445,14 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     a0 = float(cfg.get("a_start", -0.49))
     a1 = float(cfg.get("a_stop", 0.49))
     da = float(cfg.get("a_step", 0.01))
-    n_steps = int(round((a1 - a0) / da))
+    if da <= 0:
+        raise ValueError("config key 'a_step' must be positive")
+    # the tolerance keeps a stop that rounding puts just short of a step
+    n_steps = math.floor((a1 - a0) / da + 1e-9)
+    if n_steps < 0:
+        raise ValueError("config key 'a_stop' lies below 'a_start': no points")
     a_values = [round(a0 + i * da, 12) for i in range(n_steps + 1)]
-    k = int(cfg.get("k", 6))
+    k = _k(cfg)
     vdeg, pdeg = int(cfg.get("velocity_degree", 4)), int(cfg.get("pressure_degree", 3))
     beta_ref = cfg.get("beta_ref")
 
@@ -562,7 +576,7 @@ def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     n_values = _nonempty("n_values", cfg["n_values"], int)
     # two rules with one label would give one label two series
     rules = _nonempty("k_rules", cfg["k_rules"], _degree_rule, name=lambda rule: rule[0])
-    k = int(cfg.get("k", 6))
+    k = _k(cfg)
     beta_ref = cfg.get("beta_ref")
 
     # a point with a negative pressure degree has no row
@@ -625,7 +639,7 @@ def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     rule = cfg.get("refine_velocity", {"mode": "fixed", "r": 1})
     if rule["mode"] not in ("fixed", "growing"):
         raise ValueError(f"unknown refine_velocity mode {rule['mode']!r}")
-    k = int(cfg.get("k", 6))
+    k = _k(cfg)
     beta_ref = cfg.get("beta_ref")
 
     def depth(i: int) -> int:
@@ -673,7 +687,7 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     n_values = _nonempty("n_values", cfg.get("n_values", [8, 16, 32, 64]), int)
     refine = int(cfg.get("refine", 1))
     vdeg, pdeg = int(cfg.get("velocity_degree", 4)), int(cfg.get("pressure_degree", 3))
-    k = int(cfg.get("k", 6))
+    k = _k(cfg)
     eps_grid = int(cfg.get("eps_grid", 512))
 
     runs = [[_pair(regular_polygon_mesh(n, refine), vdeg, pdeg, solver)] for n in n_values]

@@ -1,12 +1,14 @@
-"""Boundary-graph diffeomorphisms between a curved domain and its polygonal
-approximation, with measured Lipschitz closeness.
+"""Lipschitz closeness of a curved domain and its polygonal approximation.
 
-A patch is a strip under a C^2 graph x2 = phi(x1); the map keeps x1 and
-rescales x2 by phi_h/phi, where phi_h is the piecewise-affine interpolant of
-phi at the patch nodes.  Outside the strip the map is the identity; epsilon
-is the sup of the spectral norm of the displacement gradient.  That gradient
-has one nonzero row, whose norm grows with x2, so the sup over x2 is taken
-exactly on the graph x2 = phi(x1); only x1 is sampled.
+A patch is a strip under a C^2 graph x2 = phi(x1).  The map F of the strip
+onto its polygonal counterpart keeps x1 and rescales x2 by r = phi_h/phi,
+where phi_h is the piecewise-affine interpolant of phi at the patch nodes;
+outside the strip F is the identity.  `estimate_eps` gives the sup of the
+spectral norm of the displacement gradients DF - I and DF^-1 - I in closed
+form: each has one nonzero row, whose norm grows with x2, so the sup over
+x2 is taken exactly on the graph x2 = phi(x1) and only x1 is sampled.
+`polygon_disk_eps` takes the max over the four `circle_patches` of the unit
+disk against its inscribed n-gon.
 """
 
 from __future__ import annotations
@@ -19,19 +21,16 @@ import numpy as np
 
 __all__ = [
     "GraphBoundaryPatch",
-    "GraphMap",
     "LipschitzMapEstimate",
     "NotADiffeomorphism",
-    "PiecewiseAffine",
-    "build_graph_map",
+    "circle_patches",
     "estimate_eps",
-    "interpolate_boundary",
     "polygon_disk_eps",
 ]
 
 
 class NotADiffeomorphism(ValueError):
-    """The rescaling factor is not positive on the patch."""
+    """The interpolant or the rescaling factor is not positive on the patch."""
 
 
 @dataclass(frozen=True)
@@ -59,78 +58,6 @@ class GraphBoundaryPatch:
             raise ValueError("phi drops below its stated lower bound eta0")
 
 
-class PiecewiseAffine:
-    """Piecewise-affine interpolant with one-sided slopes at the nodes."""
-
-    def __init__(self, nodes: np.ndarray, values: np.ndarray):
-        self.nodes = np.asarray(nodes, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self.slopes = np.diff(self.values) / np.diff(self.nodes)
-
-    def interval_of(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.nodes, x, side="right") - 1
-        return np.clip(idx, 0, len(self.slopes) - 1)
-
-    def __call__(self, x, interval=None):
-        x = np.asarray(x, dtype=float)
-        i = self.interval_of(x) if interval is None else interval
-        return self.values[i] + self.slopes[i] * (x - self.nodes[i])
-
-    def derivative(self, x, interval=None):
-        x = np.asarray(x, dtype=float)
-        i = self.interval_of(x) if interval is None else interval
-        return self.slopes[i]
-
-
-def interpolate_boundary(patch: GraphBoundaryPatch) -> PiecewiseAffine:
-    """Piecewise-affine interpolant of phi at the patch nodes."""
-    return PiecewiseAffine(patch.nodes, np.asarray(patch.phi(patch.nodes), dtype=float))
-
-
-class GraphMap:
-    """F(x1, x2) = (x1, (phi_h/phi)(x1) * x2) on the strip, identity outside."""
-
-    def __init__(self, patch: GraphBoundaryPatch, phi_h: PiecewiseAffine):
-        self.patch = patch
-        self.phi_h = phi_h
-
-    def ratio(self, x1, interval=None):
-        return self.phi_h(x1, interval=interval) / self.patch.phi(x1)
-
-    def ratio_derivative(self, x1, interval=None):
-        x1 = np.asarray(x1, dtype=float)
-        p = np.asarray(self.patch.phi(x1), dtype=float)
-        dp = np.asarray(self.patch.dphi(x1), dtype=float)
-        ph = self.phi_h(x1, interval=interval)
-        dph = self.phi_h.derivative(x1, interval=interval)
-        return (dph * p - ph * dp) / (p * p)
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = pts.copy()
-        a, b = self.patch.interval
-        inside = (pts[:, 0] >= a) & (pts[:, 0] <= b) & (pts[:, 1] >= 0)
-        x1 = pts[inside, 0]
-        out[inside, 1] = self.ratio(x1) * pts[inside, 1]
-        return out
-
-    def invert(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = pts.copy()
-        a, b = self.patch.interval
-        inside = (pts[:, 0] >= a) & (pts[:, 0] <= b) & (pts[:, 1] >= 0)
-        x1 = pts[inside, 0]
-        out[inside, 1] = pts[inside, 1] / self.ratio(x1)
-        return out
-
-
-def build_graph_map(patch: GraphBoundaryPatch, phi_h: PiecewiseAffine) -> GraphMap:
-    """Assemble the patch map, rejecting non-positive interpolants."""
-    if (phi_h.values <= 0).any():
-        raise NotADiffeomorphism("interpolant is not positive on the patch")
-    return GraphMap(patch, phi_h)
-
-
 @dataclass(frozen=True)
 class LipschitzMapEstimate:
     """Sampled Lipschitz closeness of one map (or the max over a patchwork).
@@ -147,19 +74,8 @@ class LipschitzMapEstimate:
     sample_count: int
     neumann_inverse_bound: float
 
-    @staticmethod
-    def combine(parts: list["LipschitzMapEstimate"]) -> "LipschitzMapEstimate":
-        return LipschitzMapEstimate(
-            eps_forward=max(p.eps_forward for p in parts),
-            eps_inverse=max(p.eps_inverse for p in parts),
-            eps=max(p.eps for p in parts),
-            jacobian_deviation=max(p.jacobian_deviation for p in parts),
-            sample_count=sum(p.sample_count for p in parts),
-            neumann_inverse_bound=max(p.neumann_inverse_bound for p in parts),
-        )
 
-
-def estimate_eps(graph_map: GraphMap, grid_density: int = 512) -> LipschitzMapEstimate:
+def estimate_eps(patch: GraphBoundaryPatch, grid_density: int = 512) -> LipschitzMapEstimate:
     """Sup of the displacement-gradient norms over the strip, sampled in x1.
 
     DF - I = [[0, 0], [x2 r', r - 1]] and DF^-1 - I = [[0, 0],
@@ -172,21 +88,27 @@ def estimate_eps(graph_map: GraphMap, grid_density: int = 512) -> LipschitzMapEs
     """
     if grid_density < 100:
         raise ValueError("grid density must be at least 100 x1 samples")
-    patch = graph_map.patch
+    nodes = patch.nodes
+    values = np.asarray(patch.phi(nodes), dtype=float)
+    if (values <= 0).any():
+        raise NotADiffeomorphism("interpolant is not positive on the patch")
+    slopes = np.diff(values) / np.diff(nodes)
     a, b = patch.interval
     xs, ivl = [], []
-    for i in range(len(patch.nodes) - 1):
-        x0, x1 = patch.nodes[i], patch.nodes[i + 1]
+    for i in range(len(nodes) - 1):
+        x0, x1 = nodes[i], nodes[i + 1]
         count = max(4, int(round(grid_density * (x1 - x0) / (b - a))) + 1)
         xs.append(np.linspace(x0, x1, count))
         ivl.append(np.full(count, i))
     x = np.concatenate(xs)
-    ivl = np.concatenate(ivl)
-    r = graph_map.ratio(x, interval=ivl)
+    i = np.concatenate(ivl)
+    p = np.asarray(patch.phi(x), dtype=float)
+    phi_h = values[i] + slopes[i] * (x - nodes[i])
+    r = phi_h / p
     if (r <= 0).any():
         raise NotADiffeomorphism("mapped boundary crosses zero on the patch")
-    dr = graph_map.ratio_derivative(x, interval=ivl)
-    c = np.asarray(patch.phi(x), dtype=float) * dr  # x2 r' at x2 = phi(x1)
+    dr = (slopes[i] * p - phi_h * np.asarray(patch.dphi(x), dtype=float)) / (p * p)
+    c = p * dr  # x2 r' at x2 = phi(x1)
     d = r - 1.0
     eps_fwd = float(np.sqrt(c * c + d * d).max())
     eps_inv = float(np.sqrt((c / r) ** 2 + (1.0 / r - 1.0) ** 2).max())
@@ -202,7 +124,7 @@ def estimate_eps(graph_map: GraphMap, grid_density: int = 512) -> LipschitzMapEs
     )
 
 
-def circle_patches(n: int) -> list[tuple[GraphBoundaryPatch, PiecewiseAffine]]:
+def circle_patches(n: int) -> list[GraphBoundaryPatch]:
     """Four graph patches covering the unit circle against the inscribed n-gon.
 
     Each quarter is rotated so its arc is the graph x2 = sqrt(1 - x1^2);
@@ -229,22 +151,25 @@ def circle_patches(n: int) -> list[tuple[GraphBoundaryPatch, PiecewiseAffine]]:
             sorted(math.cos(2.0 * math.pi * k / n + alpha) for k in range(k0, k1 + 1))
         )
         width = th1 - th0
-        patch = GraphBoundaryPatch(
+        out.append(GraphBoundaryPatch(
             interval=(float(nodes[0]), float(nodes[-1])),
             phi=phi,
             dphi=dphi,
             eta0=math.cos(0.5 * width) * (1.0 - 1e-12),
             nodes=nodes,
-        )
-        out.append((patch, interpolate_boundary(patch)))
+        ))
     return out
 
 
 def polygon_disk_eps(n: int, grid_density: int = 512) -> LipschitzMapEstimate:
     """Measured epsilon of the disk-to-inscribed-n-gon patchwork (max over
     the four patches)."""
-    parts = [
-        estimate_eps(build_graph_map(patch, phi_h), grid_density=grid_density)
-        for patch, phi_h in circle_patches(n)
-    ]
-    return LipschitzMapEstimate.combine(parts)
+    parts = [estimate_eps(patch, grid_density=grid_density) for patch in circle_patches(n)]
+    return LipschitzMapEstimate(
+        eps_forward=max(p.eps_forward for p in parts),
+        eps_inverse=max(p.eps_inverse for p in parts),
+        eps=max(p.eps for p in parts),
+        jacobian_deviation=max(p.jacobian_deviation for p in parts),
+        sample_count=sum(p.sample_count for p in parts),
+        neumann_inverse_bound=max(p.neumann_inverse_bound for p in parts),
+    )

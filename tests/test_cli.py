@@ -818,3 +818,49 @@ def test_repeated_pressure_grid_is_a_new_point(tmp_path):
     assert _main_on(cfg, "sweep", tmp_path) == 0
     rows = list(csv.DictReader(open(tmp_path / "run.csv")))
     assert len(rows) == 2
+
+
+BETA_CFG = {
+    "kind": "single-beta", "domain": {"type": "rectangle", "width": 1, "height": 1},
+    "mesh": {"nx": 1, "ny": 1}, "elements": {"velocity_degree": 2, "pressure_degree": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, command",
+    [(BETA_CFG, "beta"), (dict(BETA_CFG, kind="spectrum"), "spectrum"), (SV_CFG, "sweep"),
+     (P_CFG, "sweep"), (H_CFG, "sweep"), (POLYGON_CFG, "polygon")],
+    ids=["single-beta", "spectrum", "sv-sweep", "p-sweep", "h-refinement", "polygon-limit"],
+)
+@pytest.mark.parametrize("k", [0, -1], ids=["k0", "k-1"])
+def test_eigenvalue_count_below_one_is_rejected(cfg, command, k, tmp_path, capsys):
+    # a config error, not one flagged row per sweep point
+    assert _main_on(dict(cfg, k=k), command, tmp_path) == 1
+    assert capsys.readouterr().err == "error: config key 'k' must be at least 1\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "a_start, a_stop, a_step, a_values",
+    [(0.0, 0.1, 0.06, [0.0, 0.06]),
+     # (0.06 - 0.02) / 0.01 is 3.999999999999999: the stop is still a point
+     (0.02, 0.06, 0.01, [0.02, 0.03, 0.04, 0.05, 0.06])],
+    ids=["stop-between-steps", "stop-short-by-rounding"],
+)
+def test_sv_sweep_a_range_ends_at_a_stop(a_start, a_stop, a_step, a_values):
+    cfg = dict(SV_CFG, a_start=a_start, a_stop=a_stop, a_step=a_step, beta_ref=None)
+    rows = _rows(run_sv_sweep(cfg).csv)
+    assert [float(r["a"]) for r in rows] == pytest.approx(a_values, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a_stop, a_step, message",
+    [(0.4, 0.0, "config key 'a_step' must be positive"),
+     (0.4, -0.1, "config key 'a_step' must be positive"),
+     (-0.2, 0.1, "config key 'a_stop' lies below 'a_start': no points")],
+    ids=["zero-step", "negative-step", "empty-range"],
+)
+def test_sv_sweep_bad_a_range_is_rejected(a_stop, a_step, message, tmp_path, capsys):
+    assert _main_on(dict(SV_CFG, a_stop=a_stop, a_step=a_step), "sweep", tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run.csv").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,10 @@ import pytest
 
 from lbblab.perturb import (
     GraphBoundaryPatch,
+    LipschitzMapEstimate,
     NotADiffeomorphism,
-    PiecewiseAffine,
-    build_graph_map,
     circle_patches,
     estimate_eps,
-    interpolate_boundary,
     polygon_disk_eps,
 )
 
@@ -36,6 +35,16 @@ def wild_patch():
     )
 
 
+def ratio_and_derivative(patch, x, iv):
+    """r = phi_h/phi and r' from np.interp on the nodes and the slope of
+    subinterval iv, written apart from the library's closed form."""
+    values = patch.phi(patch.nodes)
+    slopes = np.diff(values) / np.diff(patch.nodes)
+    phi, dphi = patch.phi(x), patch.dphi(x)
+    phi_h = np.interp(x, patch.nodes, values)
+    return phi_h / phi, (slopes[iv] * phi - phi_h * dphi) / phi**2
+
+
 def test_interpolate_constant_exact():
     patch = GraphBoundaryPatch(
         interval=(0.0, 2.0),
@@ -44,44 +53,9 @@ def test_interpolate_constant_exact():
         eta0=3.0,
         nodes=np.array([0.0, 0.7, 2.0]),
     )
-    ph = interpolate_boundary(patch)
-    xs = np.linspace(0, 2, 101)
-    assert np.allclose(ph(xs), 3.0, atol=1e-15)
-
-
-def test_interpolation_error_parabola():
-    patch = parabola_patch()
-    ph = interpolate_boundary(patch)
-    xs = np.linspace(0, 1, 100001)
-    err = np.abs(ph(xs) - patch.phi(xs))
-    assert err.max() == pytest.approx(1.0 / 16.0, abs=1e-8)
-    arg = xs[np.argmax(err)]
-    assert min(abs(arg - 0.25), abs(arg - 0.75)) < 1e-3
-
-
-def test_interpolant_derivative_error_linear_in_h():
-    sups = []
-    for m in (2, 4, 8, 16):
-        patch = parabola_patch(np.linspace(0, 1, m + 1))
-        ph = interpolate_boundary(patch)
-        xs = np.linspace(1e-9, 1 - 1e-9, 20001)
-        sups.append(np.abs(ph.derivative(xs) - patch.dphi(xs)).max())
-    ratios = [b / a for a, b in zip(sups, sups[1:])]
-    assert all(0.35 <= r <= 0.65 for r in ratios)
-    # bound sup|phi_h' - phi'| <= h * sup|phi''|
-    for m, sup in zip((2, 4, 8, 16), sups):
-        assert sup <= (1.0 / m) * 2.0 + 1e-12
-
-
-def test_graph_map_values():
-    patch = parabola_patch()
-    ph = interpolate_boundary(patch)
-    gm = build_graph_map(patch, ph)
-    # ratio at the interpolation nodes is 1: displacement vanishes there
-    for xi in patch.nodes:
-        assert gm.ratio(np.array([xi]))[0] == pytest.approx(1.0, abs=1e-14)
-    # frozen example: (phi_h/phi)(1/4) = (9/8)/(19/16) = 18/19
-    assert gm.ratio(np.array([0.25]))[0] == pytest.approx(18.0 / 19.0, rel=1e-14)
+    # the interpolant of a constant is the constant itself: F = Id exactly
+    est = estimate_eps(patch, 128)
+    assert (est.eps, est.jacobian_deviation, est.neumann_inverse_bound) == (0.0, 0.0, 0.0)
 
 
 def test_identity_map_eps_zero():
@@ -93,102 +67,114 @@ def test_identity_map_eps_zero():
         eta0=1.0,
         nodes=np.array([0.0, 0.3, 1.0]),
     )
-    est = estimate_eps(build_graph_map(patch, interpolate_boundary(patch)), 128)
+    est = estimate_eps(patch, 128)
     assert est.eps == pytest.approx(0.0, abs=1e-13)
     assert est.jacobian_deviation == pytest.approx(0.0, abs=1e-13)
 
 
 def test_estimate_eps_matches_dense_reference():
     patch = parabola_patch()
-    gm = build_graph_map(patch, interpolate_boundary(patch))
-    est = estimate_eps(gm, grid_density=512)
+    est = estimate_eps(patch, grid_density=512)
     # closed-form oracle: norm of the displacement-gradient row, maximized
     # over x2 = phi(x1) (the norm is increasing in x2), sampled densely
     xs = np.linspace(0, 1, 1_000_001)
     iv = np.clip(np.searchsorted(patch.nodes, xs, side="right") - 1, 0, 1)
-    phi = patch.phi(xs)
-    r = gm.ratio(xs, interval=iv)
-    dr = gm.ratio_derivative(xs, interval=iv)
-    ref = np.sqrt((phi * dr) ** 2 + (r - 1.0) ** 2).max()
+    r, dr = ratio_and_derivative(patch, xs, iv)
+    ref = np.sqrt((patch.phi(xs) * dr) ** 2 + (r - 1.0) ** 2).max()
     assert est.eps_forward == pytest.approx(ref, rel=1e-3)
 
 
 def test_eps_halving_under_node_refinement():
-    est2 = estimate_eps(
-        build_graph_map(parabola_patch(), interpolate_boundary(parabola_patch())), 256
-    )
-    patch4 = parabola_patch((0.0, 0.25, 0.5, 0.75, 1.0))
-    est4 = estimate_eps(build_graph_map(patch4, interpolate_boundary(patch4)), 256)
+    est2 = estimate_eps(parabola_patch(), 256)
+    est4 = estimate_eps(parabola_patch((0.0, 0.25, 0.5, 0.75, 1.0)), 256)
     assert 0.35 <= est4.eps_forward / est2.eps_forward <= 0.65
 
 
 def test_jacobian_bound_invariant():
     for nodes in [(0.0, 0.5, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0)]:
-        patch = parabola_patch(nodes)
-        est = estimate_eps(build_graph_map(patch, interpolate_boundary(patch)), 200)
+        est = estimate_eps(parabola_patch(nodes), 200)
         e = est.eps_forward
         assert est.jacobian_deviation <= 2 * e + e * e + 1e-12
 
 
-def test_identity_on_strip_sides():
-    patch = parabola_patch()
-    gm = build_graph_map(patch, interpolate_boundary(patch))
-    pts = np.array([[0.0, 0.3], [1.0, 0.9], [0.37, 0.0], [0.81, 0.0]])
-    assert np.allclose(gm.apply(pts), pts, atol=1e-14)
-
-
-def test_composition_roundtrip():
-    patch = parabola_patch()
-    gm = build_graph_map(patch, interpolate_boundary(patch))
-    rng = np.random.default_rng(2)
-    x1 = rng.uniform(0, 1, 300)
-    x2 = rng.uniform(0, 1, 300) * patch.phi(x1)
-    pts = np.stack([x1, x2], axis=1)
-    back = gm.invert(gm.apply(pts))
-    assert np.abs(back - pts).max() <= 1e-8
-
-
 def test_neumann_bound_and_direct_inverse():
-    patch = parabola_patch()
-    est = estimate_eps(build_graph_map(patch, interpolate_boundary(patch)), 256)
+    est = estimate_eps(parabola_patch(), 256)
     assert est.eps_forward < 1
     assert est.eps_inverse <= est.neumann_inverse_bound + 1e-12
     assert est.eps == max(est.eps_forward, est.eps_inverse)
 
 
 def test_rejects_nonpositive_interpolant():
-    patch = parabola_patch()
-    bad = PiecewiseAffine(np.array([0.0, 0.5, 1.0]), np.array([1.0, -0.1, 1.0]))
-    with pytest.raises(NotADiffeomorphism):
-        build_graph_map(patch, bad)
+    # a dip to phi(0.3) < 0 narrow enough to pass between the 257 samples
+    # that check phi >= eta0, with a node at its bottom
+    def dip(x):
+        return 2.0 * np.exp(-(((np.asarray(x) - 0.3) / 2e-4) ** 2))
+
+    patch = GraphBoundaryPatch(
+        interval=(0.0, 1.0),
+        phi=lambda x: parabola_patch().phi(x) - dip(x),
+        dphi=lambda x: parabola_patch().dphi(x) + 2.0 * (np.asarray(x) - 0.3) / 4e-8 * dip(x),
+        eta0=1.0,
+        nodes=np.array([0.0, 0.3, 1.0]),
+    )
+    assert patch.phi(0.3) < 0
+    with pytest.raises(NotADiffeomorphism, match="interpolant is not positive"):
+        estimate_eps(patch)
 
 
 def test_wild_graph_reports_unbounded_neumann():
     # forward closeness exceeds 1, Neumann bound infinite
-    patch = wild_patch()
-    est = estimate_eps(build_graph_map(patch, interpolate_boundary(patch)), 256)
+    est = estimate_eps(wild_patch(), 256)
     assert est.eps_forward >= 1
     assert math.isinf(est.neumann_inverse_bound)
 
 
+# every field of the estimate, floats as float.hex, in field order
+PINNED_ESTIMATES = {
+    "disk 8": (lambda: polygon_disk_eps(8, 512), (
+        "0x1.2bec333018868p-1", "0x1.2bec333018868p-1", "0x1.2bec333018868p-1",
+        "0x1.6fe7617c9dbf0p-4", 2056, "0x1.6a09e667f3bd0p+0")),
+    "disk 16": (lambda: polygon_disk_eps(16, 512), (
+        "0x1.53c8faa900ce4p-2", "0x1.53c8faa900ce4p-2", "0x1.53c8faa900ce4p-2",
+        "0x1.c95da5029ad80p-6", 2064, "0x1.fc8638969d190p-2")),
+    "disk 32": (lambda: polygon_disk_eps(32, 512), (
+        "0x1.6f3ff546f5ec8p-3", "0x1.6f3ff546f5ec8p-3", "0x1.6f3ff546f5ec8p-3",
+        "0x1.0876961e3dc00p-7", 2088, "0x1.bf7ec6c3b03fap-3")),
+    "disk 64": (lambda: polygon_disk_eps(64, 512), (
+        "0x1.7f9a1c63d96c3p-4", "0x1.7f9a1c63d96c3p-4", "0x1.7f9a1c63d96c3p-4",
+        "0x1.1f6a80f99bb00p-9", 2096, "0x1.a73d55278c4f6p-4")),
+    "parabola": (lambda: estimate_eps(parabola_patch(), 256), (
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+        "0x1.b0684956f5590p-5", 258, "0x1.0000000000000p+0")),
+    # the only case whose sups lie inside a subinterval, where r' shows;
+    # on the circle and the parabola both sit at a node, where r = 1
+    "wild sine": (lambda: estimate_eps(wild_patch(), 256), (
+        "0x1.f691d16c33fcap+6", "0x1.2ce22a522ded9p+5", "0x1.f691d16c33fcap+6",
+        "0x1.c4fe8dff9579fp+3", 258, "inf")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ESTIMATES))
+def test_estimate_bits_are_pinned(name):
+    estimate, pinned = PINNED_ESTIMATES[name]
+    est = estimate()
+    got = [getattr(est, f.name) for f in dataclasses.fields(LipschitzMapEstimate)]
+    assert [v if isinstance(v, int) else float.hex(v) for v in got] == list(pinned)
+
+
 @pytest.mark.parametrize(
-    "patch, phi_h",
-    [
-        (parabola_patch(), interpolate_boundary(parabola_patch())),
-        circle_patches(16)[1],
-        (wild_patch(), interpolate_boundary(wild_patch())),
-    ],
+    "patch",
+    [parabola_patch(), circle_patches(16)[1], wild_patch()],
     ids=["parabola", "circle 16", "wild sine"],
 )
-def test_estimate_eps_matches_brute_force_norms(patch, phi_h):
+def test_estimate_eps_matches_brute_force_norms(patch):
     # oracle: the 2-norms of DF - I and DF^-1 - I, built as full 2x2
     # matrices on the same x1 samples and on x2 levels in [0, phi(x1)]
     # that include the graph, where the sups are attained.  On the parabola
     # and the circle both sups sit at a node, where r = 1; the wild sine
     # puts them inside the subintervals
-    gm = build_graph_map(patch, phi_h)
     density = 256
-    est = estimate_eps(gm, grid_density=density)
+    est = estimate_eps(patch, grid_density=density)
     a, b = patch.interval
     xs, iv = [], []
     for i, (x0, x1) in enumerate(zip(patch.nodes, patch.nodes[1:])):
@@ -197,7 +183,7 @@ def test_estimate_eps_matches_brute_force_norms(patch, phi_h):
         iv.append(np.full(count, i))
     x, iv = np.concatenate(xs), np.concatenate(iv)
     assert est.sample_count == x.size
-    r, dr = gm.ratio(x, interval=iv), gm.ratio_derivative(x, interval=iv)
+    r, dr = ratio_and_derivative(patch, x, iv)
     x2 = np.multiply.outer(np.array([0.0, 0.25, 0.5, 0.9, 1.0]), patch.phi(x))
     DF = np.zeros((*x2.shape, 2, 2))
     DF[..., 0, 0] = 1.0
@@ -215,13 +201,14 @@ def test_estimate_eps_matches_brute_force_norms(patch, phi_h):
 
 
 def test_circle_patch_nodes_on_circle():
-    for patch, ph in circle_patches(16):
+    patches = circle_patches(16)
+    assert sum(len(patch.nodes) - 1 for patch in patches) == 16
+    for patch in patches:
         xs = patch.nodes
         assert np.allclose(xs**2 + np.asarray(patch.phi(xs)) ** 2, 1.0, atol=1e-13)
-        assert np.allclose(ph(xs), patch.phi(xs), atol=1e-14)
-        gm = build_graph_map(patch, ph)
-        for xi in xs:
-            assert gm.ratio(np.array([xi]))[0] == pytest.approx(1.0, abs=1e-12)
+        # the chord chain through the nodes is a run of 16-gon edges
+        chords = np.hypot(np.diff(xs), np.diff(patch.phi(xs)))
+        assert np.allclose(chords, 2.0 * math.sin(math.pi / 16), atol=1e-14)
 
 
 def test_polygon_disk_eps_rates():
