@@ -8,19 +8,16 @@ afresh.  A pairing of the same family as the previous one (the same
 spaces, options and connectivity: Fig. 3 moves the apex of one quad)
 starts its eigensolve from the previous point's eigenvectors.
 
-While `compute_betas` runs, numpy's bundled OpenBLAS is held to one thread
-(`_ONE_NUMPY_THREAD`).
+While `compute_betas` runs, the OpenBLAS pools that numpy and scipy bundle
+run on one thread each (`spectral._ONE_BLAS_THREAD`); only the dense
+route's `eigh` runs on the caller's scipy threads.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +31,7 @@ from .fem import (
 )
 from .geometry import Mesh, ParentMap, element_sizes
 from .spectral import (
+    _ONE_BLAS_THREAD,
     GenEigResult,
     SchurOperator,
     SolverOptions,
@@ -180,56 +178,6 @@ def _beta(config: PairConfig, k: int, start=None) -> tuple[BetaResult, np.ndarra
     ), result.vectors
 
 
-@functools.cache
-def _numpy_blas():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy's
-    wheel bundles in `numpy.libs`, or None where numpy uses another BLAS."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            dll = ctypes.CDLL(str(lib))
-            get, set_ = dll.scipy_openblas_get_num_threads64_, dll.scipy_openblas_set_num_threads64_
-        except (AttributeError, OSError):
-            continue
-        get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-        return get, set_
-    return None
-
-
-class _OneNumpyThread:
-    """Context that holds numpy's OpenBLAS to one thread; no-op without it.
-
-    numpy and scipy each load their own OpenBLAS, and the spinning workers
-    of one pool starve the other when a solve moves between numpy products
-    (assembly, dense_schur) and scipy LAPACK (eigh): on 2 cores a Fig. 5
-    p-sweep took twice as long with both pools at 2 threads.  scipy's pool
-    keeps its threads.  Overlapping entries from several threads share one
-    hold: the first saves the caller's count and the last restores it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self):
-        blas = _numpy_blas()
-        with self._lock:
-            if blas is not None and self._depth == 0:
-                self._saved = blas[0]()
-                blas[1](1)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        blas = _numpy_blas()
-        with self._lock:
-            self._depth -= 1
-            if blas is not None and self._depth == 0:
-                blas[1](self._saved)
-
-
-_ONE_NUMPY_THREAD = _OneNumpyThread()
-
-
 def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     """beta_n and the k smallest eigenvalues for each config, in order.
 
@@ -238,11 +186,12 @@ def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     sweep over one mesh family) starts its eigensolve from that point's
     eigenvectors.  A point that raises one of `failures` gets the exception
     in place of its result, and the point after it starts cold; any other
-    exception propagates.  numpy's BLAS runs on one thread meanwhile, so
-    the results do not depend on its thread count.
+    exception propagates.  numpy's and scipy's BLAS run on one thread
+    meanwhile, except scipy's inside the dense route's `eigh`, which keeps
+    the caller's count (`spectral._ONE_BLAS_THREAD`).
     """
     out, previous, start = [], None, None
-    with _ONE_NUMPY_THREAD:
+    with _ONE_BLAS_THREAD:
         for config in configs:
             if previous is None or not _same_family(previous, config):
                 start = None

@@ -53,9 +53,13 @@ class GraphBoundaryPatch:
             raise ValueError("nodes must be strictly increasing")
         if not (math.isclose(nodes[0], a, abs_tol=1e-14) and math.isclose(nodes[-1], b, abs_tol=1e-14)):
             raise ValueError("nodes must span the patch interval")
-        xs = np.linspace(a, b, 257)
-        if (np.asarray(self.phi(xs)) < self.eta0 - 1e-12).any():
-            raise ValueError("phi drops below its stated lower bound eta0")
+        _check_lower_bound(self, self.phi(np.linspace(a, b, 257)))
+
+
+def _check_lower_bound(patch: GraphBoundaryPatch, values) -> None:
+    """Raise ValueError where sampled phi values break phi >= eta0."""
+    if (np.asarray(values) < patch.eta0 - 1e-12).any():
+        raise ValueError("phi drops below its stated lower bound eta0")
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,9 @@ def estimate_eps(patch: GraphBoundaryPatch, grid_density: int = 512) -> Lipschit
     About grid_density x1 samples are spread over the subintervals in
     proportion to their lengths (slopes are one-sided at the interpolation
     nodes), so the sup over x1 is a lower bound that converges as
-    grid_density grows; sample_count is the number of x1 samples.
+    grid_density grows; sample_count is the number of x1 samples.  Every
+    node and sample is checked against phi >= eta0, as the patch's own
+    samples are (ValueError).
     """
     if grid_density < 100:
         raise ValueError("grid density must be at least 100 x1 samples")
@@ -92,6 +98,7 @@ def estimate_eps(patch: GraphBoundaryPatch, grid_density: int = 512) -> Lipschit
     values = np.asarray(patch.phi(nodes), dtype=float)
     if (values <= 0).any():
         raise NotADiffeomorphism("interpolant is not positive on the patch")
+    _check_lower_bound(patch, values)
     slopes = np.diff(values) / np.diff(nodes)
     a, b = patch.interval
     xs, ivl = [], []
@@ -103,6 +110,7 @@ def estimate_eps(patch: GraphBoundaryPatch, grid_density: int = 512) -> Lipschit
     x = np.concatenate(xs)
     i = np.concatenate(ivl)
     p = np.asarray(patch.phi(x), dtype=float)
+    _check_lower_bound(patch, p)
     phi_h = values[i] + slopes[i] * (x - nodes[i])
     r = phi_h / p
     if (r <= 0).any():

@@ -34,13 +34,25 @@ diagonal pivots, which doubles as the positive-definiteness check.
 
 Along a sweep of nearby systems the ARPACK route can start from the
 eigenvectors of the previous system.
+
+``_ONE_BLAS_THREAD`` holds the OpenBLAS pools that numpy and scipy bundle
+to one thread each (`infsup.compute_betas` holds it for a whole call).
+Only the dense route's ``eigh`` releases scipy's pool to the caller's
+count: it is the one call here whose bits depend on that count, and the
+one that gains from a second thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.csgraph import connected_components
@@ -63,9 +75,10 @@ _LANCZOS_TOL = 1e-12  # ARPACK convergence tolerance
 _LANCZOS_RESTARTS = 20000  # ARPACK restart cap
 _RESIDUAL_TOL = 1e-10  # largest accepted eigen-residual (the residual contract)
 # Cost rule below the dense cap, fitted on 2-core timings of SV P4-P3dc,
-# Q_n-Q_kdc and polygon-fan systems.  The fit predates the one-thread hold
-# on numpy's BLAS in infsup.compute_betas: its timings ran numpy on 2
-# threads, which slowed the dense route's products on Q_n-Q_kdc.  The dense
+# Q_n-Q_kdc and polygon-fan systems, and not refitted since.  The fit
+# predates both one-thread holds (_ONE_BLAS_THREAD): its timings ran numpy's
+# and scipy's BLAS on 2 threads, which slowed the dense route's products on
+# Q_n-Q_kdc and at times stalled ARPACK's eigenvector extraction.  The dense
 # route costs n_p solves with Ahat (n_s on a small skeleton, see
 # dense_schur) plus an n_p^3 eigh; ARPACK costs the augmented-Lagrangian
 # factor plus about two solves per Lanczos vector when it converges well.
@@ -102,6 +115,107 @@ class SolverOptions:
 
     dense_cap: int = 4000
     seed: int = 0
+
+
+def _bundled_openblas(module, suffix: str):
+    """The (get, set) thread-count functions of the OpenBLAS that `module`'s
+    wheel bundles in `<module>.libs`, or None where it uses another BLAS."""
+    libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+            get = getattr(dll, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(dll, f"scipy_openblas_set_num_threads{suffix}")
+        except (AttributeError, OSError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@functools.cache
+def _numpy_blas():
+    """numpy's pool: the ILP64 OpenBLAS in `numpy.libs`, or None."""
+    return _bundled_openblas(np, "64_")
+
+
+@functools.cache
+def _scipy_blas():
+    """scipy's pool (SuperLU, ARPACK, eigh): the LP64 OpenBLAS in `scipy.libs`, or None."""
+    return _bundled_openblas(scipy, "")
+
+
+def _caller_count(blas):
+    """(set, current thread count) of a pool's (get, set), or None without it."""
+    return None if blas is None else (blas[1], blas[0]())
+
+
+def _set_threads(saved, count=None):
+    """Set a pool saved by `_caller_count` to `count` threads, or back to
+    the saved count; no-op without the pool."""
+    if saved is not None:
+        saved[0](saved[1] if count is None else count)
+
+
+class _OneBlasThread:
+    """Context that holds numpy's and scipy's OpenBLAS to one thread each;
+    a pool that is not found (MKL, Accelerate) is skipped.
+
+    numpy and scipy each load their own OpenBLAS, and the spinning workers
+    of one pool starve the other when a solve moves between numpy products
+    (assembly, dense_schur) and scipy calls (SuperLU, ARPACK, eigh): on 2
+    cores a Fig. 5 p-sweep took twice as long with both pools at 2
+    threads, and ARPACK's second thread mostly spins.  Overlapping entries
+    from several threads share one hold: the first saves the caller's
+    counts and the last restores them.
+
+    `release()` gives scipy's pool back the caller's count for an `eigh`.
+    Releases keep their own depth under the same lock, so scipy's pool runs
+    on one thread exactly while a hold is active and no release is; outside
+    a hold a release changes nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0  # holds in flight
+        self._released = 0  # releases in flight
+        self._numpy = self._scipy = None  # (set, caller's count) per held pool
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._numpy = _caller_count(_numpy_blas())
+                self._scipy = _caller_count(_scipy_blas())
+                _set_threads(self._numpy, 1)
+                if self._released == 0:
+                    _set_threads(self._scipy, 1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                _set_threads(self._numpy)
+                if self._released == 0:
+                    _set_threads(self._scipy)
+
+    @contextlib.contextmanager
+    def release(self):
+        with self._lock:
+            if self._depth and self._released == 0:
+                _set_threads(self._scipy)
+            self._released += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._released -= 1
+                if self._depth and self._released == 0:
+                    _set_threads(self._scipy, 1)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 class SymFactorization:
@@ -315,7 +429,8 @@ def _dense_eig_path(op, Mp, k, deflate, options):
     w = _householder_to_e1(deflate)
     S_red = _reflect_matrix(dense_schur(op, cap=options.dense_cap), w)
     M_red = _reflect_matrix(Mp.toarray(), w)
-    _, y = eigh(S_red, M_red, subset_by_index=(0, k - 1))
+    with _ONE_BLAS_THREAD.release():
+        _, y = eigh(S_red, M_red, subset_by_index=(0, k - 1))
     return _expand_deflated(y, w)
 
 

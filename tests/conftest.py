@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eig, null_space
 
-from lbblab import infsup, spectral
+from lbblab import spectral
 from lbblab.cli import sv_mesh
 from lbblab.fem import (
     BoundaryCondition,
@@ -23,13 +23,14 @@ from lbblab.geometry import (
 
 
 @pytest.fixture(scope="session", autouse=True)
-def numpy_blas_threads_unchanged():
-    """Fail the session if it leaves numpy's OpenBLAS thread count changed."""
-    blas = infsup._numpy_blas()
-    before = blas[0]() if blas else None
+def blas_threads_unchanged():
+    """Fail the session if it leaves numpy's or scipy's OpenBLAS thread
+    count changed."""
+    pools = {"numpy": spectral._numpy_blas(), "scipy": spectral._scipy_blas()}
+    before = {name: blas[0]() if blas else None for name, blas in pools.items()}
     yield
-    after = blas[0]() if blas else None
-    assert after == before, f"numpy's OpenBLAS threads went from {before} to {after}"
+    after = {name: blas[0]() if blas else None for name, blas in pools.items()}
+    assert after == before, f"OpenBLAS threads went from {before} to {after}"
 
 
 def brute_force_sigmas(system, deflate=True):

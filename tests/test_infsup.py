@@ -573,7 +573,7 @@ def test_chain_with_every_element_moved_matches_fresh_points():
 # ----------------------------------------------------------------------
 
 needs_numpy_blas = pytest.mark.skipif(
-    infsup._numpy_blas() is None, reason="numpy without its bundled OpenBLAS"
+    spectral._numpy_blas() is None, reason="numpy without its bundled OpenBLAS"
 )
 
 
@@ -581,7 +581,7 @@ needs_numpy_blas = pytest.mark.skipif(
 def numpy_threads():
     """numpy's (get, set) thread-count functions, with the pool at 2 threads
     for the test and the caller's count restored after it."""
-    get, set_ = infsup._numpy_blas()
+    get, set_ = spectral._numpy_blas()
     before = get()
     set_(2)
     yield get, set_
@@ -669,7 +669,7 @@ def test_hold_under_thread_stress(numpy_threads):
     def worker():
         start.wait()
         for _ in range(10000):
-            with infsup._ONE_NUMPY_THREAD:
+            with spectral._ONE_BLAS_THREAD:
                 seen.append(get())
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
@@ -692,7 +692,7 @@ def test_without_numpy_openblas_the_hold_does_nothing(numpy_threads, monkeypatch
     get, _ = numpy_threads
     config = _quad_pair(3, 1, rect_grid(1, 1, 1, 1))
     held = compute_beta(config, k=2)
-    monkeypatch.setattr(infsup, "_numpy_blas", lambda: None)
+    monkeypatch.setattr(spectral, "_numpy_blas", lambda: None)
     seen = _threads_at_assembly(monkeypatch, get)
     free = compute_beta(config, k=2)
     assert seen == [2]
@@ -712,4 +712,222 @@ def test_sigmas_do_not_depend_on_the_callers_numpy_threads(numpy_threads):
     one = compute_beta(config, k=3)
     set_(2)
     assert two.method == one.method == "dense"
+    assert np.array_equal(two.sigmas, one.sigmas)
+
+
+# ----------------------------------------------------------------------
+# scipy's OpenBLAS on one thread too, except inside the dense route's eigh
+# ----------------------------------------------------------------------
+
+needs_both_blas = pytest.mark.skipif(
+    spectral._numpy_blas() is None or spectral._scipy_blas() is None,
+    reason="numpy or scipy without its bundled OpenBLAS",
+)
+
+
+@pytest.fixture
+def scipy_threads():
+    """scipy's (get, set) thread-count functions, with both pools at 2
+    threads for the test and the caller's counts restored after it."""
+    pools = (spectral._numpy_blas(), spectral._scipy_blas())
+    before = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(2)
+    yield pools[1]
+    for (_, set_), count in zip(pools, before):
+        set_(count)
+
+
+def _threads_at_shifted_solves(monkeypatch, get):
+    """Record scipy's thread count at every shift-invert solve."""
+    seen = []
+    real = spectral._shifted_solver
+
+    def shifted_solver(*args, **kwargs):
+        solve = real(*args, **kwargs)
+
+        def recorded(b):
+            seen.append(get())
+            return solve(b)
+
+        return recorded
+
+    monkeypatch.setattr(spectral, "_shifted_solver", shifted_solver)
+    return seen
+
+
+def _threads_at_eigh(monkeypatch, get, on_call=lambda: None):
+    """Record scipy's thread count at every dense eigh."""
+    seen = []
+    real = spectral.eigh
+
+    def eigh(*args, **kwargs):
+        on_call()
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigh", eigh)
+    return seen
+
+
+@needs_both_blas
+def test_scipy_blas_runs_one_thread_at_every_shift_invert_solve(scipy_threads, monkeypatch):
+    get, _ = scipy_threads
+    solves = _threads_at_shifted_solves(monkeypatch, get)
+    eighs = _threads_at_eigh(monkeypatch, get)
+    (result,) = compute_betas(_sv_chain(8, 2, (0.1,)), k=6)
+    assert result.method == "arpack"
+    assert len(solves) > 10 and set(solves) == {1}
+    assert eighs == []
+    assert get() == 2
+
+
+@needs_both_blas
+def test_dense_eigh_keeps_the_callers_scipy_threads(scipy_threads, monkeypatch):
+    get, _ = scipy_threads
+    eighs = _threads_at_eigh(monkeypatch, get)
+    (result,) = compute_betas(_sv_chain(4, 1, (0.1,)), k=6)
+    assert result.method == "dense"
+    assert eighs == [2]
+    assert get() == 2
+
+
+@needs_both_blas
+def test_budgeted_point_falls_back_to_eigh_on_the_callers_threads(scipy_threads, monkeypatch):
+    # a budget of one solve per Lanczos vector is spent before 8x2 converges
+    get, _ = scipy_threads
+    monkeypatch.setattr(spectral, "_SOLVES_PER_LANCZOS_VECTOR", 1)
+    solves = _threads_at_shifted_solves(monkeypatch, get)
+    eighs = _threads_at_eigh(monkeypatch, get)
+    (result,) = compute_betas(_sv_chain(8, 2, (0.1,)), k=6)
+    assert result.method == "dense"
+    assert len(solves) > 10 and set(solves) == {1}
+    assert eighs == [2]
+    assert get() == 2
+
+
+@needs_both_blas
+@pytest.mark.parametrize("grid", [(4, 1), (8, 2)], ids=["in-eigh", "in-arpack"])
+def test_scipy_blas_threads_come_back_after_a_raised_error(grid, scipy_threads, monkeypatch):
+    get, _ = scipy_threads
+    numpy_get, _ = spectral._numpy_blas()
+
+    def fail(*args, **kwargs):
+        raise EigenSolverError("injected")
+
+    monkeypatch.setattr(spectral, "eigh", fail)
+    monkeypatch.setattr(spectral, "eigsh", fail)
+    with pytest.raises(EigenSolverError, match="injected"):
+        compute_betas(_sv_chain(*grid, (0.1,)), k=6)
+    assert (get(), numpy_get()) == (2, 2)
+    # and the next solve is held again
+    monkeypatch.undo()
+    solves = _threads_at_shifted_solves(monkeypatch, get)
+    assert compute_beta(_sv_chain(8, 2, (0.1,))[0], k=6).method == "arpack"
+    assert set(solves) == {1}
+
+
+@needs_both_blas
+def test_overlapping_eighs_keep_the_callers_threads_until_the_last_leaves(
+    scipy_threads, monkeypatch
+):
+    # A and B enter eigh together; A leaves it while B is still inside and
+    # must leave scipy's pool at the caller's 2, and only B's leaving puts
+    # the pool back on one thread, for the rest of B's hold
+    get, _ = scipy_threads
+    both_inside = threading.Barrier(2, timeout=60)
+    a_left = threading.Event()
+    left = {}
+
+    def on_call():
+        both_inside.wait()
+        if threading.current_thread().name == "B":
+            assert a_left.wait(timeout=60)
+
+    eighs = _threads_at_eigh(monkeypatch, get, on_call)
+    real_expand = spectral._expand_deflated
+
+    def expand(y, w):  # the first call after the eigh's release
+        name = threading.current_thread().name
+        left[name] = get()
+        if name == "A":
+            a_left.set()
+        return real_expand(y, w)
+
+    monkeypatch.setattr(spectral, "_expand_deflated", expand)
+    config = _quad_pair(3, 1, rect_grid(1, 1, 1, 1))
+    results = {}
+
+    def solve():
+        results[threading.current_thread().name] = compute_beta(config, k=2)
+
+    threads = [threading.Thread(target=solve, name=name) for name in "AB"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert {r.method for r in results.values()} == {"dense"}
+    assert eighs == [2, 2]
+    assert left == {"A": 2, "B": 1}
+    assert get() == 2
+
+
+@needs_both_blas
+def test_hold_and_release_under_thread_stress(scipy_threads):
+    # eight threads alternate a plain hold with a hold around a release:
+    # inside its own release a thread must see scipy at the caller's 2,
+    # inside a plain hold numpy at 1, and both pools end at 2
+    get, _ = scipy_threads
+    numpy_get, _ = spectral._numpy_blas()
+    hold = spectral._ONE_BLAS_THREAD
+    held, released = [], []
+    start = threading.Barrier(8, timeout=60)
+
+    def worker():
+        start.wait()
+        for i in range(5000):
+            with hold:
+                if i % 2:
+                    with hold.release():
+                        released.append((numpy_get(), get()))
+                else:
+                    held.append(numpy_get())
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(held) == len(released) == 8 * 2500
+    assert set(held) == {1} and set(released) == {(1, 2)}
+    assert (get(), numpy_get()) == (2, 2)
+
+
+@needs_both_blas
+@pytest.mark.parametrize("caller", [1, 2])
+def test_release_outside_a_hold_does_nothing(caller, scipy_threads):
+    get, set_ = scipy_threads
+    set_(caller)
+    with spectral._ONE_BLAS_THREAD.release():
+        assert get() == caller
+    assert get() == caller
+
+
+@needs_both_blas
+def test_arpack_sigmas_do_not_depend_on_the_callers_scipy_threads(scipy_threads):
+    _, set_ = scipy_threads
+    config = _sv_chain(8, 2, (0.1,))[0]
+    set_(2)
+    two = compute_beta(config, k=6)
+    set_(1)
+    one = compute_beta(config, k=6)
+    set_(2)
+    assert two.method == one.method == "arpack"
     assert np.array_equal(two.sigmas, one.sigmas)

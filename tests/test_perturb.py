@@ -122,6 +122,36 @@ def test_rejects_nonpositive_interpolant():
         estimate_eps(patch)
 
 
+DIP_CENTER = 153 / 512  # an x1 sample of density 512 on nodes (0, 0.5, 1)
+
+
+@pytest.mark.parametrize(
+    "nodes", [(0.0, 0.5, 1.0), (0.0, DIP_CENTER, 1.0)], ids=["x1-sample", "node"]
+)
+def test_estimate_checks_the_lower_bound_at_its_own_points(nodes):
+    # a dip to phi = 0.71 < eta0 = 1, below eta0 over about 0.0020, wider
+    # than the x1 spacing 1/512 but inside the gap between the patch's
+    # samples 76/256 and 77/256; phi stays positive, so the interpolant
+    # and the rescaling factor do
+    def dip(x):
+        return 0.5 * np.exp(-(((np.asarray(x) - DIP_CENTER) / 1.1e-3) ** 2))
+
+    patch = GraphBoundaryPatch(
+        interval=(0.0, 1.0),
+        phi=lambda x: parabola_patch().phi(x) - dip(x),
+        dphi=lambda x: parabola_patch().dphi(x)
+        + 2.0 * (np.asarray(x) - DIP_CENTER) / 1.1e-3**2 * dip(x),
+        eta0=1.0,
+        nodes=np.array(nodes),
+    )
+    low = np.linspace(0.0, 1.0, 100001)
+    low = low[patch.phi(low) < 1.0]
+    assert 1 / 512 < low[-1] - low[0] and 76 / 256 < low[0] and low[-1] < 77 / 256
+    assert patch.phi(DIP_CENTER) > 0
+    with pytest.raises(ValueError, match="phi drops below its stated lower bound eta0"):
+        estimate_eps(patch, 512)
+
+
 def test_wild_graph_reports_unbounded_neumann():
     # forward closeness exceeds 1, Neumann bound infinite
     est = estimate_eps(wild_patch(), 256)

@@ -1,21 +1,23 @@
 """Run every committed config through the CLI and keep everything it leaves.
 
-    python3 tools/run_configs.py OUTDIR
+    python3 tools/run_configs.py OUTDIR [--jobs N]
 
 Each `configs/<name>.json` runs in its own subprocess as
 
     python -m lbblab.cli <command> --config configs/<name>.json \
-        --out OUTDIR/<name> --seed 0 --jobs 2 --check
+        --out OUTDIR/<name> --seed 0 --jobs N --check
 
 from the checkout's root and on the checkout's own `src`, where <command>
 is the subcommand that `lbblab.cli._COMMAND_KINDS` maps the config's kind
-to.  Next to the CSV and SVG outputs it writes `<name>.stdout`,
-`<name>.stderr` and `<name>.exit`.  Run it on two checkouts, each into a
-fresh directory, and compare the two with `diff -r`.
+to, and N is 2 unless `--jobs` says otherwise.  Next to the CSV and SVG
+outputs it writes `<name>.stdout`, `<name>.stderr` and `<name>.exit`.
+Run it on two checkouts, or with `--jobs 1` and `--jobs 2`, each into a
+fresh directory, and compare the outputs with `diff -r`.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -34,10 +36,13 @@ def _command(kind: str) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--jobs", type=int, default=2)
+    args = parser.parse_args(argv)
+    out = args.outdir.resolve()
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for path in sorted((ROOT / "configs").glob("*.json")):
@@ -46,7 +51,7 @@ def main(argv: list[str]) -> int:
         proc = subprocess.run(
             [sys.executable, "-m", "lbblab.cli", command,
              "--config", str(path.relative_to(ROOT)), "--out", str(out / name),
-             "--seed", "0", "--jobs", "2", "--check"],
+             "--seed", "0", "--jobs", str(args.jobs), "--check"],
             cwd=ROOT, env=env, capture_output=True, text=True,
         )
         (out / f"{name}.stdout").write_text(proc.stdout)
