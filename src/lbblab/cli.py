@@ -1,8 +1,9 @@
 """Experiment runner: JSON configs in, deterministic CSV tables and SVG plots out.
 
 Subcommands `beta`, `sweep`, `spectrum`, `polygon`, `perturb` each take
---config <file> plus overriding --out and --seed.  Exit codes: 0 all good,
-1 computation error, 2 a declared check failed under --check.
+--config <file> plus overriding --out and --seed, --jobs N (worker threads
+for sweep points) and --check.  Exit codes: 0 all good, 1 config or
+computation error, 2 a declared check failed under --check.
 """
 
 from __future__ import annotations
@@ -442,6 +443,10 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     width, height = float(cfg["width"]), float(cfg["height"])
     grids = _nonempty("grids", cfg["grids"], tuple)
     b = float(cfg.get("b", 0.4))
+    # config errors, raised once; only an error that depends on a flags a row
+    for nx, ny in grids:
+        rect_grid(width, height, nx, ny)
+    SvSplitParams(b=b)
     a0 = float(cfg.get("a_start", -0.49))
     a1 = float(cfg.get("a_stop", 0.49))
     da = float(cfg.get("a_step", 0.01))

@@ -8,9 +8,7 @@ afresh.  A pairing of the same family as the previous one (the same
 spaces, options and connectivity: Fig. 3 moves the apex of one quad)
 starts its eigensolve from the previous point's eigenvectors.
 
-While `compute_betas` runs, the OpenBLAS pools that numpy and scipy bundle
-run on one thread each (`spectral._ONE_BLAS_THREAD`); only the dense
-route's `eigh` runs on the caller's scipy threads.
+`compute_betas` holds the BLAS thread rule of `spectral._OneBlasThread`.
 """
 
 from __future__ import annotations
@@ -186,9 +184,7 @@ def compute_betas(configs, k: int = 6, failures: tuple = ()) -> list:
     sweep over one mesh family) starts its eigensolve from that point's
     eigenvectors.  A point that raises one of `failures` gets the exception
     in place of its result, and the point after it starts cold; any other
-    exception propagates.  numpy's and scipy's BLAS run on one thread
-    meanwhile, except scipy's inside the dense route's `eigh`, which keeps
-    the caller's count (`spectral._ONE_BLAS_THREAD`).
+    exception propagates.  BLAS threads follow `spectral._OneBlasThread`.
     """
     out, previous, start = [], None, None
     with _ONE_BLAS_THREAD:

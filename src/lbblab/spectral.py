@@ -35,11 +35,7 @@ diagonal pivots, which doubles as the positive-definiteness check.
 Along a sweep of nearby systems the ARPACK route can start from the
 eigenvectors of the previous system.
 
-``_ONE_BLAS_THREAD`` holds the OpenBLAS pools that numpy and scipy bundle
-to one thread each (`infsup.compute_betas` holds it for a whole call).
-Only the dense route's ``eigh`` releases scipy's pool to the caller's
-count: it is the one call here whose bits depend on that count, and the
-one that gains from a second thread.
+BLAS threads follow the rule of ``_OneBlasThread`` (held by `infsup.compute_betas`).
 """
 
 from __future__ import annotations
@@ -47,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import operator
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,11 +107,19 @@ class SolverOptions:
     block sets the same fields.
 
     Problems with more than dense_cap pressure dofs take the shift-invert
-    Lanczos route with no solve budget.
+    Lanczos route with no solve budget.  Both are non-negative integers.
     """
 
     dense_cap: int = 4000
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("dense_cap", "seed"):
+            value = getattr(self, name)
+            if not hasattr(type(value), "__index__") or operator.index(value) < 0:
+                raise ValueError(f"solver option {name!r} must be a non-negative integer, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, operator.index(value))  # a numpy integer as int
 
 
 def _bundled_openblas(module, suffix: str):
@@ -146,73 +151,64 @@ def _scipy_blas():
     return _bundled_openblas(scipy, "")
 
 
-def _caller_count(blas):
-    """(set, current thread count) of a pool's (get, set), or None without it."""
-    return None if blas is None else (blas[1], blas[0]())
-
-
-def _set_threads(saved, count=None):
-    """Set a pool saved by `_caller_count` to `count` threads, or back to
-    the saved count; no-op without the pool."""
-    if saved is not None:
-        saved[0](saved[1] if count is None else count)
-
-
 class _OneBlasThread:
-    """Context that holds numpy's and scipy's OpenBLAS to one thread each;
-    a pool that is not found (MKL, Accelerate) is skipped.
+    """Context that holds numpy's and scipy's bundled OpenBLAS pools by one rule:
+
+        numpy's pool runs on one thread while a hold is active; scipy's runs
+        on one thread while a hold is active and no `release()` is.
+
+    Otherwise each pool runs at the count it had when the first of the
+    holds in flight entered.  A pool that is not found (MKL, Accelerate) is
+    skipped.  Holds and releases may overlap across threads and nest in
+    any order; outside a hold a release changes nothing.
 
     numpy and scipy each load their own OpenBLAS, and the spinning workers
     of one pool starve the other when a solve moves between numpy products
     (assembly, dense_schur) and scipy calls (SuperLU, ARPACK, eigh): on 2
     cores a Fig. 5 p-sweep took twice as long with both pools at 2
-    threads, and ARPACK's second thread mostly spins.  Overlapping entries
-    from several threads share one hold: the first saves the caller's
-    counts and the last restores them.
-
-    `release()` gives scipy's pool back the caller's count for an `eigh`.
-    Releases keep their own depth under the same lock, so scipy's pool runs
-    on one thread exactly while a hold is active and no release is; outside
-    a hold a release changes nothing.
+    threads, and ARPACK's second thread mostly spins.  The dense route's
+    `eigh` runs inside a release: it is the one scipy call here whose bits
+    depend on the thread count, and the one that gains from a second
+    thread.  The known gap: OpenBLAS threads ARPACK's vector work above
+    10000 pressure dofs, so such a point that overlaps another thread's
+    `eigh` (as under the CLI's --jobs) may round differently from a serial run.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._depth = 0  # holds in flight
-        self._released = 0  # releases in flight
-        self._numpy = self._scipy = None  # (set, caller's count) per held pool
+        self._holds = self._releases = 0  # in flight
+        self._saved = (None, None)  # (set, count at the first hold's entry) per pool
+
+    def _held(self):
+        """Whether the rule holds numpy's and scipy's pool at one thread."""
+        return self._holds > 0, self._holds > 0 and self._releases == 0
+
+    def _step(self, holds=0, releases=0):
+        """Move the counts in flight; set each pool whose place under the rule changed."""
+        with self._lock:
+            before = self._held()
+            if self._holds == 0 and holds > 0:
+                self._saved = tuple(blas and (blas[1], blas[0]())
+                                    for blas in (_numpy_blas(), _scipy_blas()))
+            self._holds += holds
+            self._releases += releases
+            for saved, was, now in zip(self._saved, before, self._held()):
+                if saved and was != now:
+                    saved[0](1 if now else saved[1])
 
     def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._numpy = _caller_count(_numpy_blas())
-                self._scipy = _caller_count(_scipy_blas())
-                _set_threads(self._numpy, 1)
-                if self._released == 0:
-                    _set_threads(self._scipy, 1)
-            self._depth += 1
+        self._step(holds=1)
 
     def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                _set_threads(self._numpy)
-                if self._released == 0:
-                    _set_threads(self._scipy)
+        self._step(holds=-1)
 
     @contextlib.contextmanager
     def release(self):
-        with self._lock:
-            if self._depth and self._released == 0:
-                _set_threads(self._scipy)
-            self._released += 1
+        self._step(releases=1)
         try:
             yield
         finally:
-            with self._lock:
-                self._released -= 1
-                if self._depth and self._released == 0:
-                    _set_threads(self._scipy, 1)
+            self._step(releases=-1)
 
 
 _ONE_BLAS_THREAD = _OneBlasThread()

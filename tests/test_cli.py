@@ -864,3 +864,53 @@ def test_sv_sweep_bad_a_range_is_rejected(a_stop, a_step, message, tmp_path, cap
     assert _main_on(dict(SV_CFG, a_stop=a_stop, a_step=a_step), "sweep", tmp_path) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run.csv").exists()
+
+
+def _points_built(monkeypatch):
+    """The sv-sweep points built from here on, as (nx, ny, a)."""
+    from lbblab import cli
+
+    built, real = [], cli.sv_mesh
+
+    def mesh(width, height, nx, ny, b, a=None):
+        built.append((nx, ny, a))
+        return real(width, height, nx, ny, b, a)
+
+    monkeypatch.setattr(cli, "sv_mesh", mesh)
+    return built
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("grids", [[4, 1], [0, 1]], "nx and ny must be at least 1"),
+     ("width", -4, "width and height must be positive"),
+     ("b", 0.7, "b must lie in [0, 1/2)")],
+    ids=["empty-grid", "negative-width", "b-out-of-range"],
+)
+def test_sv_sweep_config_error_is_an_error(key, value, message, tmp_path, capsys, monkeypatch):
+    # not one flagged row per point with exit 0: no point is built
+    built = _points_built(monkeypatch)
+    assert _main_on(dict(SV_CFG, **{key: value}), "sweep", tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == []
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_sv_sweep_a_out_of_range_flags_its_row(tmp_path, capsys):
+    cfg = dict(SV_CFG, grids=[[4, 1]], a_start=-0.5, a_stop=-0.49, a_step=0.01, beta_ref=None)
+    assert _main_on(cfg, "sweep", tmp_path) == 0
+    rows = list(csv.DictReader(open(tmp_path / "run.csv")))
+    assert [(float(r["a"]), r["flagged"]) for r in rows] == [(-0.5, "1"), (-0.49, "0")]
+    assert ("warning: sweep point failed: MeshError: a must lie in (-1/2, 1/2)\n"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("grid", [[4, 1], [8, 2]], ids=["dense", "arpack"])
+def test_negative_seed_is_rejected_before_any_point(grid, tmp_path, capsys, monkeypatch):
+    built = _points_built(monkeypatch)
+    cfg = dict(SV_CFG, grids=[grid])
+    assert _main_on(cfg, "sweep", tmp_path, "--seed", "-1") == 1
+    assert capsys.readouterr().err == (
+        "error: solver option 'seed' must be a non-negative integer, got -1\n")
+    assert built == []
+    assert not (tmp_path / "run.csv").exists()

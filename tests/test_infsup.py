@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import sys
 import threading
@@ -918,6 +919,50 @@ def test_release_outside_a_hold_does_nothing(caller, scipy_threads):
     with spectral._ONE_BLAS_THREAD.release():
         assert get() == caller
     assert get() == caller
+
+
+def _hold_orders():
+    """Every order, on one thread, of two nested holds (H+ H+ H- H-) and one
+    release (R+ before R-), a release before the first hold included."""
+    for start, stop in itertools.combinations(range(6), 2):
+        holds = iter(["H+", "H+", "H-", "H-"])
+        yield [{start: "R+", stop: "R-"}.get(i) or next(holds) for i in range(6)]
+
+
+@needs_both_blas
+@pytest.mark.parametrize("caller", [1, 2])
+@pytest.mark.parametrize("order", list(_hold_orders()), ids=" ".join)
+def test_the_hold_follows_its_rule_after_every_step(order, caller, scipy_threads, monkeypatch):
+    # numpy's pool is at one thread exactly while a hold is active, scipy's
+    # while a hold is active and no release is, each else at the caller's
+    # count; a pool is set only when the rule's verdict on it changes
+    pools = {"numpy": spectral._numpy_blas(), "scipy": spectral._scipy_blas()}
+    sets = []
+    for name, (get, set_) in pools.items():
+        set_(caller)
+
+        def recorded(n, name=name, set_=set_):
+            sets.append((name, n))
+            set_(n)
+
+        monkeypatch.setattr(spectral, f"_{name}_blas", lambda get=get, s=recorded: (get, s))
+    hold = spectral._ONE_BLAS_THREAD
+    release = hold.release()
+    run = {"H+": hold.__enter__, "H-": lambda: hold.__exit__(None, None, None),
+           "R+": release.__enter__, "R-": lambda: release.__exit__(None, None, None)}
+    holds = releases = 0
+    before = (False, False)
+    for step in order:
+        sets.clear()
+        run[step]()
+        holds += {"H+": 1, "H-": -1}.get(step, 0)
+        releases += {"R+": 1, "R-": -1}.get(step, 0)
+        held = (holds > 0, holds > 0 and releases == 0)
+        threads = [1 if h else caller for h in held]
+        assert [get() for get, _ in pools.values()] == threads, step
+        assert sets == [(name, n) for name, n, h, was in zip(pools, threads, held, before)
+                        if h != was], step
+        before = held
 
 
 @needs_both_blas

@@ -463,6 +463,19 @@ def test_dense_cap_default():
     assert SolverOptions(dense_cap=7).dense_cap == 7
 
 
+@pytest.mark.parametrize("field", ["dense_cap", "seed"])
+@pytest.mark.parametrize("value", [-1, 2.0, "3", None], ids=["negative", "float", "str", "none"])
+def test_solver_options_reject_a_non_integer_or_negative_value(field, value):
+    with pytest.raises(ValueError, match=f"solver option '{field}' must be a non-negative integer"):
+        SolverOptions(**{field: value})
+
+
+def test_solver_options_take_integer_likes_as_ints():
+    options = SolverOptions(dense_cap=np.int64(0), seed=np.uint8(5))
+    assert options == SolverOptions(dense_cap=0, seed=5)
+    assert type(options.dense_cap) is type(options.seed) is int
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_qn_qn_minus_one_mixed_route(n):
     sys_ = quad_pair_system(n, n - 1)

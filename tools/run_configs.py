@@ -12,7 +12,10 @@ is the subcommand that `lbblab.cli._COMMAND_KINDS` maps the config's kind
 to, and N is 2 unless `--jobs` says otherwise.  Next to the CSV and SVG
 outputs it writes `<name>.stdout`, `<name>.stderr` and `<name>.exit`.
 Run it on two checkouts, or with `--jobs 1` and `--jobs 2`, each into a
-fresh directory, and compare the outputs with `diff -r`.
+fresh directory, and compare the outputs with `diff -r`.  An OUTDIR that
+already holds files is refused (exit 2, nothing run): an output that a
+change stops writing would otherwise survive there from an earlier run
+and hide from `diff -r`.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
     out = args.outdir.resolve()
+    if out.is_dir() and any(out.iterdir()):
+        print(f"error: {out} already holds files; give a fresh OUTDIR", file=sys.stderr)
+        return 2
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for path in sorted((ROOT / "configs").glob("*.json")):
