@@ -17,13 +17,15 @@ before the scatter.  Equal inputs give bitwise-equal element matrices, so
 the result is the one of a kernel call per element, bit for bit; assembly
 runs in fixed element order, so reruns agree bitwise too.
 `assemble_system` condenses the velocity dofs inside one pressure element
-out of the same class matrices and builds the uncondensed A and B only when
-they are read (`AssembledSystem`).  One routine, `_condense`, runs twice:
-the element pass eliminates every element's interior Lagrange nodes, and on
-nested pairs the nested pass every remaining dof whose fine elements all
-lie in one pressure element.  Both levels eliminate once per class of
-congruent patch groups (see `_condense` for the canonical numbering and the
-empty-slot rule that make them congruent).
+level by level (`_Patches`).  Level 0 is the element class matrices, and
+one routine, `_condense`, takes a level to the next: the element pass
+eliminates every element's interior Lagrange nodes, and on nested pairs the
+nested pass every remaining dof whose fine elements all lie in one pressure
+element.  Both eliminate once per class of congruent patch groups (see
+`_condense` for the canonical numbering and the empty-slot rule that make
+them congruent).  One scatter pair, `_stiffness` and `_coupling`, gives
+Ahat and C from the last level, and the uncondensed A and B from level 0
+when they are read (`AssembledSystem`).
 """
 
 from __future__ import annotations
@@ -127,12 +129,6 @@ def _stiffness_blocks(dof_v: DofMap, rep) -> np.ndarray:
     return _symmetrize(np.matmul(Gw.transpose(0, 2, 1), G.reshape(nc, 2 * nq, nb)))
 
 
-def _vector_stiffness(element_dofs, K: np.ndarray, n: int) -> sparse.csr_matrix:
-    """diag(K, K) from the scalar element matrices K over n scalar dofs."""
-    scalar = _scatter(element_dofs, element_dofs, K, (n, n))
-    return sparse.block_diag([scalar, scalar], format="csr")
-
-
 def _pressure_maps(dof_p: DofMap, v_mesh: Mesh, parent_map: ParentMap | None):
     """How each velocity element sees the pressure basis.
 
@@ -184,14 +180,6 @@ def _divergence_blocks(dof_v: DofMap, dof_p: DofMap, rep, maps, map_class: np.nd
     return Bxy[:, :, :nb], Bxy[:, :, nb:]
 
 
-def _coupling(row_dofs, col_dofs, Bx, By, shape) -> sparse.csr_matrix:
-    """[Bx By] scattered: x-component columns first, then y."""
-    return sparse.hstack(
-        [_scatter(row_dofs, col_dofs, Bx, shape), _scatter(row_dofs, col_dofs, By, shape)],
-        format="csr",
-    )
-
-
 def assemble_pressure_mass(dof_p: DofMap) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Pressure mass matrix and the mean vector m with m_i = integral of psi_i."""
     sp_ = dof_p.space
@@ -213,29 +201,42 @@ def assemble_pressure_mass(dof_p: DofMap) -> tuple[sparse.csr_matrix, np.ndarray
 
 
 @dataclass(frozen=True)
-class _ClassBlocks:
-    """Velocity element matrices per element class, and what scatters them:
-    `inverse` gives every element's class, `ed` and `edp` its velocity and
-    pressure dofs."""
+class _Patches:
+    """One level of the static condensation, as groups of patches.
 
-    K: np.ndarray
-    Bx: np.ndarray
-    By: np.ndarray
-    inverse: np.ndarray
-    ed: np.ndarray
+    Group g has the matrices of its class index[g], zero-padded to the
+    largest class: Khat the scalar stiffness on its kept dofs eds[g] (-1: no
+    dof) of n_s, Cx and Cy the component blocks of the coupling on its
+    pressures edp[g].  Level 0 is the element class matrices (Khat = K,
+    Cx = Bx, Cy = By, index the element classes, eds the velocity dofs of
+    every element, n_s of them), and it has no D or E.  `_condense` takes a
+    level to the next and gives that one the D and E of its elimination.
+    """
+
+    eds: np.ndarray
+    Khat: np.ndarray
+    Cx: np.ndarray
+    Cy: np.ndarray
     edp: np.ndarray
-    n_v: int
-    n_p: int
+    index: np.ndarray
+    n_s: int
+    D: sparse.csr_matrix | None = None
+    E: sparse.csr_matrix | None = None
 
 
-def _uncondensed_stiffness(blocks: _ClassBlocks) -> sparse.csr_matrix:
-    return _vector_stiffness(blocks.ed, blocks.K[blocks.inverse], blocks.n_v)
+def _stiffness(level: _Patches) -> sparse.csr_matrix:
+    """diag(Khat, Khat) of a level scattered: A at level 0, Ahat at the last."""
+    n, eds = level.n_s, level.eds
+    scalar = _scatter(eds, eds, level.Khat[level.index], (n, n))
+    return sparse.block_diag([scalar, scalar], format="csr")
 
 
-def _uncondensed_coupling(blocks: _ClassBlocks) -> sparse.csr_matrix:
-    inv = blocks.inverse
-    shape = (blocks.n_p, blocks.n_v)
-    return _coupling(blocks.edp, blocks.ed, blocks.Bx[inv], blocks.By[inv], shape)
+def _coupling(level: _Patches, n_p: int) -> sparse.csr_matrix:
+    """[Cx Cy] of a level scattered, x-component columns first, over n_p
+    pressures: B at level 0, C at the last."""
+    shape, i = (n_p, level.n_s), level.index
+    blocks = [_scatter(level.edp, level.eds, Cc[i], shape) for Cc in (level.Cx, level.Cy)]
+    return sparse.hstack(blocks, format="csr")
 
 
 @dataclass(frozen=True)
@@ -253,18 +254,20 @@ class AssembledSystem:
 
     Ahat = diag(Khat, Khat) is SPD and couples the skeleton dofs of each
     pressure element, and D has Mp's sparsity pattern.  D = E^T E with
-    E = L^{-1} B_I^T for the Cholesky factors A_II = L L^T of both passes
+    E = L^{-1} B_I^T for the Cholesky factors A_II = L L^T of every level
     of the one elimination routine, `_condense`: the element interiors,
     then on nested pairs the rest of each pressure element's interior, each
-    factored once per class of congruent groups.  The dense and Woodbury
-    routes take D assembled, while D q = E^T (E q) keeps q.Dq at the
-    roundoff floor squared on near-null pressure modes.  Without interior
-    dofs Ahat = A, C = B, D = 0 and E has no rows.
+    factored once per class of congruent groups.  Ahat and C are the last
+    level's scattered forms, D sums and E stacks those of the levels.  The
+    dense and Woodbury routes take D assembled, while D q = E^T (E q) keeps
+    q.Dq at the roundoff floor squared on near-null pressure modes.
+    Without interior dofs Ahat = A, C = B, D = 0 and E has no rows.
 
     The solve path reads only the condensed forms.  The uncondensed A and B
-    are read by the test oracles (``tests/conftest.py``) and the benchmark
-    tracer: each is scattered from the retained class matrices on first
-    access.  n_velocity, the size of A, is known without building it.
+    are level 0's forms, read by the test oracles (``tests/conftest.py``)
+    and the benchmark tracer: the same scatter pair builds each from
+    `elements`, the element class matrices, on first access.  n_velocity,
+    the size of A, is known without building it.
     """
 
     Mp: sparse.csr_matrix
@@ -273,44 +276,29 @@ class AssembledSystem:
     C: sparse.csr_matrix
     D: sparse.csr_matrix
     E: sparse.csr_matrix
-    n_velocity: int
-    blocks: _ClassBlocks = field(repr=False)
+    elements: _Patches = field(repr=False)
 
     @cached_property
     def A(self) -> sparse.csr_matrix:
-        return _uncondensed_stiffness(self.blocks)
+        return _stiffness(self.elements)
 
     @cached_property
     def B(self) -> sparse.csr_matrix:
-        return _uncondensed_coupling(self.blocks)
+        return _coupling(self.elements, self.n_pressure)
+
+    @property
+    def n_velocity(self) -> int:
+        return 2 * self.elements.n_s
 
     @property
     def n_pressure(self) -> int:
         return self.Mp.shape[0]
 
 
-@dataclass(frozen=True)
-class _Patches:
-    """One pass of `_condense`: its D and E, and per group what scatters
-    Ahat and C (`assemble_system`, from the last pass).  Group g has the
-    matrices of its class index[g], zero-padded to the largest class: Khat
-    to the scalar stiffness on its kept dofs eds[g] (-1: no dof), Cx and Cy
-    to the component blocks of C on its pressures edp[g]."""
-
-    eds: np.ndarray
-    Khat: np.ndarray
-    Cx: np.ndarray
-    Cy: np.ndarray
-    edp: np.ndarray
-    index: np.ndarray
-    n_s: int
-    D: sparse.csr_matrix
-    E: sparse.csr_matrix
-
-
-def _eliminate(K, Bx, By, I: np.ndarray, S: np.ndarray):
-    """(Khat, Cx, Cy, Dloc, Yx, Yy): the local dofs I eliminated from the
-    batched patch matrices K (np, n, n) and Bx, By (np, nbP, n), leaving S.
+def _eliminate(K, Bx, By, ni: int):
+    """(Khat, Cx, Cy, Dloc, Yx, Yy): the first ni local dofs I eliminated
+    from the batched patch matrices K (np, n, n) and Bx, By (np, nbP, n),
+    leaving the rest S.
 
     With K_II = L L^T (one batched Cholesky) and Y = L^{-1} [K_IS, Bx_I^T,
     By_I^T], a patch adds K_SS - Y_S^T Y_S to Khat, Bx_S - Y_x^T Y_S and
@@ -319,17 +307,17 @@ def _eliminate(K, Bx, By, I: np.ndarray, S: np.ndarray):
     NotPositiveDefinite.
     """
     try:
-        L = np.linalg.cholesky(K[:, I[:, None], I])
+        L = np.linalg.cholesky(K[:, :ni, :ni])
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"interior stiffness block: {exc}") from exc
-    rhs = [K[:, I[:, None], S], Bx[:, :, I].transpose(0, 2, 1), By[:, :, I].transpose(0, 2, 1)]
+    rhs = [K[:, :ni, ni:], Bx[:, :, :ni].transpose(0, 2, 1), By[:, :, :ni].transpose(0, 2, 1)]
     Y = np.linalg.solve(L, np.concatenate(rhs, axis=2))
     del L, rhs
-    ns, npl = len(S), Bx.shape[1]
+    ns, npl = K.shape[1] - ni, Bx.shape[1]
     YS, Yx, Yy = Y[:, :, :ns], Y[:, :, ns : ns + npl], Y[:, :, ns + npl :]
-    Khat = _symmetrize(K[:, S[:, None], S] - YS.transpose(0, 2, 1) @ YS)
-    Cx = Bx[:, :, S] - Yx.transpose(0, 2, 1) @ YS
-    Cy = By[:, :, S] - Yy.transpose(0, 2, 1) @ YS
+    Khat = _symmetrize(K[:, ni:, ni:] - YS.transpose(0, 2, 1) @ YS)
+    Cx = Bx[:, :, ni:] - Yx.transpose(0, 2, 1) @ YS
+    Cy = By[:, :, ni:] - Yy.transpose(0, 2, 1) @ YS
     Dloc = _symmetrize(Yx.transpose(0, 2, 1) @ Yx + Yy.transpose(0, 2, 1) @ Yy)
     return Khat, Cx, Cy, Dloc, Yx, Yy
 
@@ -366,39 +354,41 @@ def _layout(dofs: np.ndarray, group: np.ndarray, inside: np.ndarray):
     return order, rank[first].reshape(dofs.shape), (pg, rank[new], pd, is_in)
 
 
-def _condense(dofs, cls, K, Bx, By, group, edp, n_p: int, inside) -> _Patches:
-    """The dofs marked `inside` eliminated, group by group.
+def _condense(level: _Patches, group, edp, n_p: int, inside) -> _Patches:
+    """The next level: the dofs of `level` marked `inside` eliminated, group
+    by group.
 
-    Patch q has the dofs dofs[q] (-1: an empty slot) and the matrices K, Bx,
-    By of its class cls[q], and lies in group group[q] with the pressures
-    edp[group[q]] of n_p.  All patches of an inside dof lie in one group, so
-    the elimination is group-local, on dense group matrices summed from the
-    member patches in patch order.  Each group numbers its dofs (`_layout`)
-    not by global dof number but by first appearance over (member patch,
-    slot), its inside dofs first, then the rest.  An empty slot counts as a
-    kept dof of its own, which the scatter drops, so a boundary element
-    keeps its class's layout: otherwise every boundary pattern would be a
-    class of its own (216 instead of 178 on SV 24x6), and the reordered
-    elimination moved the last bits of 1446 of Ahat's 111250 entries there.
-    Groups with equal member classes and equal layout have equal dense
-    matrices, so `_eliminate` runs once per class of groups, batched by
-    size: once per element class in the element pass, 9 times for the 32
-    pressure elements of 8x4 Q1dc pressures in the nested pass (interior, 4
-    sides, 4 corners).  By Sylvester's law A is SPD iff every eliminated
-    block and Ahat are: a failed Cholesky raises NotPositiveDefinite, and
-    factorizing Ahat checks the rest.
+    Each group of `level` is a patch here: patch q has the kept dofs
+    level.eds[q] (-1: an empty slot) and the matrices of its class
+    level.index[q], and lies in group group[q] of the next level with the
+    pressures edp[group[q]] of n_p.  All patches of an inside dof lie in one
+    group, so the elimination is group-local, on dense group matrices summed
+    from the member patches in patch order (`_dense_blocks`).  Each group
+    numbers its dofs (`_layout`) not by global dof number but by first
+    appearance over (member patch, slot), its inside dofs first, then the
+    rest.  An empty slot counts as a kept dof of its own, which the scatter
+    drops, so a boundary element keeps its class's layout: otherwise every
+    boundary pattern would be a class of its own (216 instead of 178 on SV
+    24x6), and the reordered elimination moved the last bits of 1446 of
+    Ahat's 111250 entries there.  Groups with equal member classes and equal
+    layout have equal dense matrices, so `_eliminate` runs once per class of
+    groups, batched by size: once per element class in the element pass, 9
+    times for the 32 pressure elements of 8x4 Q1dc pressures in the nested
+    pass (interior, 4 sides, 4 corners).  By Sylvester's law A is SPD iff
+    every eliminated block and Ahat are: a failed Cholesky raises
+    NotPositiveDefinite, and factorizing Ahat checks the rest.
     """
     ng, npl = edp.shape
-    order, local, (pg, pl, pd, is_in) = _layout(dofs, group, inside)
+    order, local, (pg, pl, pd, is_in) = _layout(level.eds, group, inside)
     n_in = np.bincount(pg[is_in], minlength=ng)
     n_out = np.bincount(pg, minlength=ng) - n_in
-    g, c_of = group[order], cls[order]
+    g, c_of = group[order], level.index[order]
     size = np.bincount(g, minlength=ng)
     j = np.arange(len(g)) - np.repeat(np.cumsum(size) - size, size)
     # member j of group g is the patch order[members[g, j]]
     members = np.full((ng, size.max()), -1)
     members[g, j] = np.arange(len(g))
-    layout = np.full((ng, size.max(), dofs.shape[1]), -1)
+    layout = np.full((ng, size.max(), level.eds.shape[1]), -1)
     layout[g, j] = local
     # the sizes lead the key, so the classes of one size are numbered consecutively
     key = np.column_stack(
@@ -415,8 +405,8 @@ def _condense(dofs, cls, K, Bx, By, group, edp, n_p: int, inside) -> _Patches:
         step = max(1, _MACRO_BATCH // (n * n))
         for a in range(lo, hi, step):
             b = slice(a, min(a + step, hi))
-            dense = _dense_blocks(members[rep[b]], local, c_of, K, Bx, By, n, ni_c[lo])
-            for o, r in zip(out, _eliminate(*dense)):
+            dense = _dense_blocks(members[rep[b]], local, c_of, level, n)
+            for o, r in zip(out, _eliminate(*dense, ni_c[lo])):
                 o[b, : r.shape[1], : r.shape[2]] = r
     # Ahat's numbering of the kept dofs, E's of the inside ones
     number, row = np.cumsum(~inside) - 1, np.cumsum(inside) - 1
@@ -430,28 +420,22 @@ def _condense(dofs, cls, K, Bx, By, group, edp, n_p: int, inside) -> _Patches:
     return _Patches(eds, Khat, Cx, Cy, edp, index, int((~inside).sum()), D, E)
 
 
-def _dense_blocks(members, local, c_of, K, Bx, By, n: int, ni: int):
-    """(K, Bx, By, I, S): the dense matrices of the groups whose member
-    patches are the rows of members (-1: none), summed in member order over
-    the n local dofs, and the positions of the ni inside and of the other
-    local dofs.  Groups of one patch and one layout, as in the element pass,
-    keep their class matrices, signed zeros included (a sum starts from
-    +0.0): I and S then index them in slot order."""
-    loc = local[members[:, 0]]
-    if members.shape[1] == 1 and (loc == loc[0]).all():
-        c, at = c_of[members[:, 0]], np.argsort(loc[0])
-        return K[c], Bx[c], By[c], at[:ni], at[ni:]
-    b, npl = len(members), Bx.shape[1]
+def _dense_blocks(members, local, c_of, level: _Patches, n: int):
+    """(K, Bx, By): the dense matrices of the groups whose member patches
+    are the rows of members (-1: none), summed in member order over the n
+    local dofs from the patch class matrices of `level`, inside dofs
+    first."""
+    b, npl = len(members), level.Cx.shape[1]
     at, m = np.nonzero(members >= 0)
     loc, c = local[members[at, m]], c_of[members[at, m]]
     kk = (at[:, None, None] * n + loc[:, :, None]) * n + loc[:, None, :]
     bb = (at[:, None, None] * npl + np.arange(npl)[:, None]) * n + loc[:, None, :]
-    Kd = np.bincount(kk.ravel(), K[c].ravel(), minlength=b * n * n).reshape(b, n, n)
+    Kd = np.bincount(kk.ravel(), level.Khat[c].ravel(), minlength=b * n * n).reshape(b, n, n)
     Bxd, Byd = (
         np.bincount(bb.ravel(), B[c].ravel(), minlength=b * npl * n).reshape(b, npl, n)
-        for B in (Bx, By)
+        for B in (level.Cx, level.Cy)
     )
-    return Kd, Bxd, Byd, np.arange(ni), np.arange(ni, n)
+    return Kd, Bxd, Byd
 
 
 def assemble_system(
@@ -464,30 +448,23 @@ def assemble_system(
     K = _stiffness_blocks(dof_v, rep)
     Bx, By = _divergence_blocks(dof_v, dof_p, rep, maps, map_class)
     Mp, m = assemble_pressure_mass(dof_p)
-    ed, edp = dof_v.element_dofs, dof_p.element_dofs[p_elem]
-    n_v, n_p = dof_v.n_global, dof_p.n_global
+    ed, n_v, n_p = dof_v.element_dofs, dof_v.n_global, dof_p.n_global
+    elements = _Patches(ed, K, Bx, By, dof_p.element_dofs[p_elem], inverse, n_v)
     ref = reference_element(dof_v.space.family, dof_v.space.degree)
     interior = np.zeros(n_v, dtype=bool)
     interior[ed[:, ref.kind == "i"]] = True
-    first = _condense(ed, inverse, K, Bx, By, np.arange(len(ed)), edp, n_p, interior)
-    second = None
+    levels = [elements, _condense(elements, np.arange(len(ed)), elements.edp, n_p, interior)]
     if parent_map is not None:  # the nested pass: the dofs in one pressure element
+        first = levels[1]
         valid = first.eds >= 0
         pairs = np.unique((p_elem[:, None] * first.n_s + first.eds)[valid])
         inside = np.bincount(pairs % first.n_s, minlength=first.n_s) == 1
         if inside.any():
-            second = _condense(
-                first.eds, first.index, first.Khat, first.Cx, first.Cy, p_elem,
-                dof_p.element_dofs, n_p, inside,
-            )
-    last = second or first
-    i = last.index
-    Ahat = _vector_stiffness(last.eds, last.Khat[i], last.n_s)
-    C = _coupling(last.edp, last.eds, last.Cx[i], last.Cy[i], (n_p, last.n_s))
-    D, E = first.D, first.E
-    if second is not None:
-        D, E = (D + second.D).tocsr(), sparse.vstack([E, second.E], format="csr")
-    blocks = _ClassBlocks(K, Bx, By, inverse, ed, edp, n_v, n_p)
+            levels.append(_condense(first, p_elem, dof_p.element_dofs, n_p, inside))
+    D, E = levels[1].D, levels[1].E
+    for level in levels[2:]:
+        D, E = (D + level.D).tocsr(), sparse.vstack([E, level.E], format="csr")
     return AssembledSystem(
-        Mp=Mp, m=m, Ahat=Ahat, C=C, D=D, E=E, n_velocity=2 * n_v, blocks=blocks
+        Mp=Mp, m=m, Ahat=_stiffness(levels[-1]), C=_coupling(levels[-1], n_p), D=D, E=E,
+        elements=elements,
     )

@@ -25,10 +25,6 @@ class DofMap:
     element_dofs: np.ndarray
     dof_points: np.ndarray = field(repr=False)
 
-    @property
-    def n_local(self) -> int:
-        return self.element_dofs.shape[1]
-
 
 def build_dof_map(mesh: Mesh, space: ElementSpace) -> DofMap:
     """Number the Lagrange nodes of `space` over `mesh`.

@@ -378,9 +378,6 @@ class ParentMap:
     matrix: np.ndarray = field(repr=False)
     offset: np.ndarray = field(repr=False)
 
-    def to_parent_ref(self, elem: int, ref_pts: np.ndarray) -> tuple[int, np.ndarray]:
-        return int(self.parent[elem]), ref_pts @ self.matrix[elem].T + self.offset[elem]
-
     def compose(self, finer: "ParentMap") -> "ParentMap":
         """Map from the finer map's children through self to the ancestor."""
         par = self.parent[finer.parent]

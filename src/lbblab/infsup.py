@@ -145,7 +145,9 @@ def _eigs(config: PairConfig, k: int, start=None) -> tuple[GenEigResult, int, Do
     factor = factorize_spd(system.Ahat)
     n_velocity, Mp, m = system.n_velocity, system.Mp, system.m
     op = SchurOperator(system.C, factor, system.D, system.E)
-    del system  # A and B were never built; this frees the class blocks before the eigensolve
+    # A and B were never built; this frees level 0, the element class
+    # matrices, before the eigensolve
+    del system
     result = smallest_generalized_eigs(
         op,
         Mp,

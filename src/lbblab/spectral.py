@@ -107,7 +107,8 @@ class SolverOptions:
     block sets the same fields.
 
     Problems with more than dense_cap pressure dofs take the shift-invert
-    Lanczos route with no solve budget.  Both are non-negative integers.
+    Lanczos route with no solve budget.  Both are non-negative integers;
+    a bool is not one.
     """
 
     dense_cap: int = 4000
@@ -116,7 +117,8 @@ class SolverOptions:
     def __post_init__(self):
         for name in ("dense_cap", "seed"):
             value = getattr(self, name)
-            if not hasattr(type(value), "__index__") or operator.index(value) < 0:
+            if (isinstance(value, bool) or not hasattr(type(value), "__index__")
+                    or operator.index(value) < 0):
                 raise ValueError(f"solver option {name!r} must be a non-negative integer, "
                                  f"got {value!r}")
             object.__setattr__(self, name, operator.index(value))  # a numpy integer as int

@@ -914,3 +914,14 @@ def test_negative_seed_is_rejected_before_any_point(grid, tmp_path, capsys, monk
         "error: solver option 'seed' must be a non-negative integer, got -1\n")
     assert built == []
     assert not (tmp_path / "run.csv").exists()
+
+
+def test_bool_solver_option_is_rejected_before_any_point(tmp_path, capsys, monkeypatch):
+    # JSON's false is no integer: taken as 0, it would send every point to ARPACK
+    built = _points_built(monkeypatch)
+    cfg = dict(SV_CFG, solver={"dense_cap": False})
+    assert _main_on(cfg, "sweep", tmp_path) == 1
+    assert capsys.readouterr().err == (
+        "error: solver option 'dense_cap' must be a non-negative integer, got False\n")
+    assert built == []
+    assert not (tmp_path / "run.csv").exists()

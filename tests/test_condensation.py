@@ -232,19 +232,19 @@ def test_nnz_of_A_without_building_A(build):
 
 
 def test_solve_path_builds_no_uncondensed_matrices(monkeypatch):
+    # one scatter pair gives Ahat and C from the last level and A and B from
+    # level 0, the element class matrices, which is the level without a D
     builds = []
 
-    def counted(name):
-        build = getattr(assembly, name)
-
-        def wrapper(blocks):
-            builds.append(name)
-            return build(blocks)
+    def counted(scatter):
+        def wrapper(level, *args):
+            builds.append((scatter.__name__, level.D is None))
+            return scatter(level, *args)
 
         return wrapper
 
-    for name in ("_uncondensed_stiffness", "_uncondensed_coupling"):
-        monkeypatch.setattr(assembly, name, counted(name))
+    for scatter in (assembly._stiffness, assembly._coupling):
+        monkeypatch.setattr(assembly, scatter.__name__, counted(scatter))
     cases = [
         (sv_mesh(4, 1, 8, 2, 0.4, 0.04), Family.TRIANGLE, 4, 3),
         (rect_grid(2, 1, 2, 2), Family.QUAD, 16, 15),
@@ -260,11 +260,13 @@ def test_solve_path_builds_no_uncondensed_matrices(monkeypatch):
         parent_map=pm,
     )
     compute_beta(nested, k=3)
-    assert builds == []
+    assert builds == [("_stiffness", False), ("_coupling", False)] * 3
     # the oracles' A and B are built once each, on first access
+    builds.clear()
     system = _system(rect_grid(2, 1, 2, 2), 3, 2)
     assert system.A is system.A and system.B is system.B
-    assert builds == ["_uncondensed_stiffness", "_uncondensed_coupling"]
+    assert builds == [("_stiffness", False), ("_coupling", False),
+                      ("_stiffness", True), ("_coupling", True)]
 
 
 @pytest.mark.parametrize(

@@ -90,7 +90,7 @@ def test_shared_edge_dofs_consistent():
     ref = reference_element(Family.TRIANGLE, 3)
     for e in range(mesh.n_elements):
         verts = mesh.points[mesh.elements[e]]
-        for loc in range(d.n_local):
+        for loc in range(d.element_dofs.shape[1]):
             g = d.element_dofs[e, loc]
             x, y = ref.nodes[loc]
             pos = tuple(np.round(verts[0] * (1 - x - y) + verts[1] * x + verts[2] * y, 12))

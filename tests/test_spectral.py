@@ -464,7 +464,10 @@ def test_dense_cap_default():
 
 
 @pytest.mark.parametrize("field", ["dense_cap", "seed"])
-@pytest.mark.parametrize("value", [-1, 2.0, "3", None], ids=["negative", "float", "str", "none"])
+@pytest.mark.parametrize(
+    "value", [-1, 2.0, "3", None, True, False],
+    ids=["negative", "float", "str", "none", "true", "false"],
+)
 def test_solver_options_reject_a_non_integer_or_negative_value(field, value):
     with pytest.raises(ValueError, match=f"solver option '{field}' must be a non-negative integer"):
         SolverOptions(**{field: value})
