@@ -137,8 +137,8 @@ def _pair(
     """C0 zero-trace velocities against discontinuous pressures of the mesh's
     element family."""
     family = Family.QUAD if mesh.is_quad else Family.TRIANGLE
-    vel = ElementSpace(family, int(velocity_degree), Continuity.C0, BoundaryCondition.ZERO_TRACE)
-    pre = ElementSpace(family, int(pressure_degree), Continuity.DISCONTINUOUS,
+    vel = ElementSpace(family, velocity_degree, Continuity.C0, BoundaryCondition.ZERO_TRACE)
+    pre = ElementSpace(family, pressure_degree, Continuity.DISCONTINUOUS,
                        BoundaryCondition.NONE)
     return PairConfig(velocity_space=vel, pressure_space=pre, velocity_mesh=mesh, solver=solver,
                       **kwargs)
@@ -295,9 +295,24 @@ def _nonempty(key: str, values: list, convert, name=None, repeats=False) -> list
     return points
 
 
+def _integer(key: str, value) -> int:
+    """A config's integer under `key`; a bool or a non-integer such as 2.5
+    is an error, not truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _degrees(cfg: dict, velocity=None, pressure=None) -> tuple[int, int]:
+    """A config's velocity and pressure degrees, by default `velocity` and
+    `pressure`."""
+    return (_integer("velocity_degree", cfg.get("velocity_degree", velocity)),
+            _integer("pressure_degree", cfg.get("pressure_degree", pressure)))
+
+
 def _k(cfg: dict) -> int:
     """A config's count of eigenvalues to report: key `k`, at least 1."""
-    k = int(cfg.get("k", 6))
+    k = _integer("k", cfg.get("k", 6))
     if k < 1:
         raise ValueError("config key 'k' must be at least 1")
     return k
@@ -348,14 +363,7 @@ def _doubling_ratios(name: str, rows: list[dict], column: str, window) -> CheckR
 def _config_pair(cfg: dict, seed) -> tuple[PairConfig, int]:
     """The pairing and eigenvalue count of a `domain`/`mesh`/`elements` config."""
     k = _k(cfg)
-    el = cfg["elements"]
-    pc = _pair(
-        _domain_mesh(cfg),
-        el["velocity_degree"],
-        el["pressure_degree"],
-        _solver_options(cfg, seed),
-    )
-    return pc, k
+    return _pair(_domain_mesh(cfg), *_degrees(cfg["elements"]), _solver_options(cfg, seed)), k
 
 
 def run_single_beta(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
@@ -447,6 +455,10 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     for nx, ny in grids:
         rect_grid(width, height, nx, ny)
     SvSplitParams(b=b)
+    window = cfg.get("slope_window", [0.02, 0.10])
+    if not (isinstance(window, (list, tuple)) and len(window) == 2
+            and all(type(w) in (int, float) for w in window) and window[0] <= window[1]):
+        raise ValueError(f"config key 'slope_window' must be two numbers w0 <= w1, got {window!r}")
     a0 = float(cfg.get("a_start", -0.49))
     a1 = float(cfg.get("a_stop", 0.49))
     da = float(cfg.get("a_step", 0.01))
@@ -458,7 +470,7 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         raise ValueError("config key 'a_stop' lies below 'a_start': no points")
     a_values = [round(a0 + i * da, 12) for i in range(n_steps + 1)]
     k = _k(cfg)
-    vdeg, pdeg = int(cfg.get("velocity_degree", 4)), int(cfg.get("pressure_degree", 3))
+    vdeg, pdeg = _degrees(cfg, 4, 3)
     beta_ref = cfg.get("beta_ref")
 
     def point(nx, ny, a):
@@ -484,7 +496,7 @@ def run_sv_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
         svgs["diff_ref"] = plot_sv_sweep_diff_ref(parsed)
 
     # least-squares slope of beta(a) through the origin on a small window
-    w0, w1 = cfg.get("slope_window", [0.02, 0.10])
+    w0, w1 = window
     slope_rows = []
     for label, aa, bb in _series(parsed, _MESH, "a", "beta",
                                  order=[f"{nx}x{ny}" for nx, ny in grids]):
@@ -556,11 +568,11 @@ def plot_sv_sweep_diff_ref(rows: list[dict]) -> str:
 # p-sweep degree rules: kind -> (label template over the rule's fields,
 # pressure degree at velocity degree n)
 _DEGREE_RULES = {
-    "offset": ("k=n-{d}", lambda rule, n: n - int(rule["d"])),
+    "offset": ("k=n-{d}", lambda rule, n: n - _integer("d", rule["d"])),
     "half": ("k=ceil(n/2)", lambda rule, n: (n + 1) // 2),
     "sqrt": ("k=ceil({coefficient}*sqrt(n))",
              lambda rule, n: math.ceil(float(rule["coefficient"]) * math.sqrt(n))),
-    "fixed": ("k={k}", lambda rule, n: int(rule["k"])),
+    "fixed": ("k={k}", lambda rule, n: _integer("k", rule["k"])),
 }
 
 
@@ -578,7 +590,7 @@ def run_p_sweep(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     width, height = float(cfg["width"]), float(cfg["height"])
     grids = _nonempty("grids", cfg["grids"], tuple)
-    n_values = _nonempty("n_values", cfg["n_values"], int)
+    n_values = _nonempty("n_values", cfg["n_values"], functools.partial(_integer, "n_values"))
     # two rules with one label would give one label two series
     rules = _nonempty("k_rules", cfg["k_rules"], _degree_rule, name=lambda rule: rule[0])
     k = _k(cfg)
@@ -638,7 +650,7 @@ def plot_p_sweep(rows: list[dict]) -> str:
 def run_h_refinement(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     width, height = float(cfg["width"]), float(cfg["height"])
-    vdeg, pdeg = int(cfg.get("velocity_degree", 2)), int(cfg.get("pressure_degree", 0))
+    vdeg, pdeg = _degrees(cfg, 2, 0)
     # in growing mode a grid repeated at a greater depth is a new point
     grids = _nonempty("pressure_grids", cfg["pressure_grids"], tuple, repeats=True)
     rule = cfg.get("refine_velocity", {"mode": "fixed", "r": 1})
@@ -691,7 +703,7 @@ def run_polygon_limit(cfg: dict, jobs: int = 1, seed=None) -> RunOutput:
     solver = _solver_options(cfg, seed)
     n_values = _nonempty("n_values", cfg.get("n_values", [8, 16, 32, 64]), int)
     refine = int(cfg.get("refine", 1))
-    vdeg, pdeg = int(cfg.get("velocity_degree", 4)), int(cfg.get("pressure_degree", 3))
+    vdeg, pdeg = _degrees(cfg, 4, 3)
     k = _k(cfg)
     eps_grid = int(cfg.get("eps_grid", 512))
 

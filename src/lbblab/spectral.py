@@ -23,10 +23,15 @@ Ahat acts on the skeleton velocity dofs only, and D = 0, C = B, Ahat = A
 give the uncondensed B A^{-1} B^T.
 
 Both routes solve on the zero-mean pressures {q : m.q = 0} for the mean
-vector m.  The dense route takes a basis of that subspace from a
-Householder reflector; the Lanczos route projects its start vector and
-every shift-invert solve Mp-orthogonally onto it.  Both end in
-``_finish``: Rayleigh quotients, sorting and the residual contract.
+vector m, by one deflation.  The constant pressure c = Mp^{-1} m (c = 1
+when the basis sums to one) has S c = 0, so S + (2 / m.c) m m^T moves it
+to sigma = 2, above every sigma <= 1 (|div v| <= |v|_1 on H^1_0), and
+keeps every zero-mean eigenpair.  The dense route adds that term to S.
+The Lanczos route takes its weight to infinity: under shift-invert, by
+Sherman-Morrison, the term becomes the Mp-orthogonal projector
+x - c (m.x)/(m.c), c = (S + tau Mp)^{-1} m, applied to the start vector
+and every solve.  Both end in ``_finish``: Rayleigh quotients, sorting
+and the residual contract.
 
 Every SPD matrix (Ahat, and the augmented-Lagrangian matrix) goes through one
 ``SymFactorization``: a SuperLU factor with a minimum-degree ordering and
@@ -353,38 +358,6 @@ def _symmetric_part(S: np.ndarray) -> np.ndarray:
     return ST
 
 
-def _householder_to_e1(m: np.ndarray) -> np.ndarray:
-    """Unit vector w with H m proportional to e_1, H = I - 2 w w^T.
-
-    H's last n-1 columns span {q : m.q = 0}.
-    """
-    w = np.array(m, dtype=float)
-    nrm = np.linalg.norm(w)
-    if nrm == 0:
-        raise ValueError("deflation vector is zero")
-    w[0] += np.copysign(nrm, w[0] if w[0] != 0 else 1.0)
-    return w / np.linalg.norm(w)
-
-
-def _reflect_matrix(M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """H M H without its first row and column, without forming H.
-
-    For symmetric M, H M H = M - w v^T - v w^T with v = 2 M w - 2 (w.Mw) w:
-    one rank-2 update, on the trailing block only.
-    """
-    Mw = M @ w
-    v = 2.0 * Mw - (2.0 * (w @ Mw)) * w
-    out = M[1:, 1:] - np.outer(w[1:], v[1:])
-    out -= np.outer(v[1:], w[1:])
-    return out
-
-
-def _expand_deflated(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Map reduced coordinates back: q = H [0; y]."""
-    full = np.concatenate([np.zeros((1, *y.shape[1:])), y])
-    return full - 2.0 * np.outer(w, w @ full)
-
-
 def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
     out = vectors.copy()
     for j in range(out.shape[1]):
@@ -423,13 +396,15 @@ def _finish(op, Mp, vectors, method: str) -> GenEigResult:
     return GenEigResult(values=vals, vectors=vecs, residuals=res, method=method)
 
 
-def _dense_eig_path(op, Mp, k, deflate, options):
-    w = _householder_to_e1(deflate)
-    S_red = _reflect_matrix(dense_schur(op, cap=options.dense_cap), w)
-    M_red = _reflect_matrix(Mp.toarray(), w)
+def _dense_eig_path(op, Mp, k, m, options):
+    S = dense_schur(op, cap=options.dense_cap)
+    S += (2.0 / (m @ splu(Mp.tocsc()).solve(m))) * np.outer(m, m)
+    Mpd = Mp.toarray()
     with _ONE_BLAS_THREAD.release():
-        _, y = eigh(S_red, M_red, subset_by_index=(0, k - 1))
-    return _expand_deflated(y, w)
+        # eigh reads one triangle of each symmetric matrix, so their
+        # transposes serve: Fortran-order arrays it overwrites, not copies
+        _, y = eigh(S.T, Mpd.T, subset_by_index=(0, k - 1), overwrite_a=True, overwrite_b=True)
+    return y
 
 
 def _pressure_blocks(Mp) -> np.ndarray | None:
@@ -596,7 +571,9 @@ def smallest_generalized_eigs(
     """k smallest eigenvalues of S q = sigma Mp q, ascending.
 
     The problem is restricted to the zero-mean subspace {q : m.q = 0} of
-    the mean vector m (`deflate`), removing the trivial constant mode.
+    the mean vector m (`deflate`, Mp 1 for a basis that sums to one),
+    removing the trivial constant mode; a deflate whose sum is not
+    positive raises ValueError.
     Deterministic for a fixed options.seed and start.  `method` names the route whose vectors were
     returned: a budgeted ARPACK run that fell back reports "dense".  The
     ARPACK route starts from `start`, the eigenvectors of a nearby system
@@ -607,6 +584,9 @@ def smallest_generalized_eigs(
     n = op.shape[0]
     if Mp.shape != (n, n):
         raise ValueError("Mp dimension mismatch")
+    m = np.asarray(deflate, dtype=float)
+    if not m.sum() > 0:  # the area for a basis that sums to one; a NaN fails too
+        raise ValueError("deflation vector must have a positive sum")
     dim = n - 1
     if k < 1 or k > dim:
         raise EigenSolverError(f"k={k} outside the available dimension {dim}")
@@ -616,9 +596,9 @@ def smallest_generalized_eigs(
     method = "arpack" if n > options.dense_cap or budget is not None else "dense"
     if method == "arpack":
         try:
-            vecs = _arpack_eig_path(op, Mp, k, deflate, options, labels, ncv, budget, start)
+            vecs = _arpack_eig_path(op, Mp, k, m, options, labels, ncv, budget, start)
         except _OverBudget:
             method = "dense"
     if method == "dense":
-        vecs = _dense_eig_path(op, Mp, k, deflate, options)
+        vecs = _dense_eig_path(op, Mp, k, m, options)
     return _finish(op, Mp, vecs, method)

@@ -58,9 +58,10 @@ def brute_force_sigmas(system, deflate=True):
 
 def mixed_block_eigs(A, B, Mp, k, deflate=None, *, cap=3000):
     """Independent QZ oracle: the k smallest eigenpairs of the uncondensed
-    block saddle pencil [[A, -B^T], [B, 0]] x = sigma [[0, 0], [0, Mp]] x,
-    solved densely, on the zero-mean pressures when `deflate` (the mean
-    vector m) is given.
+    block saddle pencil [[A, -B^T], [B, G]] x = sigma [[0, 0], [0, Mp]] x,
+    solved densely.  G is 0, or with `deflate` (the mean vector m = Mp 1)
+    the term (2 / m.1) m m^T, which moves the constant mode to sigma = 2,
+    past the zero-mean pressures' sigma <= 1.
 
     It never forms the Schur complement.  Desk-scale only: a pencil of more
     than `cap` rows raises EigenSolverError.  The vectors go through the
@@ -73,21 +74,19 @@ def mixed_block_eigs(A, B, Mp, k, deflate=None, *, cap=3000):
         raise spectral.EigenSolverError(
             f"mixed pencil of size {nv + n} exceeds the desk-scale cap {cap}"
         )
-    Bd, Mpd = B.toarray(), Mp.toarray()
-    if deflate is not None:
-        w = spectral._householder_to_e1(deflate)
-        Bd = (Bd - 2.0 * np.outer(w, w @ Bd))[1:, :]
-        Mpd = spectral._reflect_matrix(Mpd, w)
-    m_red = Bd.shape[0]
-    if k > m_red:
-        raise spectral.EigenSolverError(f"k={k} outside the available dimension {m_red}")
+    dim = n if deflate is None else n - 1
+    if k > dim:
+        raise spectral.EigenSolverError(f"k={k} outside the available dimension {dim}")
+    Mpd = Mp.toarray()
     # equilibrate the two diagonal blocks before QZ
     sa = 1.0 / np.sqrt(abs(A).max())
     sp_ = 1.0 / np.sqrt(np.abs(Mpd).max())
-    K = np.zeros((nv + m_red, nv + m_red))
+    K = np.zeros((nv + n, nv + n))
     K[:nv, :nv] = sa * sa * A.toarray()
-    K[:nv, nv:] = -(sa * sp_) * Bd.T
-    K[nv:, :nv] = (sa * sp_) * Bd
+    K[:nv, nv:] = -(sa * sp_) * B.T.toarray()
+    K[nv:, :nv] = (sa * sp_) * B.toarray()
+    if deflate is not None:
+        K[nv:, nv:] = (sp_ * sp_ * 2.0 / np.sum(deflate)) * np.outer(deflate, deflate)
     M = np.zeros_like(K)
     M[nv:, nv:] = sp_ * sp_ * Mpd
     wvals, vr = eig(K, M, right=True)
@@ -96,8 +95,6 @@ def mixed_block_eigs(A, B, Mp, k, deflate=None, *, cap=3000):
     idx = np.nonzero(finite & real)[0]
     order = idx[np.argsort(wvals.real[idx])]
     vecs = vr[:, order[:k]].real[nv:, :]
-    if deflate is not None:
-        vecs = spectral._expand_deflated(vecs, w)
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs, Mp @ vecs)))
     vecs = vecs / np.where(norms > 0, norms, 1.0)
     op = spectral.SchurOperator(B, spectral.factorize_spd(A))

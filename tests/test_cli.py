@@ -925,3 +925,50 @@ def test_bool_solver_option_is_rejected_before_any_point(tmp_path, capsys, monke
         "error: solver option 'dense_cap' must be a non-negative integer, got False\n")
     assert built == []
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "window",
+    [[0.1, 0.02], [0.02], [0.02, "0.1"], [True, 0.1], 0.1],
+    ids=["inverted", "one-number", "string", "bool", "scalar"],
+)
+def test_sv_sweep_bad_slope_window_is_an_error(window, tmp_path, capsys, monkeypatch):
+    # an inverted window selects no point, and its check would go without a word
+    built = _points_built(monkeypatch)
+    assert _main_on(dict(SV_CFG, slope_window=window), "sweep", tmp_path, "--check") == 1
+    assert capsys.readouterr().err == (
+        f"error: config key 'slope_window' must be two numbers w0 <= w1, got {window!r}\n")
+    assert built == []
+    assert not (tmp_path / "run.csv").exists()
+
+
+def _elements(**degrees):
+    return dict(BETA_CFG, elements=dict(BETA_CFG["elements"], **degrees))
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key, value",
+    [("sweep", dict(SV_CFG, k=2.5), "k", 2.5),
+     ("sweep", dict(SV_CFG, k=True), "k", True),
+     ("sweep", dict(SV_CFG, velocity_degree=4.7), "velocity_degree", 4.7),
+     ("sweep", dict(SV_CFG, pressure_degree=3.0), "pressure_degree", 3.0),
+     ("beta", dict(BETA_CFG, k=2.0), "k", 2.0),
+     ("beta", _elements(velocity_degree=3.5), "velocity_degree", 3.5),
+     ("beta", _elements(pressure_degree=False), "pressure_degree", False),
+     ("sweep", dict(H_CFG, pressure_degree=0.5), "pressure_degree", 0.5),
+     ("polygon", dict(POLYGON_CFG, velocity_degree=4.7), "velocity_degree", 4.7),
+     ("sweep", dict(P_CFG, n_values=[2.5]), "n_values", 2.5),
+     ("sweep", dict(P_CFG, k_rules=[{"type": "offset", "d": 0.5}]), "d", 0.5),
+     ("sweep", dict(P_CFG, k_rules=[{"type": "fixed", "k": 1.0}]), "k", 1.0)],
+    ids=["sv-k-float", "sv-k-bool", "sv-velocity", "sv-pressure", "beta-k", "beta-velocity",
+         "beta-pressure-bool", "h-pressure", "polygon-velocity", "p-n", "p-offset", "p-fixed"],
+)
+def test_non_integer_config_key_is_an_error(command, cfg, key, value, tmp_path, capsys,
+                                            monkeypatch):
+    # truncated, "k": 2.5 wrote 2 sigma columns and "velocity_degree": 4.7 ran P4
+    built = _points_built(monkeypatch)
+    assert _main_on(cfg, command, tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key {key!r} must be an integer, got {value!r}\n")
+    assert built == []
+    assert not (tmp_path / "run.csv").exists()

@@ -846,16 +846,16 @@ def test_overlapping_eighs_keep_the_callers_threads_until_the_last_leaves(
             assert a_left.wait(timeout=60)
 
     eighs = _threads_at_eigh(monkeypatch, get, on_call)
-    real_expand = spectral._expand_deflated
+    real_finish = spectral._finish
 
-    def expand(y, w):  # the first call after the eigh's release
+    def finish(*args):  # the first call after the eigh's release
         name = threading.current_thread().name
         left[name] = get()
         if name == "A":
             a_left.set()
-        return real_expand(y, w)
+        return real_finish(*args)
 
-    monkeypatch.setattr(spectral, "_expand_deflated", expand)
+    monkeypatch.setattr(spectral, "_finish", finish)
     config = _quad_pair(3, 1, rect_grid(1, 1, 1, 1))
     results = {}
 

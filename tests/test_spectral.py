@@ -181,6 +181,54 @@ def test_dense_path_matches_brute_force():
     assert np.allclose(res.values, oracle[:3], atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "pair", [("sv", 4, 3), ("quad", 3, 2)], ids=["SV-P4-P3dc", "Q3-Q2dc"]
+)
+def test_dense_route_gives_the_whole_zero_mean_spectrum(pair, sv_unit_square):
+    # at k = n - 1 every zero-mean eigenpair comes back, the spurious
+    # Q_n-Q_(n-1)dc zero included, and never the constant mode shifted to 2
+    kind, vdeg, pdeg = pair
+    if kind == "sv":
+        family, mesh = Family.TRIANGLE, sv_unit_square
+    else:
+        family, mesh = Family.QUAD, rect_grid(1, 1, 2, 2)
+    sys_ = assemble_system(
+        build_dof_map(mesh, ElementSpace(family, vdeg, Continuity.C0,
+                                         BoundaryCondition.ZERO_TRACE)),
+        build_dof_map(mesh, ElementSpace(family, pdeg, Continuity.DISCONTINUOUS,
+                                         BoundaryCondition.NONE)),
+    )
+    n = sys_.n_pressure
+    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    res = smallest_generalized_eigs(op, sys_.Mp, n - 1, deflate=sys_.m)
+    assert res.method == "dense"
+    assert np.allclose(res.values, brute_force_sigmas(sys_, deflate=True), atol=1e-10)
+    assert res.values.max() <= 1.0 + 1e-10
+    assert np.abs(sys_.m @ res.vectors).max() <= 1e-10
+
+
+def test_dense_route_deflates_in_a_basis_that_does_not_sum_to_one():
+    # in the basis recombined by T the constant pressure has coefficients
+    # T^-T 1, not 1, and its mean vector T m: at k = n - 1 a shift scaled
+    # for 1 would leave the constant mode in, as sigma = 0
+    sys_ = quad_pair_system(3, 1, grid=(2, 2))
+    n = sys_.n_pressure
+    T = np.random.default_rng(5).standard_normal((n, n)) + 3.0 * np.eye(n)
+    op = SchurOperator(T @ sys_.B.toarray(), factorize_spd(sys_.A))
+    res = smallest_generalized_eigs(op, T @ sys_.Mp.toarray() @ T.T, n - 1, deflate=T @ sys_.m)
+    assert res.method == "dense"
+    assert np.allclose(res.values, brute_force_sigmas(sys_, deflate=True), atol=1e-10)
+
+
+@ROUTES
+@pytest.mark.parametrize("scale", [0.0, -1.0], ids=["zero", "negative"])
+def test_deflation_vector_without_a_positive_sum_is_rejected(options, scale):
+    sys_ = quad_pair_system(3, 1, grid=(2, 2))
+    op = SchurOperator(sys_.B, factorize_spd(sys_.A))
+    with pytest.raises(ValueError, match="^deflation vector must have a positive sum$"):
+        smallest_generalized_eigs(op, sys_.Mp, 2, deflate=scale * sys_.m, options=options)
+
+
 @pytest.mark.parametrize("a", [0.15, 0.0])
 def test_arpack_path_matches_dense(a):
     # force the iterative route on a desk-size instance; at a = 0 a spurious
